@@ -8,7 +8,6 @@ detection, Petz recovery, and local-broadcasting constructions.
 
 __version__ = "0.1.0"
 
-from .backend import BACKEND
 from .qstate import (
     DensityMatrix,
     SubsystemLayout,

@@ -133,14 +133,20 @@ def cmd_measures(args) -> int:
 def cmd_classify(args) -> int:
     rho = _load_state(args.state)
     cfg = OptimizerConfig(seed=args.seed)
-    verdict = is_cc(rho, tol=args.tol)
+    try:
+        verdicts = {
+            "verdict": is_cc(rho, tol=args.tol).to_dict(),
+            "cq_verdict": is_cq(rho, tol=args.tol, side=0).to_dict(),
+            "qc_verdict": is_cq(rho, tol=args.tol, side=1).to_dict(),
+            "ppt": ppt_label(rho),
+        }
+    except StateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     payload = {
         "manifest": _manifest("classify", [args.state], cfg),
         "tol": args.tol,
-        "verdict": verdict.to_dict(),
-        "cq_verdict": is_cq(rho, tol=args.tol, side=0).to_dict(),
-        "qc_verdict": is_cq(rho, tol=args.tol, side=1).to_dict(),
-        "ppt": ppt_label(rho),
+        **verdicts,
     }
     _write_report(payload, args.out)
     return 0
@@ -214,6 +220,9 @@ def cmd_suite(args) -> int:
         labels = json.loads(labels_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read {labels_path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if not isinstance(labels, list) or not labels:
+        print(f"error: {labels_path} lists no states", file=sys.stderr)
         return EXIT_PARSE
     rows = []
     for entry in labels:

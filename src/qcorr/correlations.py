@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from ._kernels_py import cc_joint_probs, cq_blocks, shannon_bits
 from .channels import (
     Povm,
     apply_local,
@@ -44,7 +44,6 @@ from .qstate import (
     partial_trace,
     permute_subsystems,
     relative_entropy,
-    shannon_bits,
     von_neumann_entropy,
 )
 
@@ -139,7 +138,7 @@ def cc_state(rho: DensityMatrix, povm_a: Povm,
         raise StateError("POVM dimensions do not match the parties")
     out = apply_local(measurement_channel(povm_b), 1,
                       apply_local(measurement_channel(povm_a), 0, rho))
-    probs = backend.cc_joint_probs(
+    probs = cc_joint_probs(
         np.ascontiguousarray(rho.matrix),
         povm_a.as_array(), povm_b.as_array())
     return out, ClassicalJoint(np.clip(probs, 0.0, None))
@@ -158,24 +157,27 @@ class MeasurementOptimum:
     povm_b: Povm | None
     family: str  # "projective" or "general"
     result: OptimizationResult
+    # The projective-family search, run first whatever `family` won; for
+    # I_CQ it is the search that defines the discord bound.
+    projective: OptimizationResult
 
 
 def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray) -> float:
     """I of the CQ state for POVM element stack `ms` on the first party."""
-    blocks = backend.cq_blocks(rho_mat, ms)
+    blocks = cq_blocks(rho_mat, ms)
     probs = np.ascontiguousarray(
         np.trace(blocks, axis1=1, axis2=2).real)
     lam = np.linalg.eigvalsh(blocks).reshape(-1)
     lam = np.ascontiguousarray(np.clip(lam, 0.0, None))
-    return (backend.shannon_bits(np.clip(probs, 0.0, None))
-            + s_b - backend.shannon_bits(lam))
+    return (shannon_bits(np.clip(probs, 0.0, None))
+            + s_b - shannon_bits(lam))
 
 
 def _cc_value(rho_mat: np.ndarray, ms: np.ndarray, ns: np.ndarray) -> float:
-    p = np.clip(backend.cc_joint_probs(rho_mat, ms, ns), 0.0, None)
-    h_a = backend.shannon_bits(np.ascontiguousarray(p.sum(axis=1)))
-    h_b = backend.shannon_bits(np.ascontiguousarray(p.sum(axis=0)))
-    return h_a + h_b - backend.shannon_bits(np.ascontiguousarray(p.reshape(-1)))
+    p = np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None)
+    h_a = shannon_bits(np.ascontiguousarray(p.sum(axis=1)))
+    h_b = shannon_bits(np.ascontiguousarray(p.sum(axis=0)))
+    return h_a + h_b - shannon_bits(np.ascontiguousarray(p.reshape(-1)))
 
 
 def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
@@ -220,6 +222,7 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
         povm_b=None,
         family="projective",
         result=proj_res,
+        projective=proj_res,
     )
     if cfg.projective_only:
         return best
@@ -243,6 +246,7 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
             povm_b=None,
             family="general",
             result=gen_res,
+            projective=proj_res,
         )
     return best
 
@@ -285,6 +289,7 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
         povm_b=projective_povm(proj_res.params[pd_a:], d_b),
         family="projective",
         result=proj_res,
+        projective=proj_res,
     )
     if cfg.projective_only:
         return best
@@ -325,6 +330,7 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
             povm_b=general_povm(gen_res.params[gd_a:], d_b, n_b),
             family="general",
             result=gen_res,
+            projective=proj_res,
         )
     return best
 
@@ -400,15 +406,14 @@ def correlation_report(rho: DensityMatrix,
     i_cq = min(i, max(icq.value, cq_at_cc))
     i_cc = max(min(i_cq, icc.value), 0.0)
 
-    proj_cfg = OptimizerConfig(**{**cfg.to_dict(), "projective_only": True})
-    icq_proj = optimize_icq(rho, proj_cfg)
-    discord_val = max(i - min(icq_proj.value, i), 0.0)
+    # The projective I_CQ search inside `icq` is the one `discord` runs.
+    discord_val = max(i - min(icq.projective.value, i), 0.0)
 
     meta = {
         "config": cfg.to_dict(),
         "icq": icq.result.to_dict(),
         "icc": icc.result.to_dict(),
-        "icq_projective": icq_proj.result.to_dict(),
+        "icq_projective": icq.projective.to_dict(),
         "icq_family": icq.family,
         "icc_family": icc.family,
         "outcome_cap": "d^2 rank-1 outcomes for the general POVM family",

@@ -9,6 +9,7 @@ evaluated directly, so the returned value never falls below any seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,22 +91,37 @@ def random_density(layout, rank: int,
     return DensityMatrix(layout, m / m.trace())
 
 
-def _anti_hermitian(params: np.ndarray, d: int) -> np.ndarray:
-    """Pack d^2 reals into an anti-Hermitian d x d generator.
+_ZERO = np.zeros(1)
 
-    First d entries are the imaginary diagonal; the rest fill the upper
-    triangle as x + iy with the lower triangle fixed by antisymmetry.
+
+@functools.lru_cache(maxsize=None)
+def _generator_gather(d: int) -> np.ndarray:
+    """Index map from [params, -params, 0] to the (re, im) parts of H.
+
+    The packing: the first d parameters are the diagonal of H; the rest
+    fill the strict upper triangle row by row, pair (x, y) giving the
+    generator entry A_ij = x + iy of A = iH, so H_ij = y - ix and
+    H_ji = y + ix.
     """
-    a = np.zeros((d, d), dtype=complex)
-    a[np.diag_indices(d)] = 1j * params[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            x, y = params[k], params[k + 1]
-            a[i, j] = x + 1j * y
-            a[j, i] = -x + 1j * y
-            k += 2
-    return a
+    n = d * d
+    zero, neg = 2 * n, n
+    idx = np.empty((d, d, 2), dtype=np.intp)
+    diag = np.arange(d)
+    idx[diag, diag] = np.stack([diag, np.full(d, zero)], axis=1)
+    rows, cols = np.triu_indices(d, 1)
+    k = d + 2 * np.arange(rows.size)  # offset of each (x, y) pair
+    idx[rows, cols] = np.stack([k + 1, neg + k], axis=1)
+    idx[cols, rows] = np.stack([k + 1, k], axis=1)
+    idx = idx.reshape(n, 2)
+    idx.flags.writeable = False
+    return idx
+
+
+def _hermitian_generator(params: np.ndarray, d: int) -> np.ndarray:
+    """Pack d^2 reals into the Hermitian d x d generator H (layout in
+    `_generator_gather`) with one gather."""
+    src = np.concatenate((params, -params, _ZERO))
+    return src[_generator_gather(d)].view(complex).reshape(d, d)
 
 
 def param_dim_unitary(d: int) -> int:
@@ -116,10 +132,9 @@ def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
     params = np.asarray(params, dtype=float).reshape(-1)
     if params.size != d * d:
         raise ValueError(f"expected {d * d} parameters, got {params.size}")
-    # exp(A) for anti-Hermitian A = iH via the spectral decomposition of H;
-    # much faster than a general matrix exponential at these sizes.
-    h = -1j * _anti_hermitian(params, d)
-    evals, vecs = np.linalg.eigh(h)
+    # exp(iH) via the spectral decomposition of H; much faster than a
+    # general matrix exponential at these sizes.
+    evals, vecs = np.linalg.eigh(_hermitian_generator(params, d))
     return (vecs * np.exp(1j * evals)) @ vecs.conj().T
 
 
@@ -130,12 +145,9 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
     a = 0.5 * (a - a.conj().T)  # project onto anti-Hermitian matrices
     params = np.empty(d * d)
     params[:d] = np.diag(a).imag
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            params[k] = a[i, j].real
-            params[k + 1] = a[i, j].imag
-            k += 2
+    upper = a[np.triu_indices(d, 1)]
+    params[d::2] = upper.real
+    params[d + 1::2] = upper.imag
     return params
 
 

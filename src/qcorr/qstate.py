@@ -245,10 +245,14 @@ def _clipped_spectrum(evals: np.ndarray) -> np.ndarray:
 
 
 def shannon_bits(p) -> float:
-    """Shannon entropy in bits; zero entries contribute nothing."""
+    """Shannon entropy in bits; zero entries contribute nothing.
+
+    Adding +0.0 turns the -0.0 of a single unit weight or an empty support
+    into 0.0.
+    """
     p = np.asarray(p, dtype=float).reshape(-1)
     nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -76,6 +76,44 @@ def oracle_apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def oracle_joint_probs(rho: np.ndarray, ms, ns) -> np.ndarray:
+    """p_ij = Tr[(M_i (x) N_j) rho], one explicit trace per outcome pair."""
+    out = np.zeros((len(ms), len(ns)))
+    for i, m in enumerate(ms):
+        for j, n in enumerate(ns):
+            prod = oracle_kron(m, n) @ rho
+            out[i, j] = sum(prod[k, k] for k in range(prod.shape[0])).real
+    return out
+
+
+def oracle_cq_blocks(rho: np.ndarray, ms, d_b: int) -> np.ndarray:
+    """B_i = Tr_A[(M_i (x) I) rho] via the loop Kronecker product and
+    partial trace."""
+    d_a = ms[0].shape[0]
+    eye_b = np.eye(d_b, dtype=complex)
+    return np.array([
+        oracle_partial_trace(oracle_kron(m, eye_b) @ rho, (d_a, d_b), (1,))
+        for m in ms
+    ])
+
+
+def oracle_anti_hermitian(params: np.ndarray, d: int) -> np.ndarray:
+    """The unitary parameterization's generator packing, as a double loop:
+    the first d parameters are the imaginary diagonal, then (x, y) pairs
+    fill the upper triangle row by row as x + iy, anti-Hermitian below."""
+    a = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        a[i, i] = 1j * params[i]
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            x, y = params[k], params[k + 1]
+            a[i, j] = x + 1j * y
+            a[j, i] = -x + 1j * y
+            k += 2
+    return a
+
+
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

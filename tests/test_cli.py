@@ -7,7 +7,7 @@ from qcorr.channels import depolarizing_channel, unitary_channel
 from qcorr.cli import main
 from qcorr.corpus import classically_correlated_bit
 from qcorr.optimize import haar_unitary
-from qcorr.qstate import bell_phi_plus
+from qcorr.qstate import bell_phi_plus, pure_state
 
 
 FAST = ["--restarts", "2", "--max-evals", "150"]
@@ -156,3 +156,21 @@ def test_invalid_state_matrix_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["classify", str(bad)])
     assert exc.value.code == 3
+
+
+def test_suite_empty_labels_exit_code(tmp_path, capsys):
+    (tmp_path / "labels.json").write_text("[]\n")
+    rc = main(["suite", str(tmp_path), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "lists no states" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_classify_non_bipartite_exit_code(tmp_path, capsys):
+    path = tmp_path / "ghz.json"
+    ghz = np.zeros(8)
+    ghz[[0, 7]] = 2 ** -0.5
+    pure_state(ghz, (2, 2, 2)).save(path)
+    rc = main(["classify", str(path)])
+    assert rc == 3
+    assert "bipartite" in capsys.readouterr().err

@@ -169,6 +169,15 @@ class TestOptimizedBounds:
         assert r1.to_dict()["I_cc_lower"] == r2.to_dict()["I_cc_lower"]
         assert r1.to_dict()["I_cq_lower"] == r2.to_dict()["I_cq_lower"]
 
+    def test_report_reuses_projective_icq_for_discord(self, rng):
+        rho = random_density((2, 3), 4, rng)
+        rep = correlation_report(rho, SMALL)
+        assert rep.discord_upper == discord(rho, SMALL)
+        proj_cfg = OptimizerConfig(**{**SMALL.to_dict(),
+                                      "projective_only": True})
+        standalone = optimize_icq(rho, proj_cfg).result.to_dict()
+        assert rep.optimizer_meta["icq_projective"] == standalone
+
 
 class TestDataProcessing:
     def test_local_unitary_preserves_mi(self, rng):

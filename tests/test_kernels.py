@@ -1,57 +1,105 @@
-"""Backend parity: the compiled kernels must match the pure-numpy ones."""
+"""Hot-path kernels and the generator packing, against loop oracles.
+
+The references are the explicit-loop oracles in `conftest.py`, which share
+no vectorized code with the kernels.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
-from qcorr import backend
-from qcorr import _kernels_py as pure
-from qcorr.channels import projective_basis_povm
-from qcorr.optimize import haar_unitary, random_density
+from qcorr import _kernels_py as kernels
+from qcorr.optimize import (
+    _hermitian_generator,
+    general_stack,
+    param_dim_general_povm,
+    param_dim_unitary,
+    params_from_unitary,
+    projective_stack,
+    random_density,
+    unitary_from_params,
+)
+
+from conftest import (
+    oracle_anti_hermitian,
+    oracle_cq_blocks,
+    oracle_joint_probs,
+)
+
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+FAMILIES = ("projective", "general")
 
 
-def _inputs(d_a, d_b, rng):
-    rho = random_density((d_a, d_b), d_a * d_b, rng).matrix
-    ma = projective_basis_povm(haar_unitary(d_a, rng)).as_array()
-    mb = projective_basis_povm(haar_unitary(d_b, rng)).as_array()
-    return rho, ma, mb
+def _stack(family, d, rng):
+    """A projective (d outcomes) or general (d^2 outcomes) element stack."""
+    if family == "projective":
+        return projective_stack(rng.normal(size=param_dim_unitary(d)), d)
+    n = d * d
+    return general_stack(rng.normal(size=param_dim_general_povm(d, n)), d, n)
 
 
-def test_backend_identifies_itself():
-    assert backend.BACKEND in ("cython", "python")
+def _state(d_a, d_b, rng):
+    return random_density((d_a, d_b), d_a * d_b, rng).matrix
 
 
-@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("d_a,d_b", DIMS)
 def test_cc_joint_probs_parity(d_a, d_b, rng):
-    rho, ma, mb = _inputs(d_a, d_b, rng)
-    got = backend.cc_joint_probs(rho, ma, mb)
-    want = pure.cc_joint_probs(rho, ma, mb)
-    np.testing.assert_allclose(got, want, atol=1e-13)
-    assert got.sum() == pytest.approx(1.0, abs=1e-10)
+    rho = _state(d_a, d_b, rng)
+    for family in FAMILIES:
+        ms, ns = _stack(family, d_a, rng), _stack(family, d_b, rng)
+        got = kernels.cc_joint_probs(rho, ms, ns)
+        np.testing.assert_allclose(got, oracle_joint_probs(rho, ms, ns),
+                                   atol=1e-13)
+        assert got.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("d_a,d_b", DIMS)
 def test_cq_blocks_parity(d_a, d_b, rng):
-    rho, ma, _ = _inputs(d_a, d_b, rng)
-    got = backend.cq_blocks(rho, ma)
-    want = pure.cq_blocks(rho, ma)
-    np.testing.assert_allclose(got, want, atol=1e-13)
-    total = got.sum(axis=0)
-    # blocks sum to the second marginal (trace one)
-    assert np.trace(total).real == pytest.approx(1.0, abs=1e-10)
+    rho = _state(d_a, d_b, rng)
+    for family in FAMILIES:
+        ms = _stack(family, d_a, rng)
+        got = kernels.cq_blocks(rho, ms)
+        np.testing.assert_allclose(got, oracle_cq_blocks(rho, ms, d_b),
+                                   atol=1e-13)
+        # blocks sum to the second marginal (trace one)
+        assert np.trace(got.sum(axis=0)).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_shannon_bits_parity(rng):
     p = rng.random(16)
+    p[3] = 0.0
     p /= p.sum()
-    assert backend.shannon_bits(p) == pytest.approx(
-        pure.shannon_bits(p), abs=1e-12
-    )
+    want = -sum(x * math.log2(x) for x in p if x > 0)
+    assert kernels.shannon_bits(p) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [[1.0], [0.0, 1.0, 0.0], [], [0.0]])
+def test_shannon_bits_zero_is_positive_zero(p):
+    h = kernels.shannon_bits(np.array(p))
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 def test_joint_probs_against_direct_traces(rng):
-    rho, ma, mb = _inputs(2, 2, rng)
-    got = backend.cc_joint_probs(rho, ma, mb)
+    rho = _state(2, 2, rng)
+    ma, mb = _stack("projective", 2, rng), _stack("projective", 2, rng)
+    got = kernels.cc_joint_probs(rho, ma, mb)
     for i in range(2):
         for j in range(2):
             want = np.trace(np.kron(ma[i], mb[j]) @ rho).real
             assert got[i, j] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+def test_generator_packing_matches_loop(d, rng):
+    params = rng.normal(size=param_dim_unitary(d))
+    want = -1j * oracle_anti_hermitian(params, d)
+    np.testing.assert_array_equal(_hermitian_generator(params, d), want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_params_from_unitary_inverts_packing(d, rng):
+    # Small parameters keep the spectrum of H inside the principal branch.
+    params = 0.2 * rng.normal(size=param_dim_unitary(d))
+    u = unitary_from_params(params, d)
+    np.testing.assert_allclose(params_from_unitary(u), params, atol=1e-10)

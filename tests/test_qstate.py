@@ -118,6 +118,8 @@ class TestEntropies:
     def test_pure_state_entropy_zero(self):
         rho = pure_state(np.array([1.0, 0.0]), (2,))
         assert abs(von_neumann_entropy(rho)) <= 1e-12
+        # +0.0, never -0.0, so reports do not print "-0.0"
+        assert np.copysign(1.0, von_neumann_entropy(rho)) == 1.0
 
     def test_maximally_mixed_entropy(self):
         for d in (2, 3, 4):
