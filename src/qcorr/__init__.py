@@ -21,6 +21,7 @@ from .qstate import (
     relative_entropy,
     trace_distance,
     fidelity,
+    bell_phi_plus,
 )
 from .channels import (
     Povm,
@@ -57,6 +58,7 @@ from .broadcast import (
     verify_broadcast,
     theorem2_check,
     broadcast_search,
+    delta_b_upper,
     embed_ensemble,
     regroup,
 )

@@ -26,7 +26,10 @@ from .optimize import (
     unitary_from_params,
 )
 from .qstate import (
+    TAU_HERM,
     TAU_NUM,
+    TAU_PSD,
+    TAU_TR,
     DensityMatrix,
     StateError,
     SubsystemLayout,
@@ -228,16 +231,68 @@ def stinespring_param_dim(d: int, ancilla: int) -> int:
     return (d * d * ancilla) ** 2
 
 
-def broadcast_search(rho: DensityMatrix,
-                     cfg: OptimizerConfig | None = None) -> BroadcastCandidate:
-    """Best local-broadcast candidate found by derivative-free search.
+def _copy_superoperators(params: np.ndarray, d: int,
+                         ancilla: int) -> np.ndarray:
+    """Both copy marginals of `_stinespring_channel` as superoperators.
 
-    Structured candidates (basis cloning, marginal attachment) are always
-    evaluated; a Stinespring ansatz over both local channels is then
-    optimized for minimal marginal residuals.  For non-CC inputs the
-    residual is expected to stay bounded away from zero (a demonstration,
-    not a proof).
+    Entry [c, (a, b), (i, j)] is <a| Tr_rest[V |i><j| V^dag] |b> with V
+    the Stinespring isometry; copy c = 0 keeps A and c = 1 keeps A', the
+    other copy and the ancilla are traced out.  Raw arrays for the search
+    loop: the only check is the isometry condition V^dag V = I that
+    constructing the `KrausChannel` would make.
     """
+    v = unitary_from_params(params, d * d * ancilla)[:, :d]
+    err = np.abs(v.conj().T @ v - np.eye(d)).max()
+    if err > TAU_NUM:
+        raise ChannelError(
+            f"Stinespring map is not an isometry: max |V^dag V - I| = {err:.3e}")
+    w = v.reshape(d, d, ancilla, d)  # [a, a', k, i]
+    legs = np.stack((w.transpose(0, 3, 1, 2),   # [(a, i), (a', k)]
+                     w.transpose(1, 3, 0, 2)))  # [(a', i), (a, k)]
+    legs = legs.reshape(2, d * d, d * ancilla)
+    gram = legs @ legs.conj().transpose(0, 2, 1)  # [c, (a, i), (b, j)]
+    return gram.reshape(2, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(
+        2, d * d, d * d)
+
+
+def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
+    """params -> -(sum of both copy-marginal trace distances to rho).
+
+    Equals minus the residual sum of `verify_broadcast` on
+    `apply_local_broadcast` of the two Stinespring channels, computed on
+    raw arrays: each copy marginal is S_A R S_B^T with R the reshuffled
+    rho.  The copy marginals get the Hermiticity, trace and PSD checks of
+    `DensityMatrix` (the PSD test shares the residuals' `eigvalsh`).
+    """
+    d_a, d_b = rho.dims
+    n = d_a * d_b
+    pd_a = stinespring_param_dim(d_a, anc_a)
+    mat = rho.matrix
+    shuffled = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(
+        d_a * d_a, d_b * d_b)  # [(i1, j1), (i2, j2)]
+
+    def objective(params):
+        s_a = _copy_superoperators(params[:pd_a], d_a, anc_a)
+        s_b = _copy_superoperators(params[pd_a:], d_b, anc_b)
+        copies = (s_a @ shuffled @ s_b.transpose(0, 2, 1)).reshape(
+            2, d_a, d_a, d_b, d_b).transpose(0, 1, 3, 2, 4).reshape(2, n, n)
+        if np.abs(copies - copies.conj().transpose(0, 2, 1)).max() > TAU_HERM:
+            raise StateError("copy marginal is not Hermitian within tolerance")
+        tr = np.trace(copies, axis1=1, axis2=2).real
+        if np.abs(tr - 1.0).max() > TAU_TR:
+            raise StateError(f"copy marginal traces are {tr}, not 1 within tolerance")
+        evals = np.linalg.eigvalsh(np.concatenate((copies - mat, copies)))
+        if evals[2:].min() < -TAU_PSD:
+            raise StateError(
+                f"copy marginal has negative eigenvalue {evals[2:].min()}")
+        return -0.5 * np.abs(evals[:2]).sum()
+
+    return objective
+
+
+def _broadcast_candidates(rho: DensityMatrix,
+                          cfg: OptimizerConfig | None) -> list[BroadcastCandidate]:
+    """Basis cloning, marginal attachment and the optimized Stinespring pair."""
     if rho.layout.n_subsystems != 2:
         raise StateError("broadcast search requires a bipartite state")
     if cfg is None:
@@ -249,23 +304,27 @@ def broadcast_search(rho: DensityMatrix,
     pd_b = stinespring_param_dim(d_b, anc_b)
 
     candidates = [cloning_candidate(rho), attachment_candidate(rho)]
-
-    def objective(params):
-        theta_a = _stinespring_channel(params[:pd_a], d_a, anc_a)
-        theta_b = _stinespring_channel(params[pd_a:], d_b, anc_b)
-        sigma = apply_local_broadcast(theta_a, theta_b, rho)
-        _, res = verify_broadcast(sigma, rho)
-        return -(res[0] + res[1])
-
-    res = maximize(objective, pd_a + pd_b, cfg)
+    res = maximize(_residual_objective(rho, anc_a, anc_b), pd_a + pd_b, cfg)
     theta_a = _stinespring_channel(res.params[:pd_a], d_a, anc_a)
     theta_b = _stinespring_channel(res.params[pd_a:], d_b, anc_b)
     candidates.append(_candidate(rho, theta_a, theta_b))
+    return candidates
 
+
+def broadcast_search(rho: DensityMatrix,
+                     cfg: OptimizerConfig | None = None) -> BroadcastCandidate:
+    """Best local-broadcast candidate found by derivative-free search.
+
+    Structured candidates (basis cloning, marginal attachment) are always
+    evaluated; a Stinespring ansatz over both local channels is then
+    optimized for minimal marginal residuals.  For non-CC inputs the
+    residual is expected to stay bounded away from zero (a demonstration,
+    not a proof).
+    """
     def merit(c: BroadcastCandidate) -> float:
         return -(c.marginal_residuals[0] + c.marginal_residuals[1])
 
-    return max(candidates, key=merit)
+    return max(_broadcast_candidates(rho, cfg), key=merit)
 
 
 def two_copy_candidate(rho: DensityMatrix) -> BroadcastCandidate:
@@ -291,11 +350,9 @@ def delta_b_upper(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
     feasible candidates produced by the local search.  The sign of the raw
     value is not guaranteed by the bound direction and is reported as is.
     """
-    candidates = [two_copy_candidate(rho)]
-    searched = broadcast_search(rho, cfg)
-    for cand in (searched, cloning_candidate(rho), attachment_candidate(rho)):
-        if max(cand.marginal_residuals) <= feasibility_tol:
-            candidates.append(cand)
+    candidates = [two_copy_candidate(rho)] + [
+        cand for cand in _broadcast_candidates(rho, cfg)
+        if max(cand.marginal_residuals) <= feasibility_tol]
     return min(c.mi_deficit for c in candidates)
 
 

@@ -21,12 +21,18 @@ from .qstate import (
     TAU_TR,
     DensityMatrix,
     SubsystemLayout,
+    _complex_entries,
+    _int_tuple,
     ket,
 )
 
 
 class ChannelError(ValueError):
     """Raised for invalid channels, POVMs, or dimension mismatches."""
+
+
+class ChannelParseError(ChannelError):
+    """Raised when a channel record's entries are not numbers of the right form."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,8 @@ class Povm:
         for m in elems:
             if m.shape != (d, d):
                 raise ChannelError("POVM elements must share one dimension")
+            if not np.isfinite(m).all():
+                raise ChannelError("POVM element has non-finite entries")
             if np.abs(m - m.conj().T).max() > TAU_NUM:
                 raise ChannelError("POVM element is not Hermitian")
             if np.linalg.eigvalsh(m).min() < -TAU_PSD:
@@ -105,6 +113,8 @@ class KrausChannel:
         for k in ops:
             if k.shape != (d_out, d_in):
                 raise ChannelError("Kraus operators must share one shape")
+            if not np.isfinite(k).all():
+                raise ChannelError("Kraus operator has non-finite entries")
         comp = sum(k.conj().T @ k for k in ops)
         tp = bool(np.abs(comp - np.eye(d_in)).max() <= TAU_NUM)
         if self.check_tp and not tp:
@@ -162,17 +172,22 @@ class KrausChannel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "KrausChannel":
         try:
-            d_in = int(data["d_in"])
-            d_out = int(data["d_out"])
+            d_in, d_out = _int_tuple((data["d_in"], data["d_out"]),
+                                     ChannelParseError)
+            out_dims = _int_tuple(data.get("out_dims", (d_out,)),
+                                  ChannelParseError)
             raw = data["kraus"]
         except (KeyError, TypeError) as exc:
             raise ChannelError(f"malformed channel record: {exc}") from exc
-        out_dims = tuple(data.get("out_dims", (d_out,)))
+        if min(d_in, d_out) < 1:
+            raise ChannelError(f"channel dimensions must be >= 1, got {d_in}, {d_out}")
+        if not isinstance(raw, list):
+            raise ChannelParseError(f"kraus must be a list of operators, got {raw!r}")
         ops = []
         for entry in raw:
-            if len(entry) != d_in * d_out:
+            flat = _complex_entries(entry, ChannelParseError)
+            if flat.size != d_in * d_out:
                 raise ChannelError("Kraus operator has wrong entry count")
-            flat = np.array([complex(re, im) for re, im in entry])
             ops.append(flat.reshape(d_out, d_in))
         return cls(tuple(ops), out_dims=out_dims)
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .broadcast import broadcast_search
-from .channels import (ChannelError, KrausChannel, apply_channel,
-                       apply_local, petz_recovery)
+from .channels import (ChannelError, ChannelParseError, KrausChannel,
+                       apply_channel, apply_local, petz_recovery)
 from .classify import is_cc, is_cq, ppt_label
 from .correlations import correlation_report, mutual_information
 from .corpus import make_corpus
@@ -30,6 +30,7 @@ from .optimize import OptimizerConfig
 from .qstate import (
     DensityMatrix,
     StateError,
+    StateParseError,
     bits_to_nats,
     partial_trace,
     tensor,
@@ -79,7 +80,8 @@ def _convert_units(payload, units: str):
 def _load_state(path: str) -> DensityMatrix:
     try:
         return DensityMatrix.load(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            StateParseError) as exc:
         print(f"error: cannot read state file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     except StateError as exc:
@@ -90,7 +92,8 @@ def _load_state(path: str) -> DensityMatrix:
 def _load_channel(path: str) -> KrausChannel:
     try:
         return KrausChannel.load(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            ChannelParseError) as exc:
         print(f"error: cannot read channel file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     except ChannelError as exc:
@@ -160,6 +163,9 @@ def cmd_broadcast(args) -> int:
     except StateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except (ValueError, FloatingPointError) as exc:
+        print(f"error: optimizer failure: {exc}", file=sys.stderr)
+        return EXIT_OPTIMIZER
     payload = {
         "manifest": _manifest("broadcast", [args.state], cfg),
         "units": args.units,
@@ -224,12 +230,25 @@ def cmd_suite(args) -> int:
     if not isinstance(labels, list) or not labels:
         print(f"error: {labels_path} lists no states", file=sys.stderr)
         return EXIT_PARSE
+    for entry in labels:
+        if not (isinstance(entry, dict) and isinstance(entry.get("state_id"), str)
+                and "label" in entry):
+            print(f"error: {labels_path}: entry {entry!r} lacks a string "
+                  f"state_id or a label", file=sys.stderr)
+            return EXIT_PARSE
     rows = []
     for entry in labels:
         state_id = entry["state_id"]
         rho = _load_state(str(corpus_dir / f"{state_id}.json"))
-        report = correlation_report(rho, cfg)
-        cand = broadcast_search(rho, cfg)
+        try:
+            report = correlation_report(rho, cfg)
+            cand = broadcast_search(rho, cfg)
+        except StateError as exc:
+            print(f"error: {state_id}: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+        except (ValueError, FloatingPointError) as exc:
+            print(f"error: {state_id}: optimizer failure: {exc}", file=sys.stderr)
+            return EXIT_OPTIMIZER
         rows.append({
             "state_id": state_id,
             "kind_label": entry["label"],
@@ -264,16 +283,32 @@ def cmd_make_corpus(args) -> int:
     return 0
 
 
+def _checked(kind, ok, what: str):
+    """argparse type: `kind(text)` satisfying `ok`; anything else exits 2."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
+_TOL = _checked(float, lambda v: 0.0 < v < float("inf"), "a positive finite number")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=16)
-    parser.add_argument("--max-evals", type=int, default=5000)
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--seed", type=_SEED, default=0)
+    parser.add_argument("--restarts", type=_COUNT, default=16)
+    parser.add_argument("--max-evals", type=_COUNT, default=5000)
+    parser.add_argument("--tol", type=_TOL, default=1e-8)
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
-    parser.add_argument("--outcomes", type=int, default=None,
+    parser.add_argument("--outcomes", type=_COUNT, default=None,
                         help="outcome count for the general POVM family")
     parser.add_argument("--projective-only", action="store_true")
-    parser.add_argument("--ancilla", type=int, default=None,
+    parser.add_argument("--ancilla", type=_COUNT, default=None,
                         help="Stinespring ancilla dimension for broadcast search")
     parser.add_argument("--out", default=None, help="output file path")
 

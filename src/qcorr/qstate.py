@@ -8,6 +8,7 @@ the slowest Kronecker index.  All entropic quantities are returned in bits.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from math import prod
 
@@ -25,6 +26,30 @@ _LOG2 = np.log(2.0)
 
 class StateError(ValueError):
     """Raised when a state or distribution violates its invariants."""
+
+
+class StateParseError(StateError):
+    """Raised when a state record's entries are not numbers of the right form."""
+
+
+def _complex_entries(entries, error: type[ValueError]) -> np.ndarray:
+    """Complex vector from a JSON list of [re, im] number pairs.
+
+    Anything else (a bare number, a short pair, strings) raises `error`,
+    never a bare ValueError or TypeError.
+    """
+    try:
+        return np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"entries must be [re, im] pairs of numbers: {exc}") from exc
+
+
+def _int_tuple(values, error: type[ValueError]) -> tuple[int, ...]:
+    """Integers from a JSON list; floats, strings and non-lists raise `error`."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError as exc:
+        raise error(f"expected a list of integers, got {values!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -84,6 +109,8 @@ class DensityMatrix:
                 f"matrix dimension {m.shape[0]} does not match layout "
                 f"product {layout.dim}"
             )
+        if not np.isfinite(m).all():
+            raise StateError("matrix has non-finite entries")
         if np.abs(m - m.conj().T).max() > TAU_HERM:
             raise StateError("matrix is not Hermitian within tolerance")
         tr = m.trace().real
@@ -117,18 +144,18 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
         try:
-            dims = tuple(int(d) for d in data["dims"])
-            entries = data["matrix"]
+            dims, entries = data["dims"], data["matrix"]
         except (KeyError, TypeError) as exc:
             raise StateError(f"malformed state record: {exc}") from exc
-        d = prod(dims)
-        if len(entries) != d * d:
+        layout = SubsystemLayout(_int_tuple(dims, StateParseError))
+        flat = _complex_entries(entries, StateParseError)
+        d = layout.dim
+        if flat.size != d * d:
             raise StateError(
-                f"expected {d * d} matrix entries for dims {dims}, "
-                f"got {len(entries)}"
+                f"expected {d * d} matrix entries for dims {layout.dims}, "
+                f"got {flat.size}"
             )
-        flat = np.array([complex(re, im) for re, im in entries])
-        return cls(SubsystemLayout(dims), flat.reshape(d, d))
+        return cls(layout, flat.reshape(d, d))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import qcorr.broadcast as broadcast_mod
 from qcorr.broadcast import (
+    _residual_objective,
+    _stinespring_channel,
     apply_local_broadcast,
     attachment_candidate,
     broadcast_marginals,
@@ -10,6 +13,7 @@ from qcorr.broadcast import (
     cloning_candidate,
     delta_b_upper,
     regroup,
+    stinespring_param_dim,
     theorem2_check,
     two_copy_candidate,
     verify_broadcast,
@@ -21,7 +25,8 @@ from qcorr.corpus import (
     separable_non_cq,
 )
 from qcorr.correlations import mutual_information
-from qcorr.optimize import OptimizerConfig, random_density
+from qcorr.channels import ChannelError
+from qcorr.optimize import OptimizerConfig, random_density, unitary_from_params
 from qcorr.qstate import bell_phi_plus, tensor
 
 TINY = OptimizerConfig(seed=0, restarts=2, max_evals=120)
@@ -148,3 +153,53 @@ class TestSearchAndDeltaB:
         cand = broadcast_search(random_cc(2, 2, rng), TINY)
         assert cand.valid
         assert abs(cand.mi_deficit) <= 1e-9
+
+
+class TestRawObjective:
+    """The search objective on raw arrays against the validated composition."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("ancilla_dim", [None, 1])
+    def test_matches_verify_broadcast(self, rng, dims, ancilla_dim):
+        d_a, d_b = dims
+        anc_a, anc_b = ancilla_dim or d_a, ancilla_dim or d_b
+        pd_a = stinespring_param_dim(d_a, anc_a)
+        pd_b = stinespring_param_dim(d_b, anc_b)
+        rho = random_density(dims, 3, rng)
+        objective = _residual_objective(rho, anc_a, anc_b)
+        for _ in range(3):
+            x = rng.normal(scale=np.pi / 4, size=pd_a + pd_b)
+            sigma = apply_local_broadcast(
+                _stinespring_channel(x[:pd_a], d_a, anc_a),
+                _stinespring_channel(x[pd_a:], d_b, anc_b), rho)
+            _, res = verify_broadcast(sigma, rho)
+            assert objective(x) == pytest.approx(-(res[0] + res[1]), abs=1e-12)
+
+    def test_non_isometry_raises_channel_error(self, monkeypatch):
+        monkeypatch.setattr(broadcast_mod, "unitary_from_params",
+                            lambda p, d: 1.01 * unitary_from_params(p, d))
+        objective = _residual_objective(bell_phi_plus(), 2, 2)
+        with pytest.raises(ChannelError, match="isometry"):
+            objective(np.zeros(2 * stinespring_param_dim(2, 2)))
+
+    def test_search_result_is_the_validated_candidate(self):
+        cand = broadcast_search(bell_phi_plus(), TINY)
+        _, res = verify_broadcast(cand.sigma, bell_phi_plus())
+        assert cand.marginal_residuals == res
+
+
+def test_delta_b_builds_each_candidate_once(rng, monkeypatch):
+    calls = {"cloning": 0, "attachment": 0}
+
+    def counted(name, fn):
+        def wrapper(rho):
+            calls[name] += 1
+            return fn(rho)
+        return wrapper
+
+    monkeypatch.setattr(broadcast_mod, "cloning_candidate",
+                        counted("cloning", cloning_candidate))
+    monkeypatch.setattr(broadcast_mod, "attachment_candidate",
+                        counted("attachment", attachment_candidate))
+    assert delta_b_upper(random_cc(2, 2, rng), TINY) <= 1e-6
+    assert calls == {"cloning": 1, "attachment": 1}

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcorr.channels import (
     ChannelError,
+    ChannelParseError,
     KrausChannel,
     Povm,
     apply_channel,
@@ -55,7 +56,57 @@ class TestPovm:
             Povm((e0, e1))
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_povm_rejects_non_finite_element(self, bad):
+        e0 = np.diag([1.0, 0.0]).astype(complex)
+        e0[0, 1] = e0[1, 0] = bad
+        with pytest.raises(ChannelError, match="non-finite"):
+            Povm((e0, np.eye(2, dtype=complex) - e0))
+
+
 class TestKrausChannel:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_operator(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[1, 0] = bad
+        with pytest.raises(ChannelError, match="non-finite"):
+            KrausChannel((k,), check_tp=False)
+
+    def test_json_round_trip(self, rng):
+        ch = KrausChannel((haar_unitary(4, rng),), out_dims=(2, 2))
+        back = KrausChannel.from_json_dict(ch.to_json_dict())
+        assert back.out_dims == (2, 2)
+        np.testing.assert_array_equal(back.kraus[0], ch.kraus[0])
+
+    @pytest.mark.parametrize("change", [
+        {"kraus": [[[0.25]] * 4]},
+        {"kraus": [[["1", "0"], [0, 0], [0, 0], [1, 0]]]},
+        {"kraus": [[1.0, 0.0, 0.0, 1.0]]},
+        {"kraus": "identity"},
+        {"kraus": [7]},
+        {"d_in": "2"},
+        {"d_out": 2.5},
+        {"out_dims": 2},
+        {"out_dims": ["2"]},
+    ])
+    def test_malformed_record_is_a_parse_error(self, change):
+        record = identity_channel(2).to_json_dict()
+        record.update(change)
+        with pytest.raises(ChannelParseError):
+            KrausChannel.from_json_dict(record)
+
+    def test_non_positive_dimensions_are_invariant_errors(self):
+        with pytest.raises(ChannelError, match=">= 1"):
+            KrausChannel.from_json_dict(
+                {"d_in": -1, "d_out": -1, "kraus": [[[1.0, 0.0]]]})
+
+    def test_non_finite_record_is_an_invariant_error(self):
+        record = identity_channel(2).to_json_dict()
+        record["kraus"][0][0] = [float("inf"), 0.0]
+        with pytest.raises(ChannelError, match="non-finite") as exc:
+            KrausChannel.from_json_dict(record)
+        assert not isinstance(exc.value, ChannelParseError)
+
     def test_rejects_non_tp(self):
         with pytest.raises(ChannelError):
             KrausChannel((0.5 * np.eye(2, dtype=complex),))

@@ -174,3 +174,96 @@ def test_classify_non_bipartite_exit_code(tmp_path, capsys):
     rc = main(["classify", str(path)])
     assert rc == 3
     assert "bipartite" in capsys.readouterr().err
+
+
+def _corpus_with(tmp_path, labels, states=()):
+    for state_id, rho in states:
+        rho.save(tmp_path / f"{state_id}.json")
+    (tmp_path / "labels.json").write_text(json.dumps(labels))
+    return ["suite", str(tmp_path), "--out", str(tmp_path / "s.csv"), *FAST]
+
+
+@pytest.mark.parametrize("labels", [
+    [{"label": "cc"}],
+    [{"state_id": "bell"}],
+    ["bell"],
+    [{"state_id": 3, "label": "ent"}],
+])
+def test_suite_malformed_labels_exit_code(tmp_path, capsys, labels):
+    rc = main(_corpus_with(tmp_path, labels, [("bell", bell_phi_plus())]))
+    assert rc == 2
+    assert "state_id" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_suite_row_state_error_exit_code(tmp_path, capsys):
+    ghz = np.zeros(8)
+    ghz[[0, 7]] = 2 ** -0.5
+    argv = _corpus_with(tmp_path, [{"state_id": "ghz", "label": "ent"}],
+                        [("ghz", pure_state(ghz, (2, 2, 2)))])
+    assert main(argv) == 3
+    assert "ghz" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_suite_optimizer_failure_exit_code(tmp_path, capsys):
+    # A general POVM family with fewer outcomes than the dimension.
+    argv = _corpus_with(tmp_path, [{"state_id": "bell", "label": "ent"}],
+                        [("bell", bell_phi_plus())])
+    assert main([*argv, "--outcomes", "1"]) == 4
+    assert "optimizer failure" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.25]] * 4,
+    [["0.5", "0"], [0, 0], [0, 0], [0.5, 0]],
+    [0.5, 0, 0, 0.5],
+])
+def test_malformed_state_entries_exit_code(tmp_path, capsys, matrix):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dims": [2], "matrix": matrix}))
+    with pytest.raises(SystemExit) as exc:
+        main(["measures", str(bad), *FAST])
+    assert exc.value.code == 2
+    assert "cannot read state file" in capsys.readouterr().err
+
+
+def test_non_finite_state_exit_code(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dims": [2], "matrix": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["measures", str(bad), *FAST])
+    assert exc.value.code == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_malformed_channel_exit_code(tmp_path):
+    state = _write_bell(tmp_path)
+    chan_path = tmp_path / "chan.json"
+    chan_path.write_text(json.dumps(
+        {"d_in": 2, "d_out": 2, "kraus": [[[1.0], [0.0], [0.0], [1.0]]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["petz", state, str(chan_path)])
+    assert exc.value.code == 2
+
+
+def test_non_finite_channel_exit_code(tmp_path):
+    state = _write_bell(tmp_path)
+    chan_path = tmp_path / "chan.json"
+    chan_path.write_text(
+        '{"d_in": 2, "d_out": 2, "kraus": [[[Infinity, 0], [0, 0], [0, 0], [1, 0]]]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["petz", state, str(chan_path)])
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--restarts", "0"), ("--max-evals", "-5"), ("--seed", "-1"),
+    ("--tol", "0"), ("--tol", "nan"), ("--ancilla", "-1"), ("--outcomes", "x"),
+])
+def test_invalid_option_value_exit_code(tmp_path, flag, value):
+    state = _write_bell(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["broadcast", state, flag, value])
+    assert exc.value.code == 2

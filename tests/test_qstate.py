@@ -9,6 +9,7 @@ from qcorr.qstate import (
     DensityMatrix,
     ProbVector,
     StateError,
+    StateParseError,
     bell_phi_plus,
     bits_to_nats,
     fidelity,
@@ -52,6 +53,19 @@ class TestValidation:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(StateError):
             DensityMatrix((2, 3), np.eye(4, dtype=complex) / 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(StateError, match="non-finite"):
+            DensityMatrix((2,), m)
+
+    def test_rejects_nan_on_the_diagonal(self):
+        # NaN passes every comparison-based check; only finiteness stops it.
+        with pytest.raises(StateError, match="non-finite"):
+            DensityMatrix((2,), np.diag([np.nan, 1.0]).astype(complex))
 
     def test_matrix_is_immutable(self):
         rho = maximally_mixed((2,))
@@ -239,3 +253,41 @@ def test_trace_distance_metric_random(seed):
     assert -1e-12 <= dab <= 1.0 + 1e-12
     assert dab == pytest.approx(trace_distance(sig, rho), abs=1e-12)
     assert dab <= trace_distance(rho, tau) + trace_distance(tau, sig) + 1e-10
+
+
+class TestJsonParsing:
+    ENTRIES = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+
+    def test_round_trip(self, rng):
+        rho = random_density((2, 3), 4, rng)
+        back = DensityMatrix.from_json_dict(
+            json.loads(json.dumps(rho.to_json_dict())))
+        assert back.dims == (2, 3)
+        np.testing.assert_array_equal(back.matrix, rho.matrix)
+
+    @pytest.mark.parametrize("record", [
+        {"dims": [2], "matrix": [[0.25]] * 4},
+        {"dims": [2], "matrix": [["0.5", "0"]] + ENTRIES[1:]},
+        {"dims": [2], "matrix": [0.5, 0.0, 0.0, 0.5]},
+        {"dims": [2], "matrix": [[0.5, 0.0, 1.0]] + ENTRIES[1:]},
+        {"dims": [2], "matrix": "0.5 0 0 0.5"},
+        {"dims": [2], "matrix": 4},
+        {"dims": [2], "matrix": [[10 ** 400, 0.0]] + ENTRIES[1:]},
+        {"dims": ["2"], "matrix": ENTRIES},
+        {"dims": [2.0], "matrix": ENTRIES},
+        {"dims": 2, "matrix": ENTRIES},
+    ])
+    def test_malformed_entries_are_parse_errors(self, record):
+        with pytest.raises(StateParseError):
+            DensityMatrix.from_json_dict(record)
+
+    def test_non_finite_entries_are_invariant_errors(self):
+        record = json.loads(
+            '{"dims": [2], "matrix": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}')
+        with pytest.raises(StateError, match="non-finite") as exc:
+            DensityMatrix.from_json_dict(record)
+        assert not isinstance(exc.value, StateParseError)
+
+    def test_missing_field_is_a_state_error(self):
+        with pytest.raises(StateError):
+            DensityMatrix.from_json_dict({"dims": [2]})
