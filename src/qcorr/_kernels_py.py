@@ -4,7 +4,9 @@ Each objective evaluation works on matrices of side at most ~16, so the
 cost of a kernel is its number of numpy calls, not its FLOPs.  The two
 contractions are therefore written as a reshape of rho followed by plain
 matmuls, which dispatch in a few microseconds; `einsum` with
-``optimize=True`` searched for a contraction path on every call.
+``optimize=True`` searched for a contraction path on every call.  POVM
+stacks and weights may carry leading batch axes, one per candidate, so a
+batch of candidates shares each numpy call.
 """
 
 import numpy as np
@@ -13,40 +15,44 @@ import numpy as np
 def cc_joint_probs(rho, ms, ns):
     """Outcome probabilities p_ij = Tr[(M_i (x) N_j) rho].
 
-    rho: (dA*dB, dA*dB) complex; ms: (nA, dA, dA); ns: (nB, dB, dB).
+    rho: (dA*dB, dA*dB) complex; ms: (..., nA, dA, dA); ns: (..., nB, dB, dB)
+    with the same leading axes.  Returns (..., nA, nB).
     """
-    n_a, d_a, _ = ms.shape
-    n_b, d_b, _ = ns.shape
+    *batch, n_a, d_a, _ = ms.shape
+    n_b, d_b = ns.shape[-3:-1]
     # r[(a, c), (b, d)] = rho[(c, d), (a, b)], so that
     # p_ij = sum_{a,c,b,d} M_i[a, c] r[(a, c), (b, d)] N_j[b, d].
     r = rho.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 3, 1).reshape(
         d_a * d_a, d_b * d_b)
-    p = ms.reshape(n_a, d_a * d_a) @ r @ ns.reshape(n_b, d_b * d_b).T
+    p = (ms.reshape(*batch, n_a, d_a * d_a) @ r
+         @ ns.reshape(*batch, n_b, d_b * d_b).swapaxes(-1, -2))
     return np.ascontiguousarray(p.real)
 
 
 def cq_blocks(rho, ms):
     """Unnormalized conditional blocks B_i = Tr_A[(M_i (x) I) rho].
 
-    Returns a (n_a, dB, dB) complex array with Tr B_i = p_i.
+    ms: (..., nA, dA, dA).  Returns a (..., nA, dB, dB) complex array with
+    Tr B_i = p_i.
     """
-    n_a, d_a, _ = ms.shape
+    *batch, n_a, d_a, _ = ms.shape
     d_b = rho.shape[0] // d_a
     # r[(a, c), (b, e)] = rho[(c, b), (a, e)]
     r = rho.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3).reshape(
         d_a * d_a, d_b * d_b)
-    return (ms.reshape(n_a, d_a * d_a) @ r).reshape(n_a, d_b, d_b)
+    return (ms.reshape(*batch, n_a, d_a * d_a) @ r).reshape(
+        *batch, n_a, d_b, d_b)
 
 
 def shannon_bits(p):
-    """Shannon entropy in bits of a flat nonnegative weight array.
+    """Shannon entropy in bits of nonnegative weights along the last axis.
 
-    Zero weights contribute nothing; the result is never -0.0.
+    A 1-D input gives a float, a (..., m) input an array over the leading
+    axes.  Zero weights contribute nothing; the result is never -0.0.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
-    nz = p[p > 0.0]
-    if nz.size == 0:
-        return 0.0
+    p = np.asarray(p, dtype=float)
+    terms = p * np.log2(np.where(p > 0.0, p, 1.0))
     # 0.0 - s rather than -s: a one-point support gives s = 0.0, and -0.0
     # would survive max(-0.0, 0.0) into reports.
-    return float(0.0 - (nz * np.log2(nz)).sum())
+    h = 0.0 - terms.sum(axis=-1)
+    return float(h) if h.ndim == 0 else h

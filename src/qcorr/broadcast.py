@@ -235,34 +235,39 @@ def _copy_superoperators(params: np.ndarray, d: int,
                          ancilla: int) -> np.ndarray:
     """Both copy marginals of `_stinespring_channel` as superoperators.
 
-    Entry [c, (a, b), (i, j)] is <a| Tr_rest[V |i><j| V^dag] |b> with V
-    the Stinespring isometry; copy c = 0 keeps A and c = 1 keeps A', the
-    other copy and the ancilla are traced out.  Raw arrays for the search
-    loop: the only check is the isometry condition V^dag V = I that
-    constructing the `KrausChannel` would make.
+    Entry [..., c, (a, b), (i, j)] is <a| Tr_rest[V |i><j| V^dag] |b> with
+    V the Stinespring isometry of the parameters (..., n); copy c = 0
+    keeps A and c = 1 keeps A', the other copy and the ancilla are traced
+    out.  Raw arrays for the search loop: the only check is the isometry
+    condition V^dag V = I that constructing the `KrausChannel` would make,
+    applied to every isometry of the batch.
     """
-    v = unitary_from_params(params, d * d * ancilla)[:, :d]
-    err = np.abs(v.conj().T @ v - np.eye(d)).max()
+    v = unitary_from_params(params, d * d * ancilla)[..., :d]
+    batch = v.shape[:-2]
+    err = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(d)).max()
     if err > TAU_NUM:
         raise ChannelError(
             f"Stinespring map is not an isometry: max |V^dag V - I| = {err:.3e}")
-    w = v.reshape(d, d, ancilla, d)  # [a, a', k, i]
-    legs = np.stack((w.transpose(0, 3, 1, 2),   # [(a, i), (a', k)]
-                     w.transpose(1, 3, 0, 2)))  # [(a', i), (a, k)]
-    legs = legs.reshape(2, d * d, d * ancilla)
-    gram = legs @ legs.conj().transpose(0, 2, 1)  # [c, (a, i), (b, j)]
-    return gram.reshape(2, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(
-        2, d * d, d * d)
+    w = v.reshape(batch + (d, d, ancilla, d))  # [..., a, a', k, i]
+    lead = range(len(batch))
+    legs = np.stack((w.transpose(*lead, -4, -1, -3, -2),   # [(a, i), (a', k)]
+                     w.transpose(*lead, -3, -1, -4, -2)),  # [(a', i), (a, k)]
+                    axis=-5)
+    legs = legs.reshape(batch + (2, d * d, d * ancilla))
+    gram = legs @ legs.conj().swapaxes(-1, -2)  # [..., c, (a, i), (b, j)]
+    return gram.reshape(batch + (2, d, d, d, d)).swapaxes(-3, -2).reshape(
+        batch + (2, d * d, d * d))
 
 
 def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
-    """params -> -(sum of both copy-marginal trace distances to rho).
+    """params (..., n) -> -(sum of both copy-marginal trace distances to rho).
 
     Equals minus the residual sum of `verify_broadcast` on
     `apply_local_broadcast` of the two Stinespring channels, computed on
     raw arrays: each copy marginal is S_A R S_B^T with R the reshuffled
     rho.  The copy marginals get the Hermiticity, trace and PSD checks of
-    `DensityMatrix` (the PSD test shares the residuals' `eigvalsh`).
+    `DensityMatrix` (the PSD test shares the residuals' `eigvalsh`); one
+    failing candidate fails the whole batch.
     """
     d_a, d_b = rho.dims
     n = d_a * d_b
@@ -272,20 +277,22 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
         d_a * d_a, d_b * d_b)  # [(i1, j1), (i2, j2)]
 
     def objective(params):
-        s_a = _copy_superoperators(params[:pd_a], d_a, anc_a)
-        s_b = _copy_superoperators(params[pd_a:], d_b, anc_b)
-        copies = (s_a @ shuffled @ s_b.transpose(0, 2, 1)).reshape(
-            2, d_a, d_a, d_b, d_b).transpose(0, 1, 3, 2, 4).reshape(2, n, n)
-        if np.abs(copies - copies.conj().transpose(0, 2, 1)).max() > TAU_HERM:
+        s_a = _copy_superoperators(params[..., :pd_a], d_a, anc_a)
+        s_b = _copy_superoperators(params[..., pd_a:], d_b, anc_b)
+        batch = s_a.shape[:-3]
+        copies = (s_a @ shuffled @ s_b.swapaxes(-1, -2)).reshape(
+            batch + (2, d_a, d_a, d_b, d_b)).swapaxes(-3, -2).reshape(
+            batch + (2, n, n))
+        if np.abs(copies - copies.conj().swapaxes(-1, -2)).max() > TAU_HERM:
             raise StateError("copy marginal is not Hermitian within tolerance")
-        tr = np.trace(copies, axis1=1, axis2=2).real
+        tr = np.trace(copies, axis1=-2, axis2=-1).real
         if np.abs(tr - 1.0).max() > TAU_TR:
             raise StateError(f"copy marginal traces are {tr}, not 1 within tolerance")
-        evals = np.linalg.eigvalsh(np.concatenate((copies - mat, copies)))
-        if evals[2:].min() < -TAU_PSD:
+        evals = np.linalg.eigvalsh(np.concatenate((copies - mat, copies), axis=-3))
+        if evals[..., 2:, :].min() < -TAU_PSD:
             raise StateError(
-                f"copy marginal has negative eigenvalue {evals[2:].min()}")
-        return -0.5 * np.abs(evals[:2]).sum()
+                f"copy marginal has negative eigenvalue {evals[..., 2:, :].min()}")
+        return -0.5 * np.abs(evals[..., :2, :]).sum(axis=(-2, -1))
 
     return objective
 

@@ -32,7 +32,8 @@ class ChannelError(ValueError):
 
 
 class ChannelParseError(ChannelError):
-    """Raised when a channel record's entries are not numbers of the right form."""
+    """Raised when a channel record is not an object with `d_in`, `d_out`
+    and `kraus`, or its entries are not numbers of the right form."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ class KrausChannel:
                                   ChannelParseError)
             raw = data["kraus"]
         except (KeyError, TypeError) as exc:
-            raise ChannelError(f"malformed channel record: {exc}") from exc
+            raise ChannelParseError(f"malformed channel record: {exc}") from exc
         if min(d_in, d_out) < 1:
             raise ChannelError(f"channel dimensions must be >= 1, got {d_in}, {d_out}")
         if not isinstance(raw, list):

@@ -224,7 +224,7 @@ def cmd_suite(args) -> int:
     labels_path = corpus_dir / "labels.json"
     try:
         labels = json.loads(labels_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read {labels_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if not isinstance(labels, list) or not labels:

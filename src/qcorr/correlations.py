@@ -162,22 +162,24 @@ class MeasurementOptimum:
     projective: OptimizationResult
 
 
-def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray) -> float:
-    """I of the CQ state for POVM element stack `ms` on the first party."""
+def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray):
+    """I of the CQ state for POVM element stacks `ms` (..., n, dA, dA) on
+    the first party; a float for one stack, an array over leading axes."""
     blocks = cq_blocks(rho_mat, ms)
-    probs = np.ascontiguousarray(
-        np.trace(blocks, axis1=1, axis2=2).real)
-    lam = np.linalg.eigvalsh(blocks).reshape(-1)
-    lam = np.ascontiguousarray(np.clip(lam, 0.0, None))
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    lam = np.linalg.eigvalsh(blocks)
+    lam = np.clip(lam.reshape(lam.shape[:-2] + (-1,)), 0.0, None)
     return (shannon_bits(np.clip(probs, 0.0, None))
             + s_b - shannon_bits(lam))
 
 
-def _cc_value(rho_mat: np.ndarray, ms: np.ndarray, ns: np.ndarray) -> float:
+def _cc_value(rho_mat: np.ndarray, ms: np.ndarray, ns: np.ndarray):
+    """Classical mutual information of the outcomes of stacks `ms`, `ns`
+    (same leading axes); a float for one pair of stacks."""
     p = np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None)
-    h_a = shannon_bits(np.ascontiguousarray(p.sum(axis=1)))
-    h_b = shannon_bits(np.ascontiguousarray(p.sum(axis=0)))
-    return h_a + h_b - shannon_bits(np.ascontiguousarray(p.reshape(-1)))
+    h_a = shannon_bits(p.sum(axis=-1))
+    h_b = shannon_bits(p.sum(axis=-2))
+    return h_a + h_b - shannon_bits(p.reshape(p.shape[:-2] + (-1,)))
 
 
 def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
@@ -279,8 +281,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
         proj_seeds.append(np.concatenate([icq.result.params, seeds_b[1]]))
 
     def proj_obj(params):
-        return _cc_value(rho_mat, projective_stack(params[:pd_a], d_a),
-                         projective_stack(params[pd_a:], d_b))
+        return _cc_value(rho_mat, projective_stack(params[..., :pd_a], d_a),
+                         projective_stack(params[..., pd_a:], d_b))
 
     proj_res = maximize(proj_obj, pd_a + pd_b, cfg, seed_points=proj_seeds)
     best = MeasurementOptimum(
@@ -318,8 +320,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     ]))
 
     def gen_obj(params):
-        return _cc_value(rho_mat, general_stack(params[:gd_a], d_a, n_a),
-                         general_stack(params[gd_a:], d_b, n_b))
+        return _cc_value(rho_mat, general_stack(params[..., :gd_a], d_a, n_a),
+                         general_stack(params[..., gd_a:], d_b, n_b))
 
     gen_res = maximize(gen_obj, gd_a + param_dim_general_povm(d_b, n_b),
                        cfg, seed_points=gen_seeds)
@@ -403,7 +405,9 @@ def correlation_report(rho: DensityMatrix,
     s_b = von_neumann_entropy(partial_trace(rho, (1,)))
     cq_at_cc = _cq_value(rho_mat, s_b, icc.povm_a.as_array())
 
-    i_cq = min(i, max(icq.value, cq_at_cc))
+    # On a product state I itself can come out a few ulps below zero; the
+    # measured bounds stop at zero all the same.
+    i_cq = max(min(i, max(icq.value, cq_at_cc)), 0.0)
     i_cc = max(min(i_cq, icc.value), 0.0)
 
     # The projective I_CQ search inside `icq` is the one `discord` runs.

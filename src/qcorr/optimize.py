@@ -5,6 +5,12 @@ eigendecompositions with non-smooth level crossings, so derivative-free
 search is used throughout.  Runs are deterministic for a fixed seed: RNG
 streams are spawned per restart, and user-supplied seed points are always
 evaluated directly, so the returned value never falls below any seed.
+
+Objectives are batched: they map a (k, n) array of points to k values.
+All restarts advance in lockstep, so one objective call evaluates every
+point the restarts need next: the seed points and whole initial simplices
+at the start, then one trial point or one shrunk simplex per restart.
+The parameterizations below accept the same leading batch axes.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import logm
-from scipy.optimize import minimize
 
 from .channels import Povm
 from .qstate import DensityMatrix, StateError, _as_layout
@@ -53,9 +58,14 @@ class OptimizationResult:
     value: float
     params: np.ndarray
     n_evals: int
+    # Seed points first, then the Nelder-Mead restarts.
     restart_values: tuple[float, ...]
     seed: int
     diagnostics: tuple[str, ...] = field(default=())
+    # Per Nelder-Mead restart: evaluations used and why it stopped
+    # ("converged", "budget" or "non-finite").
+    restart_evals: tuple[int, ...] = field(default=())
+    restart_stops: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
         return {
@@ -65,6 +75,8 @@ class OptimizationResult:
             "restart_values": list(self.restart_values),
             "seed": self.seed,
             "diagnostics": list(self.diagnostics),
+            "restart_evals": list(self.restart_evals),
+            "restart_stops": list(self.restart_stops),
         }
 
 
@@ -91,9 +103,6 @@ def random_density(layout, rank: int,
     return DensityMatrix(layout, m / m.trace())
 
 
-_ZERO = np.zeros(1)
-
-
 @functools.lru_cache(maxsize=None)
 def _generator_gather(d: int) -> np.ndarray:
     """Index map from [params, -params, 0] to the (re, im) parts of H.
@@ -118,10 +127,12 @@ def _generator_gather(d: int) -> np.ndarray:
 
 
 def _hermitian_generator(params: np.ndarray, d: int) -> np.ndarray:
-    """Pack d^2 reals into the Hermitian d x d generator H (layout in
-    `_generator_gather`) with one gather."""
-    src = np.concatenate((params, -params, _ZERO))
-    return src[_generator_gather(d)].view(complex).reshape(d, d)
+    """Pack (..., d^2) reals into Hermitian (..., d, d) generators H
+    (layout in `_generator_gather`) with one gather."""
+    batch = params.shape[:-1]
+    src = np.concatenate((params, -params, np.zeros(batch + (1,))), axis=-1)
+    return np.take(src, _generator_gather(d), axis=-1).view(complex).reshape(
+        batch + (d, d))
 
 
 def param_dim_unitary(d: int) -> int:
@@ -129,13 +140,16 @@ def param_dim_unitary(d: int) -> int:
 
 
 def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    params = np.asarray(params, dtype=float).reshape(-1)
-    if params.size != d * d:
-        raise ValueError(f"expected {d * d} parameters, got {params.size}")
+    """exp(iH) of the generator packed in `params`: (..., d^2) -> (..., d, d)."""
+    params = np.atleast_1d(np.asarray(params, dtype=float))
+    if params.shape[-1] != d * d:
+        raise ValueError(f"expected {d * d} parameters, got {params.shape[-1]}")
     # exp(iH) via the spectral decomposition of H; much faster than a
-    # general matrix exponential at these sizes.
+    # general matrix exponential at these sizes, and stacked generators
+    # share one `eigh` call.
     evals, vecs = np.linalg.eigh(_hermitian_generator(params, d))
-    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
+    phases = np.exp(1j * evals)[..., None, :]
+    return (vecs * phases) @ vecs.conj().swapaxes(-1, -2)
 
 
 def params_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -152,10 +166,11 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def projective_stack(params: np.ndarray, d: int) -> np.ndarray:
-    """Unvalidated (d, d, d) element stack of `projective_povm` (hot path)."""
+    """Unvalidated (..., d, d, d) element stacks of `projective_povm`
+    (hot path)."""
     u = unitary_from_params(params, d)
-    cols = u.T  # cols[i] = i-th column of u
-    return np.ascontiguousarray(cols[:, :, None] * cols.conj()[:, None, :])
+    cols = u.swapaxes(-1, -2)  # cols[..., i, :] = i-th column of u
+    return np.ascontiguousarray(cols[..., :, None] * cols.conj()[..., None, :])
 
 
 def projective_povm(params: np.ndarray, d: int) -> Povm:
@@ -164,10 +179,10 @@ def projective_povm(params: np.ndarray, d: int) -> Povm:
 
 
 def general_stack(params: np.ndarray, d: int, n_outcomes: int) -> np.ndarray:
-    """Unvalidated (n, d, d) element stack of `general_povm` (hot path)."""
+    """Unvalidated (..., n, d, d) element stacks of `general_povm` (hot path)."""
     u = unitary_from_params(params, n_outcomes)
-    w = u[:, :d].conj()  # rows w[i] define the rank-1 elements
-    return np.ascontiguousarray(w[:, :, None] * w.conj()[:, None, :])
+    w = u[..., :d].conj()  # rows w[..., i, :] define the rank-1 elements
+    return np.ascontiguousarray(w[..., :, None] * w.conj()[..., None, :])
 
 
 def general_povm(params: np.ndarray, d: int, n_outcomes: int) -> Povm:
@@ -209,38 +224,200 @@ def embed_projective_in_general(povm: Povm, n_outcomes: int) -> np.ndarray:
     return params_from_unitary(_complete_isometry(w))
 
 
+
+
+# ---------------------------------------------------------------------------
+# Lockstep Nelder-Mead
+
+
+def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
+    """One Nelder-Mead minimization from x0, as a generator.
+
+    Takes exactly the steps of scipy's `minimize(method="Nelder-Mead")`
+    with options maxfev, xatol and fatol: the same initial simplex (5 %
+    steps, 0.00025 for zero coordinates), coefficients 1, 2, 1/2, 1/2,
+    argsort reordering and stopping rules, so for the same values it
+    evaluates the same points.  Each `yield` hands out an (m, n) array of
+    points and receives their m values; the return value is the reason
+    it stopped: "converged" or "budget".
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    diag = np.arange(n)
+    sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    fcalls = min(n + 1, max_evals)
+    fsim[:fcalls] = yield sim[:fcalls]
+    if n == 0:
+        return "converged"
+    # scipy sorts twice before its first iteration; with tied values a
+    # second argsort need not be the identity.
+    for _ in range(2):
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind)
+
+    while fcalls < max_evals:
+        # Both tests must hold; the cheap one goes first.
+        if (np.abs(fsim[0] - fsim[1:]).max() <= fatol
+                and np.abs(sim[1:] - sim[0]).max() <= xatol):
+            return "converged"
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr, = yield xr[None]
+        fcalls += 1
+        if fxr < fsim[0]:
+            if fcalls >= max_evals:
+                return "budget"
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe, = yield xe[None]
+            fcalls += 1
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fcalls >= max_evals:
+                return "budget"
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc, = yield xc[None]
+                fcalls += 1
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc, = yield xcc[None]
+                fcalls += 1
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                # scipy evaluates the shrunk vertices one by one until the
+                # budget runs out; they do not depend on each other.
+                m = min(n, max_evals - fcalls)
+                if m == 0:
+                    return "budget"
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:m + 1] = yield sim[1:m + 1]
+                fcalls += m
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind)
+    return "budget"
+
+
+def _evaluate_once(x: np.ndarray):
+    yield x[None]
+    return "evaluated"
+
+
+@dataclass(frozen=True)
+class LockstepResult:
+    """Outcome of `minimize`, one entry per run (points, then restarts).
+
+    `fun[i]` is the lowest value run i reached before it stopped (inf if
+    none was finite) and `x[i]` the first point that reached it.  A run
+    stopped by a non-finite value records that value in `non_finite[i]`
+    and counts it in `evals[i]`; its later points are not counted.
+    """
+
+    fun: np.ndarray
+    x: np.ndarray
+    evals: tuple[int, ...]
+    stops: tuple[str, ...]
+    non_finite: tuple[float | None, ...]
+    nfev: int
+    success: bool
+    message: str
+
+
+def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
+             points: np.ndarray | None = None) -> LockstepResult:
+    """Lockstep Nelder-Mead minimization of a batched objective.
+
+    `fun` maps a (k, n) array to k values.  One Nelder-Mead run starts
+    from each row of `x0s` (budget `max_evals`, xatol = fatol = `tol`),
+    and each row of `points` is evaluated once.  Every round gathers the
+    points all live runs wait for into one `fun` call.  A non-finite
+    value stops only the run it belongs to.  `success` says every
+    restart converged; `message` names the first reason one did not.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    n = x0s.shape[1]
+    points = np.empty((0, n)) if points is None else np.asarray(points, dtype=float)
+    runs = ([_evaluate_once(p) for p in points]
+            + [_nelder_mead(x0, max_evals, tol, tol) for x0 in x0s])
+    n_runs = len(runs)
+    best_f = np.full(n_runs, np.inf)
+    best_x = np.zeros((n_runs, n))
+    evals = [0] * n_runs
+    stops = [""] * n_runs
+    non_finite: list[float | None] = [None] * n_runs
+
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        batch = np.concatenate(list(pending.values()))
+        values = np.asarray(fun(batch), dtype=float)
+        if values.shape != (len(batch),):
+            raise ValueError(
+                f"objective returned shape {values.shape} for {len(batch)} points")
+        finite = np.isfinite(values)
+        all_finite = finite.all()
+        offset = 0
+        for i, pts in list(pending.items()):
+            m = len(pts)
+            vals = values[offset:offset + m]
+            bad = () if all_finite else np.flatnonzero(~finite[offset:offset + m])
+            good = int(bad[0]) if len(bad) else m  # values before a non-finite one
+            if good:
+                j = int(vals[:good].argmin())
+                if vals[j] < best_f[i]:
+                    best_f[i] = vals[j]
+                    best_x[i] = batch[offset + j]
+            offset += m
+            if len(bad):
+                evals[i] += good + 1
+                non_finite[i] = float(vals[good])
+                stops[i] = "non-finite"
+                runs[i].close()
+                del pending[i]
+                continue
+            evals[i] += m
+            try:
+                pending[i] = runs[i].send(vals)
+            except StopIteration as stop:
+                stops[i] = stop.value
+                del pending[i]
+
+    restart_stops = stops[len(points):]
+    if "budget" in restart_stops:
+        message = "Maximum number of function evaluations has been exceeded."
+    elif "non-finite" in restart_stops:
+        message = "A restart stopped on a non-finite objective value."
+    else:
+        message = "Optimization terminated successfully."
+    return LockstepResult(
+        fun=best_f, x=best_x, evals=tuple(evals), stops=tuple(stops),
+        non_finite=tuple(non_finite), nfev=sum(evals),
+        success=all(s == "converged" for s in restart_stops), message=message)
+
+
 def maximize(objective, param_dim: int, cfg: OptimizerConfig,
              seed_points=()) -> OptimizationResult:
-    """Multi-start Nelder-Mead ascent of `objective` over R^param_dim.
+    """Multi-start Nelder-Mead ascent of a batched objective over R^param_dim.
 
-    Seed points are evaluated directly (and polish-started when restart
-    budget allows), so the result never undercuts any of them.  A restart
-    whose objective goes non-finite is aborted and recorded.
+    `objective` maps a (k, param_dim) array to k values.  Seed points are
+    evaluated directly (and polish-started when restart budget allows), so
+    the result never undercuts any of them.  A restart whose objective goes
+    non-finite is aborted and recorded; the others run on.  Ties go to the
+    earliest seed, then the earliest restart, as if the restarts ran one
+    after another.
     """
-    best_val = -np.inf
-    best_params = np.zeros(param_dim)
-    n_evals = 0
-    restart_values: list[float] = []
-    diagnostics: list[str] = []
-
-    class _NonFinite(Exception):
-        pass
-
-    restart_best = -np.inf
-
-    def run_eval(x):
-        nonlocal n_evals, best_val, best_params, restart_best
-        n_evals += 1
-        val = float(objective(x))
-        if not np.isfinite(val):
-            raise _NonFinite(f"objective returned {val}")
-        if val > restart_best:
-            restart_best = val
-        if val > best_val:
-            best_val = val
-            best_params = np.array(x, dtype=float)
-        return val
-
     seed_points = [np.asarray(s, dtype=float).reshape(-1) for s in seed_points]
     for s in seed_points:
         if s.size != param_dim:
@@ -253,42 +430,37 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
     for i in range(len(starts), cfg.restarts):
         rng = np.random.default_rng(streams[i])
         starts.append(rng.normal(scale=np.pi / 4, size=param_dim))
-
-    # Direct evaluation of every seed point (dominance guarantee).
-    for idx, s in enumerate(seed_points):
-        restart_best = -np.inf
-        try:
-            run_eval(s)
-            restart_values.append(restart_best)
-        except _NonFinite as exc:
-            restart_values.append(-np.inf)
-            diagnostics.append(f"seed {idx}: {exc}")
-
     if param_dim > 0:
-        for idx, x0 in enumerate(starts[:cfg.restarts]):
-            restart_best = -np.inf
-            try:
-                minimize(
-                    lambda x: -run_eval(x), x0, method="Nelder-Mead",
-                    options={
-                        "maxfev": cfg.max_evals,
-                        "xatol": cfg.tol,
-                        "fatol": cfg.tol,
-                    },
-                )
-                restart_values.append(restart_best)
-            except _NonFinite as exc:
-                restart_values.append(
-                    restart_best if np.isfinite(restart_best) else -np.inf)
-                diagnostics.append(f"restart {idx}: {exc}")
-    elif not seed_points:
-        restart_values.append(run_eval(np.zeros(0)))
+        starts = starts[:cfg.restarts]
+    else:
+        starts = [] if seed_points else [np.zeros(0)]
 
+    res = minimize(lambda x: -np.asarray(objective(x), dtype=float),
+                   np.reshape(starts, (len(starts), param_dim)),
+                   cfg.max_evals, cfg.tol,
+                   points=np.reshape(seed_points, (len(seed_points), param_dim)))
+
+    best_val = -np.inf
+    best_params = np.zeros(param_dim)
+    restart_values = []
+    for f, x in zip(res.fun, res.x):
+        val = float(-f)
+        restart_values.append(val)
+        if val > best_val:
+            best_val, best_params = val, x
+    n_seeds = len(seed_points)
+    names = ([f"seed {i}" for i in range(n_seeds)]
+             + [f"restart {i}" for i in range(len(starts))])
+    diagnostics = tuple(f"{name}: objective returned {-bad}"
+                        for name, bad in zip(names, res.non_finite)
+                        if bad is not None)
     return OptimizationResult(
         value=best_val,
         params=best_params,
-        n_evals=n_evals,
+        n_evals=res.nfev,
         restart_values=tuple(restart_values),
         seed=cfg.seed,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
+        restart_evals=res.evals[n_seeds:],
+        restart_stops=res.stops[n_seeds:],
     )

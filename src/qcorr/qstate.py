@@ -29,7 +29,8 @@ class StateError(ValueError):
 
 
 class StateParseError(StateError):
-    """Raised when a state record's entries are not numbers of the right form."""
+    """Raised when a state record is not an object with `dims` and `matrix`,
+    or its entries are not numbers of the right form."""
 
 
 def _complex_entries(entries, error: type[ValueError]) -> np.ndarray:
@@ -146,7 +147,7 @@ class DensityMatrix:
         try:
             dims, entries = data["dims"], data["matrix"]
         except (KeyError, TypeError) as exc:
-            raise StateError(f"malformed state record: {exc}") from exc
+            raise StateParseError(f"malformed state record: {exc}") from exc
         layout = SubsystemLayout(_int_tuple(dims, StateParseError))
         flat = _complex_entries(entries, StateParseError)
         d = layout.dim

@@ -158,7 +158,7 @@ class TestSearchAndDeltaB:
 class TestRawObjective:
     """The search objective on raw arrays against the validated composition."""
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
     @pytest.mark.parametrize("ancilla_dim", [None, 1])
     def test_matches_verify_broadcast(self, rng, dims, ancilla_dim):
         d_a, d_b = dims
@@ -167,13 +167,16 @@ class TestRawObjective:
         pd_b = stinespring_param_dim(d_b, anc_b)
         rho = random_density(dims, 3, rng)
         objective = _residual_objective(rho, anc_a, anc_b)
-        for _ in range(3):
-            x = rng.normal(scale=np.pi / 4, size=pd_a + pd_b)
+        xs = rng.normal(scale=np.pi / 4, size=(3, pd_a + pd_b))
+        batched = objective(xs)
+        assert batched.shape == (3,)
+        for x, value in zip(xs, batched):
             sigma = apply_local_broadcast(
                 _stinespring_channel(x[:pd_a], d_a, anc_a),
                 _stinespring_channel(x[pd_a:], d_b, anc_b), rho)
             _, res = verify_broadcast(sigma, rho)
             assert objective(x) == pytest.approx(-(res[0] + res[1]), abs=1e-12)
+            assert value == pytest.approx(objective(x), abs=1e-12)
 
     def test_non_isometry_raises_channel_error(self, monkeypatch):
         monkeypatch.setattr(broadcast_mod, "unitary_from_params",
@@ -181,6 +184,20 @@ class TestRawObjective:
         objective = _residual_objective(bell_phi_plus(), 2, 2)
         with pytest.raises(ChannelError, match="isometry"):
             objective(np.zeros(2 * stinespring_param_dim(2, 2)))
+
+    @pytest.mark.parametrize("bad_row", [0, 2])
+    def test_non_isometry_anywhere_in_a_batch_raises(self, monkeypatch, rng,
+                                                     bad_row):
+        def one_bad(p, d):
+            u = unitary_from_params(p, d)
+            u[bad_row] *= 1.01
+            return u
+
+        monkeypatch.setattr(broadcast_mod, "unitary_from_params", one_bad)
+        objective = _residual_objective(bell_phi_plus(), 2, 2)
+        xs = rng.normal(size=(3, 2 * stinespring_param_dim(2, 2)))
+        with pytest.raises(ChannelError, match="isometry"):
+            objective(xs)
 
     def test_search_result_is_the_validated_candidate(self):
         cand = broadcast_search(bell_phi_plus(), TINY)

@@ -143,7 +143,27 @@ def test_malformed_state_exit_code(tmp_path):
     bad.write_text("{\"dims\": [2]}")
     with pytest.raises(SystemExit) as exc:
         main(["classify", str(bad)])
-    assert exc.value.code == 3
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("record", ["[1, 2]", "7", "\"rho\"", "null"])
+def test_non_object_state_exit_code(tmp_path, capsys, record):
+    bad = tmp_path / "bad.json"
+    bad.write_text(record)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", str(bad)])
+    assert exc.value.code == 2
+    assert "cannot read state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ["[1, 2]", "7", '{"d_in": 2, "d_out": 2}'])
+def test_non_object_or_incomplete_channel_exit_code(tmp_path, record):
+    state = _write_bell(tmp_path)
+    chan_path = tmp_path / "chan.json"
+    chan_path.write_text(record)
+    with pytest.raises(SystemExit) as exc:
+        main(["petz", state, str(chan_path)])
+    assert exc.value.code == 2
 
 
 def test_invalid_state_matrix_exit_code(tmp_path):
@@ -163,6 +183,14 @@ def test_suite_empty_labels_exit_code(tmp_path, capsys):
     rc = main(["suite", str(tmp_path), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "lists no states" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_suite_undecodable_labels_exit_code(tmp_path, capsys):
+    (tmp_path / "labels.json").write_bytes(b'[{"state_id": "b\xe9ll"}]')
+    rc = main(["suite", str(tmp_path), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "cannot read" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -17,6 +17,8 @@ from qcorr.corpus import (
 )
 from qcorr.correlations import (
     Ensemble,
+    _cc_value,
+    _cq_value,
     cc_state,
     classical_mutual_information,
     correlation_report,
@@ -30,12 +32,22 @@ from qcorr.correlations import (
     optimize_icc,
     optimize_icq,
 )
-from qcorr.optimize import OptimizerConfig, haar_unitary, random_density
+from qcorr.optimize import (
+    OptimizerConfig,
+    general_stack,
+    haar_unitary,
+    projective_stack,
+    random_density,
+)
 from qcorr.qstate import (
     ClassicalJoint,
+    DensityMatrix,
     ProbVector,
+    SubsystemLayout,
     bell_phi_plus,
+    partial_trace,
     pure_state,
+    von_neumann_entropy,
 )
 
 SMALL = OptimizerConfig(seed=0, restarts=3, max_evals=300)
@@ -211,3 +223,88 @@ def test_measurement_never_increases_mi(seed):
     povm = projective_basis_povm(haar_unitary(2, rng))
     out = cq_state(rho, povm)
     assert mutual_information(out) <= mutual_information(rho) + 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("family", ["projective", "general"])
+def test_batched_objectives_match_single_points(rng, dims, family):
+    d_a, d_b = dims
+    rho = random_density(dims, 2, rng)
+    rho_mat = np.ascontiguousarray(rho.matrix)
+    s_b = von_neumann_entropy(partial_trace(rho, (1,)))
+
+    def stacks(d, k):
+        if family == "projective":
+            return projective_stack, rng.normal(size=(k, d * d)), (d,)
+        return general_stack, rng.normal(size=(k, d ** 4)), (d, d * d)
+
+    stack_a, xa, args_a = stacks(d_a, 4)
+    stack_b, xb, args_b = stacks(d_b, 4)
+    ms, ns = stack_a(xa, *args_a), stack_b(xb, *args_b)
+    cq, cc = _cq_value(rho_mat, s_b, ms), _cc_value(rho_mat, ms, ns)
+    assert cq.shape == cc.shape == (4,)
+    for i in range(4):
+        m1, n1 = stack_a(xa[i], *args_a), stack_b(xb[i], *args_b)
+        assert cq[i] == pytest.approx(_cq_value(rho_mat, s_b, m1), abs=1e-12)
+        assert cc[i] == pytest.approx(_cc_value(rho_mat, m1, n1), abs=1e-12)
+
+
+# Report invariants on random inputs at every supported local dimension
+# and rank, at a budget too small to matter: exactness comes from the seed
+# points, the chain from the report's construction.  At d = 4 the general
+# family has 256 parameters per side, so each restart's initial simplex
+# is cut off by the budget.
+TINY = OptimizerConfig(seed=0, restarts=2, max_evals=60)
+DIMS = st.tuples(st.integers(2, 4), st.integers(2, 4))
+
+
+def _assert_chain(rep):
+    assert rep.I + 1e-12 >= rep.I_cq_lower >= rep.I_cc_lower >= 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(DIMS, st.data())
+def test_chain_on_random_states(dims, data):
+    rank = data.draw(st.integers(1, dims[0] * dims[1]), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    _assert_chain(correlation_report(random_density(dims, rank, rng), TINY))
+
+
+@settings(max_examples=12, deadline=None)
+@given(DIMS, st.data())
+def test_icq_exact_on_cq_states(dims, data):
+    d_a, d_b = dims
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # `symbols` classical values with conditional states of the drawn ranks:
+    # total rank from 1 (a product pure state) to d_a * d_b.
+    symbols = data.draw(st.integers(1, d_a), label="symbols")
+    ranks = data.draw(st.lists(st.integers(1, d_b), min_size=symbols,
+                               max_size=symbols), label="ranks")
+    u = haar_unitary(d_a, rng)
+    p = rng.dirichlet(np.ones(symbols))
+    m = sum(p[i] * np.kron(np.outer(u[:, i], u[:, i].conj()),
+                           random_density((d_b,), r, rng).matrix)
+            for i, r in enumerate(ranks))
+    rho = DensityMatrix(SubsystemLayout(dims), m)
+    rep = correlation_report(rho, TINY)
+    _assert_chain(rep)
+    assert rep.I_cq_lower == pytest.approx(rep.I, abs=1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(DIMS, st.data())
+def test_icc_exact_on_cc_states(dims, data):
+    d_a, d_b = dims
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rank = data.draw(st.integers(1, d_a * d_b), label="rank")
+    support = rng.choice(d_a * d_b, size=rank, replace=False)
+    p = np.zeros(d_a * d_b)
+    p[support] = rng.dirichlet(np.ones(rank))
+    u, v = haar_unitary(d_a, rng), haar_unitary(d_b, rng)
+    m = sum(p[i * d_b + j] * np.outer(np.kron(u[:, i], v[:, j]),
+                                      np.kron(u[:, i], v[:, j]).conj())
+            for i in range(d_a) for j in range(d_b))
+    rho = DensityMatrix(SubsystemLayout(dims), m)
+    rep = correlation_report(rho, TINY)
+    _assert_chain(rep)
+    assert rep.I_cc_lower == pytest.approx(rep.I, abs=1e-6)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
+from qcorr.correlations import _cq_value
 from qcorr.optimize import (
     OptimizerConfig,
     embed_projective_in_general,
@@ -9,6 +11,7 @@ from qcorr.optimize import (
     general_stack,
     haar_unitary,
     maximize,
+    minimize,
     param_dim_general_povm,
     param_dim_unitary,
     params_from_unitary,
@@ -17,6 +20,7 @@ from qcorr.optimize import (
     random_density,
     unitary_from_params,
 )
+from qcorr.qstate import partial_trace, von_neumann_entropy
 
 
 class TestRandomObjects:
@@ -107,11 +111,13 @@ class TestPovmParameterizations:
 
 
 class TestMaximize:
+    """Objectives follow the batched contract: (k, n) points -> k values."""
+
     def test_recovers_quadratic_maximum(self):
         target = np.array([0.3, -1.2, 2.0])
 
         def objective(x):
-            return -np.sum((x - target) ** 2)
+            return -np.sum((x - target) ** 2, axis=-1)
 
         cfg = OptimizerConfig(seed=1, restarts=4, max_evals=2000, tol=1e-10)
         res = maximize(objective, 3, cfg)
@@ -122,7 +128,7 @@ class TestMaximize:
         seed_point = np.array([5.0, 5.0])
 
         def objective(x):
-            return -np.sum((x - seed_point) ** 2)
+            return -np.sum((x - seed_point) ** 2, axis=-1)
 
         cfg = OptimizerConfig(seed=0, restarts=1, max_evals=3)
         res = maximize(objective, 2, cfg, seed_points=[seed_point])
@@ -130,7 +136,7 @@ class TestMaximize:
 
     def test_deterministic_for_fixed_seed(self):
         def objective(x):
-            return float(np.cos(x).sum())
+            return np.cos(x).sum(axis=-1)
 
         cfg = OptimizerConfig(seed=42, restarts=3, max_evals=200)
         r1 = maximize(objective, 2, cfg)
@@ -140,7 +146,7 @@ class TestMaximize:
 
     def test_restart_values_tracked(self):
         def objective(x):
-            return -float(np.sum(x ** 2))
+            return -np.sum(x ** 2, axis=-1)
 
         cfg = OptimizerConfig(seed=3, restarts=4, max_evals=200)
         res = maximize(objective, 2, cfg)
@@ -149,12 +155,124 @@ class TestMaximize:
 
     def test_non_finite_objective_aborts_restart(self):
         def objective(x):
-            return float("nan")
+            return np.full(len(x), np.nan)
 
         cfg = OptimizerConfig(seed=0, restarts=2, max_evals=50)
         res = maximize(objective, 2, cfg)
         assert res.value == -np.inf
         assert len(res.diagnostics) >= 1
+
+    def test_non_finite_value_aborts_only_its_own_restart(self):
+        # NaN wherever x[1] > 10.2: restart 0's initial simplex reaches it
+        # at its third vertex (10 * 1.05), restart 1 never does.
+        def objective(x):
+            return np.where(x[:, 1] > 10.2, np.nan, -np.sum(x ** 2, axis=-1))
+
+        cfg = OptimizerConfig(seed=0, restarts=2, max_evals=400, tol=1e-10)
+        starts = [np.array([1.0, 10.0]), np.array([1.0, 1.0])]
+        res = maximize(objective, 2, cfg, seed_points=starts)
+        assert res.restart_stops == ("non-finite", "converged")
+        # Two finite vertices, then the NaN; later points are not counted.
+        assert res.restart_evals[0] == 3
+        assert res.restart_values[2] == objective(starts[0][None])[0]
+        assert res.value == pytest.approx(0.0, abs=1e-9)
+        assert res.diagnostics == ("restart 0: objective returned nan",)
+        assert res.n_evals == 2 + sum(res.restart_evals)
+
+    def test_restart_stops_on_budget(self):
+        def objective(x):
+            return -np.sum(x ** 2, axis=-1)
+
+        cfg = OptimizerConfig(seed=0, restarts=2, max_evals=3)
+        res = maximize(objective, 4, cfg)
+        assert res.restart_evals == (3, 3)
+        assert res.restart_stops == ("budget", "budget")
+        meta = res.to_dict()
+        assert meta["restart_evals"] == [3, 3]
+        assert meta["restart_stops"] == ["budget", "budget"]
+
+    def test_restart_stops_on_convergence(self):
+        def objective(x):
+            return -np.sum((x - 0.5) ** 2, axis=-1)
+
+        cfg = OptimizerConfig(seed=0, restarts=3, max_evals=5000, tol=1e-8)
+        res = maximize(objective, 3, cfg)
+        assert res.restart_stops == ("converged",) * 3
+        assert all(n < 5000 for n in res.restart_evals)
+        assert res.n_evals == sum(res.restart_evals)
+
+    def test_lockstep_minimize_reports_its_budget_stop(self):
+        def fun(x):
+            return np.sum(x ** 2, axis=-1)
+
+        res = minimize(fun, np.ones((2, 3)), max_evals=5, tol=1e-8)
+        assert not res.success
+        assert "function evaluations" in res.message
+        assert res.nfev == 10
+
+
+def _scipy_restart(objective, x0, max_evals, tol):
+    """One restart through scipy's Nelder-Mead: (evaluations, best value)."""
+    seen = []
+
+    def negated(x):
+        seen.append(objective(x[None])[0])
+        return -seen[-1]
+
+    scipy_minimize(negated, x0, method="Nelder-Mead",
+                   options={"maxfev": max_evals, "xatol": tol, "fatol": tol})
+    return len(seen), max(seen)
+
+
+def _wavy(x):
+    """Smooth and non-convex: Nelder-Mead converges and shrinks on it."""
+    return -(np.sin(x).sum(axis=-1) * np.cos(x).sum(axis=-1)
+             + 0.1 * (x ** 2).sum(axis=-1))
+
+
+class TestLockstepMatchesScipy:
+    """Each lockstep restart takes scipy's Nelder-Mead steps exactly."""
+
+    def _check(self, objective, starts, cfg):
+        batch_sizes = []
+
+        def counted(x):
+            batch_sizes.append(len(x))
+            return objective(x)
+
+        res = maximize(counted, starts[0].size, cfg, seed_points=starts)
+        for i, x0 in enumerate(starts):
+            evals, best = _scipy_restart(objective, x0, cfg.max_evals, cfg.tol)
+            assert res.restart_evals[i] == evals
+            assert res.restart_values[len(starts) + i] == best
+        assert res.value == max(res.restart_values)
+        # After the first call every restart asks for one point at a time,
+        # except when it shrinks its simplex.
+        shrinks = sum(k > len(starts) for k in batch_sizes[1:])
+        return res.restart_stops, shrinks
+
+    def test_smooth_function(self, rng):
+        stops, shrinks = [], 0
+        for n in (3, 8, 20, 40):
+            starts = list(rng.normal(size=(3, n)))
+            cfg = OptimizerConfig(seed=0, restarts=3, max_evals=1500, tol=1e-8)
+            s, k = self._check(_wavy, starts, cfg)
+            stops += s
+            shrinks += k
+        assert {"converged", "budget"} <= set(stops)
+        assert shrinks > 0
+
+    def test_cq_general_objective(self, rng):
+        rho = random_density((2, 2), 4, rng)
+        rho_mat = np.ascontiguousarray(rho.matrix)
+        s_b = von_neumann_entropy(partial_trace(rho, (1,)))
+
+        def objective(x):
+            return _cq_value(rho_mat, s_b, general_stack(x, 2, 4))
+
+        starts = list(rng.normal(scale=np.pi / 4, size=(3, 16)))
+        cfg = OptimizerConfig(seed=0, restarts=3, max_evals=400)
+        self._check(objective, starts, cfg)
 
 
 @settings(max_examples=20, deadline=None)

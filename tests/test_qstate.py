@@ -276,6 +276,11 @@ class TestJsonParsing:
         {"dims": ["2"], "matrix": ENTRIES},
         {"dims": [2.0], "matrix": ENTRIES},
         {"dims": 2, "matrix": ENTRIES},
+        {"dims": [2]},
+        {"matrix": ENTRIES},
+        [1, 2],
+        7,
+        None,
     ])
     def test_malformed_entries_are_parse_errors(self, record):
         with pytest.raises(StateParseError):
