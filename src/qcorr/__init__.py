@@ -48,7 +48,6 @@ from .correlations import (
     optimize_icc,
     delta_cc,
     discord,
-    delta_b_heuristic,
     correlation_report,
 )
 from .classify import is_cc, is_cq, commute_residual, ppt_label, Kind

@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("make-corpus", help="write the bundled labeled corpus")
-    p.add_argument("--per-class", type=int, default=5)
+    p.add_argument("--per-class", type=_COUNT, default=5)
     _add_common(p)
     p.set_defaults(func=cmd_make_corpus)
 
@@ -356,11 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad usage, matching our parse-error code
-        raise exc
+    # argparse exits with 2 on bad usage, matching our parse-error code.
+    args = parser.parse_args(argv)
     start = time.monotonic()
     code = args.func(args)
     print(f"wall time: {time.monotonic() - start:.2f}s", file=sys.stderr)

@@ -37,6 +37,7 @@ from .optimize import (
     projective_stack,
 )
 from .qstate import (
+    TAU_NUM,
     ClassicalJoint,
     DensityMatrix,
     ProbVector,
@@ -241,7 +242,7 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
 
     gen_res = maximize(gen_obj, param_dim_general_povm(d, n_out), cfg,
                        seed_points=gen_seeds)
-    if gen_res.value > best.value:
+    if gen_res.value > best.value + TAU_NUM:
         best = MeasurementOptimum(
             value=gen_res.value,
             povm_a=general_povm(gen_res.params, d, n_out),
@@ -325,7 +326,7 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
 
     gen_res = maximize(gen_obj, gd_a + param_dim_general_povm(d_b, n_b),
                        cfg, seed_points=gen_seeds)
-    if gen_res.value > best.value:
+    if gen_res.value > best.value + TAU_NUM:
         best = MeasurementOptimum(
             value=gen_res.value,
             povm_a=general_povm(gen_res.params[:gd_a], d_a, n_a),
@@ -351,14 +352,6 @@ def delta_cc(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
     """Upper bound on Delta_CC = I - I_CC (nonnegative by construction)."""
     report = correlation_report(rho, cfg)
     return report.delta_cc_upper
-
-
-def delta_b_heuristic(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
-    """Heuristic upper bound on the broadcast gap Delta_b; see
-    `qcorr.broadcast.delta_b_upper` for the candidate family."""
-    from . import broadcast
-
-    return broadcast.delta_b_upper(rho, cfg)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import logm
 
 from .channels import Povm
+from .classify import joint_diagonalize
 from .qstate import DensityMatrix, StateError, _as_layout
 
 
@@ -153,10 +153,18 @@ def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
 
 
 def params_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Inverse of `unitary_from_params` (principal branch)."""
+    """Inverse of `unitary_from_params` (phases taken in (-pi, pi]).
+
+    U is normal, so its Hermitian parts (U + U^dag)/2 and (U - U^dag)/2i
+    commute; their common eigenbasis J diagonalizes U, and H is
+    J diag(angle(J^dag U J)) J^dag.
+    """
+    u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    a = logm(u)
-    a = 0.5 * (a - a.conj().T)  # project onto anti-Hermitian matrices
+    uh = u.conj().T
+    j = joint_diagonalize([(u + uh) / 2, (u - uh) / 2j])
+    theta = np.angle(np.diag(j.conj().T @ u @ j))
+    a = 1j * (j * theta) @ j.conj().T  # A = iH
     params = np.empty(d * d)
     params[:d] = np.diag(a).imag
     upper = a[np.triu_indices(d, 1)]
@@ -178,19 +186,35 @@ def projective_povm(params: np.ndarray, d: int) -> Povm:
     return Povm(tuple(projective_stack(params, d)))
 
 
+def isometry_from_params(params: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Polar factor W = G (G^dag G)^{-1/2} of the complex n x d matrix G
+    packed in `params` as (re, im) pairs, row by row:
+    (..., 2nd) -> (..., n, d).
+
+    Computed as u @ vh of a thin SVD of G, which is an isometry to
+    rounding whatever G's conditioning; an isometric G comes back as is.
+    """
+    params = np.ascontiguousarray(np.atleast_1d(params), dtype=float)
+    if params.shape[-1] != 2 * n * d:
+        raise ValueError(
+            f"expected {2 * n * d} parameters, got {params.shape[-1]}")
+    g = params.view(complex).reshape(params.shape[:-1] + (n, d))
+    u, _, vh = np.linalg.svd(g, full_matrices=False)
+    return u @ vh
+
+
 def general_stack(params: np.ndarray, d: int, n_outcomes: int) -> np.ndarray:
     """Unvalidated (..., n, d, d) element stacks of `general_povm` (hot path)."""
-    u = unitary_from_params(params, n_outcomes)
-    w = u[..., :d].conj()  # rows w[..., i, :] define the rank-1 elements
+    w = isometry_from_params(params, n_outcomes, d).conj()
     return np.ascontiguousarray(w[..., :, None] * w.conj()[..., None, :])
 
 
 def general_povm(params: np.ndarray, d: int, n_outcomes: int) -> Povm:
-    """n rank-1 POVM elements from an n-dimensional parameterized unitary.
+    """n rank-1 POVM elements from a parameterized n x d isometry.
 
-    The first d columns of U form an isometry W; element i is the projector
-    onto the conjugated i-th row of W, so completeness follows from column
-    orthonormality.  Requires n_outcomes >= d.
+    W = `isometry_from_params(params, n, d)` has orthonormal columns;
+    element i is the projector onto the conjugated i-th row of W, so
+    completeness follows from W^dag W = I.  Requires n_outcomes >= d.
     """
     if n_outcomes < d:
         raise ValueError("need at least d outcomes for completeness")
@@ -198,22 +222,13 @@ def general_povm(params: np.ndarray, d: int, n_outcomes: int) -> Povm:
 
 
 def param_dim_general_povm(d: int, n_outcomes: int) -> int:
-    return n_outcomes * n_outcomes
-
-
-def _complete_isometry(w: np.ndarray) -> np.ndarray:
-    """Extend an n x d matrix with orthonormal columns to an n x n unitary."""
-    n, d = w.shape
-    q, _ = np.linalg.qr(np.hstack([w, np.eye(n, dtype=complex)]))
-    u = np.array(q[:, :n])
-    # The first d columns of q span col(w) up to phases; substituting w keeps
-    # the remaining columns orthogonal, hence u stays unitary.
-    u[:, :d] = w
-    return u
+    return 2 * n_outcomes * d
 
 
 def embed_projective_in_general(povm: Povm, n_outcomes: int) -> np.ndarray:
-    """Parameters putting a rank-1 projective POVM in the general family."""
+    """Parameters putting a rank-1 projective POVM in the general family:
+    G's row i is the conjugated vector of element i, and rows past the
+    POVM's outcomes are zero."""
     d = povm.dim
     if n_outcomes < povm.outcome_count:
         raise ValueError("general family has too few outcomes")
@@ -221,8 +236,7 @@ def embed_projective_in_general(povm: Povm, n_outcomes: int) -> np.ndarray:
     for i, m in enumerate(povm.elements):
         evals, v = np.linalg.eigh(m)
         w[i] = (np.sqrt(max(evals[-1], 0.0)) * v[:, -1]).conj()
-    return params_from_unitary(_complete_isometry(w))
-
+    return w.view(float).reshape(-1)
 
 
 

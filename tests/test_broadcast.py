@@ -12,6 +12,7 @@ from qcorr.broadcast import (
     cc_broadcast_channels,
     cloning_candidate,
     delta_b_upper,
+    embed_ensemble,
     regroup,
     stinespring_param_dim,
     theorem2_check,
@@ -24,10 +25,11 @@ from qcorr.corpus import (
     random_cc,
     separable_non_cq,
 )
-from qcorr.correlations import mutual_information
+from qcorr.correlations import Ensemble, holevo_chi, mutual_information
 from qcorr.channels import ChannelError
+from qcorr.classify import Kind, is_cq
 from qcorr.optimize import OptimizerConfig, random_density, unitary_from_params
-from qcorr.qstate import bell_phi_plus, tensor
+from qcorr.qstate import ProbVector, StateError, bell_phi_plus, tensor
 
 TINY = OptimizerConfig(seed=0, restarts=2, max_evals=120)
 
@@ -96,6 +98,25 @@ class TestAttachment:
     def test_invalid_on_correlated_states(self, rng):
         cand = attachment_candidate(random_cc(2, 2, rng))
         assert not cand.valid
+
+
+class TestEmbedEnsemble:
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+    def test_mutual_information_is_holevo_chi(self, rng, n, d):
+        ens = Ensemble(ProbVector(rng.dirichlet(np.ones(n))),
+                       tuple(random_density((d,), 1 + i % d, rng)
+                             for i in range(n)))
+        rho = embed_ensemble(ens)
+        assert rho.dims == (n, d)
+        assert mutual_information(rho) == pytest.approx(holevo_chi(ens),
+                                                        abs=1e-12)
+        assert is_cq(rho).kind is Kind.CQ
+
+    def test_zero_probability_member_raises(self, rng):
+        ens = Ensemble(ProbVector([1.0, 0.0]),
+                       tuple(random_density((2,), 1, rng) for _ in range(2)))
+        with pytest.raises(StateError):
+            embed_ensemble(ens)
 
 
 class TestTheorem2Check:

@@ -112,6 +112,16 @@ def test_make_corpus_and_suite_roundtrip(tmp_path):
     assert lines[0].startswith("state_id,kind_label,I,")
 
 
+@pytest.mark.parametrize("per_class", ["-1", "0"])
+def test_make_corpus_non_positive_per_class_exit_code(tmp_path, capsys,
+                                                      per_class):
+    corpus_dir = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["make-corpus", "--per-class", per_class, "--out", str(corpus_dir)])
+    assert exc.value.code == 2
+    assert not corpus_dir.exists()
+
+
 def test_suite_determinism_byte_identical(tmp_path):
     corpus_dir = tmp_path / "corpus"
     main(["make-corpus", "--per-class", "1", "--seed", "3",

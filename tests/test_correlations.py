@@ -36,6 +36,7 @@ from qcorr.optimize import (
     OptimizerConfig,
     general_stack,
     haar_unitary,
+    param_dim_general_povm,
     projective_stack,
     random_density,
 )
@@ -191,6 +192,20 @@ class TestOptimizedBounds:
         assert rep.optimizer_meta["icq_projective"] == standalone
 
 
+    # On these states the general family cannot beat the projective one;
+    # its value ties up to rounding, which must not flip the family.
+    @pytest.mark.parametrize("state", [
+        bell_phi_plus,
+        classically_correlated_bit,
+        lambda: random_cc(2, 2, np.random.default_rng(3)),
+        lambda: random_cc(3, 3, np.random.default_rng(3)),
+    ], ids=["bell", "cc_bit", "cc_2x2", "cc_3x3"])
+    def test_reported_family_is_projective_on_ties(self, state):
+        rep = correlation_report(state(), SMALL)
+        assert rep.optimizer_meta["icq_family"] == "projective"
+        assert rep.optimizer_meta["icc_family"] == "projective"
+
+
 class TestDataProcessing:
     def test_local_unitary_preserves_mi(self, rng):
         rho = random_density((2, 2), 3, rng)
@@ -236,7 +251,9 @@ def test_batched_objectives_match_single_points(rng, dims, family):
     def stacks(d, k):
         if family == "projective":
             return projective_stack, rng.normal(size=(k, d * d)), (d,)
-        return general_stack, rng.normal(size=(k, d ** 4)), (d, d * d)
+        return (general_stack,
+                rng.normal(size=(k, param_dim_general_povm(d, d * d))),
+                (d, d * d))
 
     stack_a, xa, args_a = stacks(d_a, 4)
     stack_b, xb, args_b = stacks(d_b, 4)
@@ -252,7 +269,7 @@ def test_batched_objectives_match_single_points(rng, dims, family):
 # Report invariants on random inputs at every supported local dimension
 # and rank, at a budget too small to matter: exactness comes from the seed
 # points, the chain from the report's construction.  At d = 4 the general
-# family has 256 parameters per side, so each restart's initial simplex
+# family has 128 parameters per side, so each restart's initial simplex
 # is cut off by the budget.
 TINY = OptimizerConfig(seed=0, restarts=2, max_evals=60)
 DIMS = st.tuples(st.integers(2, 4), st.integers(2, 4))

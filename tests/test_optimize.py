@@ -10,6 +10,7 @@ from qcorr.optimize import (
     general_povm,
     general_stack,
     haar_unitary,
+    isometry_from_params,
     maximize,
     minimize,
     param_dim_general_povm,
@@ -63,6 +64,67 @@ class TestUnitaryParameterization:
         np.testing.assert_allclose(u, np.eye(3), atol=1e-14)
 
 
+def _roundtrip_cases():
+    rng = np.random.default_rng(2024)
+    for d in (2, 3, 4):
+        for i in range(5):
+            yield f"haar-d{d}-{i}", haar_unitary(d, rng)
+        yield f"cyclic-d{d}", np.roll(np.eye(d), 1, axis=0)
+        yield f"reversal-d{d}", np.eye(d)[::-1]
+        yield f"minus-identity-d{d}", -np.eye(d)
+        # Degenerate spectra: a repeated phase, and a repeated -1.
+        v = haar_unitary(d, rng)
+        phases = np.exp(1j * np.array([0.7] * (d - 1) + [-2.1]))
+        yield f"degenerate-d{d}", (v * phases) @ v.conj().T
+        phases = np.array([-1.0] * (d - 1) + [1j])
+        yield f"degenerate-minus-one-d{d}", (v * phases) @ v.conj().T
+
+
+ROUNDTRIP = list(_roundtrip_cases())
+
+
+@pytest.mark.parametrize("u", [u for _, u in ROUNDTRIP],
+                         ids=[name for name, _ in ROUNDTRIP])
+def test_params_from_unitary_roundtrip(u):
+    d = u.shape[0]
+    params = params_from_unitary(u)
+    assert params.shape == (param_dim_unitary(d),)
+    np.testing.assert_allclose(unitary_from_params(params, d), u, atol=1e-12)
+
+
+class TestIsometryParameterization:
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 9), (4, 16), (2, 3)])
+    def test_random_params_give_isometries(self, rng, d, n):
+        w = isometry_from_params(rng.normal(size=(5, 2 * n * d)), n, d)
+        assert w.shape == (5, n, d)
+        gram = w.conj().swapaxes(-1, -2) @ w
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(d), gram.shape),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-13, 0.0])
+    def test_ill_conditioned_params_give_isometries(self, rng, scale):
+        d, n = 3, 9
+        g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        g[:, 1] *= scale  # condition number ~1/scale; rank-deficient at 0
+        w = isometry_from_params(g.view(float).reshape(-1), n, d)
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(d), atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 9), (4, 16)])
+    def test_isometric_g_is_returned_unchanged(self, rng, d, n):
+        g = haar_unitary(n, rng)[:, :d]
+        w = isometry_from_params(g.view(float).reshape(-1), n, d)
+        np.testing.assert_allclose(w, g, atol=1e-14)
+
+    def test_param_dim_is_two_n_d(self):
+        assert param_dim_general_povm(2, 4) == 16
+        assert param_dim_general_povm(3, 9) == 54
+        assert param_dim_general_povm(4, 16) == 128
+
+    def test_wrong_param_count_raises(self):
+        with pytest.raises(ValueError):
+            isometry_from_params(np.zeros(15), 4, 2)
+
+
 class TestPovmParameterizations:
     def test_projective_povm_valid(self, rng):
         params = rng.normal(size=param_dim_unitary(3))
@@ -108,6 +170,19 @@ class TestPovmParameterizations:
             np.testing.assert_allclose(povm.elements[i], want[i], atol=1e-9)
         for i in range(d, n):
             assert np.abs(povm.elements[i]).max() <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_embed_projective_packs_the_vectors(self, rng, d):
+        from qcorr.channels import projective_basis_povm
+        n = d * d
+        u = haar_unitary(d, rng)
+        povm = projective_basis_povm(u)
+        params = embed_projective_in_general(povm, n)
+        assert params.shape == (param_dim_general_povm(d, n),)
+        want = np.zeros((n, d, d), dtype=complex)
+        want[:d] = povm.as_array()
+        np.testing.assert_allclose(general_stack(params, d, n), want,
+                                   atol=1e-14)
 
 
 class TestMaximize:
