@@ -3,15 +3,22 @@
 A bipartite state is classical on side A exactly when its A-conditional
 operators (the Hermitian combinations of the blocks <m|_B rho |n>_B) form a
 commuting family.  Degenerate marginals are handled uniformly by jointly
-diagonalizing that family with a Jacobi-style sweep; the common eigenbasis
-is the claimed classical basis and the verdict is judged by the residual
-off-diagonal mass of the rotated state.
+diagonalizing that family with Jacobi sweeps (Cardoso and Souloumiac,
+"Jacobi angles for simultaneous diagonalization", SIAM J. Matrix Anal.
+Appl. 17, 1996); the common eigenbasis is the claimed classical basis and
+the verdict is judged by the residual off-diagonal mass of the rotated
+state.
+
+The family is one (m, d, d) array throughout: it is gathered from the
+state's blocks by array indexing, and each Jacobi rotation updates every
+member with one matmul.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,13 +54,22 @@ class ClassicalityVerdict:
         }
 
 
+def _family_stack(ops) -> np.ndarray:
+    """(m, d, d) complex copy of a nonempty family of equal square operators."""
+    ops = [np.asarray(o, dtype=complex) for o in ops]
+    if not ops:
+        raise StateError("operator family is empty")
+    shape = ops[0].shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise StateError(f"operators must be square matrices, got shape {shape}")
+    if any(o.shape != shape for o in ops):
+        raise StateError("operators must share one dimension")
+    return np.array(ops)
+
+
 def commute_residual(ops) -> float:
     """Max Frobenius norm of pairwise commutators."""
-    ops = [np.asarray(o, dtype=complex) for o in ops]
-    d = ops[0].shape[0]
-    for o in ops:
-        if o.shape != (d, d):
-            raise StateError("operators must share one dimension")
+    ops = _family_stack(ops)
     worst = 0.0
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
@@ -66,28 +82,32 @@ def joint_diagonalize(ops, tol: float = 1e-14,
                       max_sweeps: int = 100) -> np.ndarray:
     """Unitary J approximately diagonalizing a family of Hermitian matrices.
 
-    Jacobi sweeps over index pairs; each rotation maximizes the diagonal
-    mass of the pair across the whole family (Cardoso-Souloumiac update,
-    specialized to Hermitian inputs).
+    Jacobi sweeps over index pairs (p, q); each rotation maximizes the
+    diagonal mass of the pair across the whole family (Cardoso-Souloumiac
+    update, specialized to Hermitian inputs).  The family is held as one
+    (m, d, d) stack: a pair's (m, 3) surrogate rows come from array
+    indexing, their outer products are summed over the members in order,
+    and one matmul rotates every member.  Sweeps stop when no rotation
+    exceeds `tol` or after `max_sweeps`.
     """
-    ops = [np.array(o, dtype=complex) for o in ops]
-    d = ops[0].shape[0]
-    u = np.eye(d, dtype=complex)
+    ops = _family_stack(ops)
+    m, d, _ = ops.shape
+    eye = np.eye(d, dtype=complex)
+    u = eye
     if d == 1:
         return u
+    h = np.empty((m, 3))
     for _ in range(max_sweeps):
         changed = False
         for p in range(d):
             for q in range(p + 1, d):
                 # 3x3 real surrogate built from the (p, q) entries.
-                g = np.zeros((3, 3))
-                for a in ops:
-                    h = np.array([
-                        a[p, p].real - a[q, q].real,
-                        (a[p, q] + a[q, p]).real,
-                        (1j * (a[q, p] - a[p, q])).real,
-                    ])
-                    g += np.outer(h, h)
+                a_pq, a_qp = ops[:, p, q], ops[:, q, p]
+                h[:, 0] = ops[:, p, p].real - ops[:, q, q].real
+                h[:, 1] = (a_pq + a_qp).real
+                h[:, 2] = (1j * (a_qp - a_pq)).real
+                # Reduced over the outer axis: summed member by member.
+                g = np.add.reduce(h[:, :, None] * h[:, None, :], 0)
                 evals, evecs = np.linalg.eigh(g)
                 x, y, z = evecs[:, -1]
                 if x < 0:
@@ -100,41 +120,51 @@ def joint_diagonalize(ops, tol: float = 1e-14,
                 if abs(s) <= tol:
                     continue
                 changed = True
-                rot = np.eye(d, dtype=complex)
+                rot = eye.copy()
                 rot[p, p] = c
                 rot[p, q] = -np.conj(s)
                 rot[q, p] = s
                 rot[q, q] = c
-                for k in range(len(ops)):
-                    ops[k] = rot.conj().T @ ops[k] @ rot
+                ops = rot.conj().T @ ops @ rot
                 u = u @ rot
         if not changed:
             break
     return u
 
 
+@lru_cache(maxsize=None)
+def _family_index(d_reg: int):
+    """(kind, m, n) index arrays of the conditional family, in member order.
+
+    For each m: the block <m|rho|m> (kind 0), then for each n > m the pair
+    t + t^dag (kind 1) and i(t - t^dag) (kind 2) of t = <m|rho|n>.
+    """
+    idx = []
+    for m in range(d_reg):
+        idx.append((0, m, m))
+        for n in range(m + 1, d_reg):
+            idx += [(1, m, n), (2, m, n)]
+    return tuple(np.array(col) for col in zip(*idx))
+
+
 def _conditional_family(rho: DensityMatrix, side: int):
-    """Hermitian A-side (side=0) or B-side (side=1) conditional operators."""
+    """Hermitian A-side (side=0) or B-side (side=1) conditional operators,
+    as a (members, d, d) stack in `_family_index` order, and d."""
     if rho.layout.n_subsystems != 2:
         raise StateError("classification requires a bipartite layout")
     d_a, d_b = rho.dims
     r = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     if side == 0:
         d_cond, d_reg = d_a, d_b
-        block = lambda m, n: r[:, m, :, n]
+        blocks = r.transpose(1, 3, 0, 2)  # blocks[m, n] = r[:, m, :, n]
     elif side == 1:
         d_cond, d_reg = d_b, d_a
-        block = lambda m, n: r[m, :, n, :]
+        blocks = r.transpose(0, 2, 1, 3)  # blocks[m, n] = r[m, :, n, :]
     else:
         raise StateError(f"side must be 0 or 1, got {side}")
-    fam = []
-    for m in range(d_reg):
-        fam.append(np.array(block(m, m)))
-        for n in range(m + 1, d_reg):
-            t = np.array(block(m, n))
-            fam.append(t + t.conj().T)
-            fam.append(1j * (t - t.conj().T))
-    return fam, d_cond
+    blocks_h = blocks.conj().swapaxes(-1, -2)
+    kinds = np.stack([blocks, blocks + blocks_h, 1j * (blocks - blocks_h)])
+    return kinds[_family_index(d_reg)], d_cond
 
 
 def _block_residual(rho: DensityMatrix, basis: np.ndarray, side: int) -> float:
@@ -145,16 +175,11 @@ def _block_residual(rho: DensityMatrix, basis: np.ndarray, side: int) -> float:
     else:
         rot = np.kron(np.eye(d_a, dtype=complex), basis)
     m = rot.conj().T @ rho.matrix @ rot
-    r = m.reshape(d_a, d_b, d_a, d_b)
-    worst = 0.0
-    d_c = d_a if side == 0 else d_b
-    for i in range(d_c):
-        for j in range(d_c):
-            if i == j:
-                continue
-            blk = r[i, :, j, :] if side == 0 else r[:, i, :, j]
-            worst = max(worst, float(np.abs(blk).max()))
-    return worst
+    r = np.abs(m.reshape(d_a, d_b, d_a, d_b))
+    # block_max[i, j]: largest entry of the (i, j) block of the measured side.
+    block_max = r.max(axis=(1, 3)) if side == 0 else r.max(axis=(0, 2))
+    off = ~np.eye(block_max.shape[0], dtype=bool)
+    return float(block_max[off].max(initial=0.0))
 
 
 def _product_residual(rho: DensityMatrix, basis_a: np.ndarray,

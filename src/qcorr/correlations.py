@@ -161,6 +161,9 @@ class MeasurementOptimum:
     # The projective-family search, run first whatever `family` won; for
     # I_CQ it is the search that defines the discord bound.
     projective: OptimizationResult
+    # Party A's projective seed points (`_local_bases_seeds(rho, 0)`) of a
+    # side-0 I_CQ search, kept so the I_CC search can reuse them.
+    seeds_a: tuple[np.ndarray, ...] = ()
 
 
 def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray):
@@ -219,6 +222,7 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
 
     proj_res = maximize(proj_obj, param_dim_unitary(d), cfg,
                         seed_points=proj_seeds)
+    seeds_a = tuple(proj_seeds) if side == 0 else ()
     best = MeasurementOptimum(
         value=proj_res.value,
         povm_a=projective_povm(proj_res.params, d),
@@ -226,6 +230,7 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
         family="projective",
         result=proj_res,
         projective=proj_res,
+        seeds_a=seeds_a,
     )
     if cfg.projective_only:
         return best
@@ -250,6 +255,7 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
             family="general",
             result=gen_res,
             projective=proj_res,
+            seeds_a=seeds_a,
         )
     return best
 
@@ -261,7 +267,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     Seeds include the CQ optimum's A-POVM paired with the B marginal's
     eigenbasis, so the bound never falls below the classical mutual
     information of that pairing, and the classical bases of both sides,
-    which makes the bound exact on CC states.
+    which makes the bound exact on CC states.  `icq` is the side-0 I_CQ
+    optimum; its A-side seeds are reused rather than recomputed.
     """
     if rho.layout.n_subsystems != 2:
         raise StateError("optimize_icc requires a bipartite layout")
@@ -270,7 +277,7 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     if icq is None:
         icq = optimize_icq(rho, cfg)
 
-    seeds_a = _local_bases_seeds(rho, 0)
+    seeds_a = list(icq.seeds_a) or _local_bases_seeds(rho, 0)
     seeds_b = _local_bases_seeds(permute_subsystems(rho, (1, 0)), 0)
     pd_a, pd_b = param_dim_unitary(d_a), param_dim_unitary(d_b)
 

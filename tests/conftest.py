@@ -114,6 +114,100 @@ def oracle_anti_hermitian(params: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
+def oracle_joint_diagonalize(ops, tol: float = 1e-14,
+                             max_sweeps: int = 100) -> np.ndarray:
+    """Jacobi joint diagonalization one family member at a time: the
+    surrogate g is summed with one outer product per member and every
+    member is rotated by its own matmul.  Same sweeps, pair order,
+    rotation formulas and stopping rule as `classify.joint_diagonalize`."""
+    ops = [np.array(o, dtype=complex) for o in ops]
+    d = ops[0].shape[0]
+    u = np.eye(d, dtype=complex)
+    if d == 1:
+        return u
+    for _ in range(max_sweeps):
+        changed = False
+        for p in range(d):
+            for q in range(p + 1, d):
+                g = np.zeros((3, 3))
+                for a in ops:
+                    h = np.array([
+                        a[p, p].real - a[q, q].real,
+                        (a[p, q] + a[q, p]).real,
+                        (1j * (a[q, p] - a[p, q])).real,
+                    ])
+                    g += np.outer(h, h)
+                evals, evecs = np.linalg.eigh(g)
+                x, y, z = evecs[:, -1]
+                if x < 0:
+                    x, y, z = -x, -y, -z
+                r = np.sqrt(x * x + y * y + z * z)
+                if r <= 0 or y * y + z * z == 0.0:
+                    continue
+                c = np.sqrt((x + r) / (2 * r))
+                s = (y - 1j * z) / np.sqrt(2 * r * (x + r))
+                if abs(s) <= tol:
+                    continue
+                changed = True
+                rot = np.eye(d, dtype=complex)
+                rot[p, p] = c
+                rot[p, q] = -np.conj(s)
+                rot[q, p] = s
+                rot[q, q] = c
+                for k in range(len(ops)):
+                    ops[k] = rot.conj().T @ ops[k] @ rot
+                u = u @ rot
+        if not changed:
+            break
+    return u
+
+
+def oracle_conditional_family(rho: np.ndarray, dims, side: int):
+    """Conditional operators of one side, one block at a time: for each
+    index m of the other side, the diagonal block <m|rho|m>, then for each
+    n > m the pair t + t^dag, i(t - t^dag) of t = <m|rho|n>."""
+    d_a, d_b = dims
+    d_c, d_reg = (d_a, d_b) if side == 0 else (d_b, d_a)
+    r = rho.reshape(d_a, d_b, d_a, d_b)
+
+    def block(m, n):
+        t = np.zeros((d_c, d_c), dtype=complex)
+        for i in range(d_c):
+            for j in range(d_c):
+                t[i, j] = r[i, m, j, n] if side == 0 else r[m, i, n, j]
+        return t
+
+    fam = []
+    for m in range(d_reg):
+        fam.append(block(m, m))
+        for n in range(m + 1, d_reg):
+            t = block(m, n)
+            fam.append(t + t.conj().T)
+            fam.append(1j * (t - t.conj().T))
+    return fam
+
+
+def oracle_block_residual(rho: np.ndarray, dims, basis: np.ndarray,
+                          side: int) -> float:
+    """Largest |entry| of the off-diagonal blocks of the measured side once
+    rho is rotated into `basis` there, one block at a time."""
+    d_a, d_b = dims
+    if side == 0:
+        rot = np.kron(basis, np.eye(d_b, dtype=complex))
+    else:
+        rot = np.kron(np.eye(d_a, dtype=complex), basis)
+    r = (rot.conj().T @ rho @ rot).reshape(d_a, d_b, d_a, d_b)
+    worst = 0.0
+    d_c = d_a if side == 0 else d_b
+    for i in range(d_c):
+        for j in range(d_c):
+            if i == j:
+                continue
+            blk = r[i, :, j, :] if side == 0 else r[:, i, :, j]
+            worst = max(worst, float(np.abs(blk).max()))
+    return worst
+
+
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

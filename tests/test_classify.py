@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcorr.classify import (
     Kind,
+    _block_residual,
+    _conditional_family,
     classical_basis,
     commute_residual,
     is_cc,
@@ -19,8 +21,14 @@ from qcorr.corpus import (
     separable_non_cq,
     werner_qubit,
 )
-from qcorr.optimize import haar_unitary
-from qcorr.qstate import bell_phi_plus, maximally_mixed
+from qcorr.optimize import haar_unitary, random_density
+from qcorr.qstate import StateError, bell_phi_plus, maximally_mixed
+
+from conftest import (
+    oracle_block_residual,
+    oracle_conditional_family,
+    oracle_joint_diagonalize,
+)
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -38,6 +46,76 @@ class TestCommuteResidual:
         assert commute_residual([PAULI_X, PAULI_Z]) == pytest.approx(
             2.0 * np.sqrt(2.0), abs=1e-12
         )
+
+
+MALFORMED_FAMILIES = {
+    "empty": [],
+    "empty_stack": np.zeros((0, 2, 2)),
+    "non_square": [np.zeros((2, 3))],
+    "vector": [np.zeros(2)],
+    "unequal": [np.eye(2), np.eye(3)],
+    "unequal_after_first": [np.eye(2), np.eye(2), np.zeros((2, 3))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FAMILIES))
+@pytest.mark.parametrize("fn", [commute_residual, joint_diagonalize])
+def test_malformed_family_raises_state_error(fn, name):
+    with pytest.raises(StateError):
+        fn(MALFORMED_FAMILIES[name])
+
+
+def _corpus_states(d_a, d_b, rng):
+    """One state of every corpus class at the given dims."""
+    return {
+        "cc": random_cc(d_a, d_b, rng),
+        "cq": random_cq(d_a, d_b, rng),
+        "sep": separable_non_cq(d_a, d_b, rng),
+        "ent": random_pure_entangled(d_a, d_b, rng),
+        "full": random_density((d_a, d_b), d_a * d_b, rng),
+        "mixed": maximally_mixed((d_a, d_b)),
+    }
+
+
+CORPUS_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+
+
+class TestStackedMatchesLoopOracles:
+    """The stacked family, residual and Jacobi sweeps against member-by-
+    member loops, bit for bit."""
+
+    @pytest.mark.parametrize("dims", CORPUS_DIMS)
+    def test_corpus_families(self, dims):
+        rng = np.random.default_rng(7000 + 10 * dims[0] + dims[1])
+        for label, rho in _corpus_states(*dims, rng).items():
+            for side in (0, 1):
+                fam, d_cond = _conditional_family(rho, side)
+                expected = oracle_conditional_family(rho.matrix, dims, side)
+                assert d_cond == dims[side]
+                assert np.array_equal(fam, np.array(expected)), (label, side)
+                basis = joint_diagonalize(fam)
+                assert np.array_equal(basis, oracle_joint_diagonalize(expected)), \
+                    (label, side)
+                assert _block_residual(rho, basis, side) == \
+                    oracle_block_residual(rho.matrix, dims, basis, side)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_unitary_hermitian_parts(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(5):
+            u = haar_unitary(d, rng)
+            uh = u.conj().T
+            fam = [(u + uh) / 2, (u - uh) / 2j]
+            assert np.array_equal(joint_diagonalize(fam),
+                                  oracle_joint_diagonalize(fam))
+
+    def test_family_that_stops_on_max_sweeps(self):
+        rho = random_pure_entangled(3, 3, np.random.default_rng(7))
+        fam, _ = _conditional_family(rho, 1)
+        capped = joint_diagonalize(fam)
+        # A 101st sweep still rotates: the default 100 ran out.
+        assert not np.array_equal(capped, joint_diagonalize(fam, max_sweeps=101))
+        assert np.array_equal(capped, oracle_joint_diagonalize(fam))
 
 
 class TestJointDiagonalize:

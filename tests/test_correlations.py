@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +192,32 @@ class TestOptimizedBounds:
                                       "projective_only": True})
         standalone = optimize_icq(rho, proj_cfg).result.to_dict()
         assert rep.optimizer_meta["icq_projective"] == standalone
+
+    def test_report_reuses_side_a_seeds(self, rng, monkeypatch):
+        import qcorr.classify as classify_mod
+        import qcorr.optimize as optimize_mod
+
+        calls = []
+        real = classify_mod.joint_diagonalize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classify_mod, "joint_diagonalize", counting)
+        monkeypatch.setattr(optimize_mod, "joint_diagonalize", counting)
+        rho = random_density((2, 3), 4, rng)
+        rep = correlation_report(rho, SMALL)
+        # Per side: the classical basis, and the parameters of it and of
+        # the marginal eigenbasis.  Side A's are computed once, not twice.
+        assert len(calls) == 6
+        monkeypatch.undo()
+        icq = optimize_icq(rho, SMALL)
+        assert len(icq.seeds_a) == 3
+        fresh = optimize_icc(rho, SMALL,
+                             icq=dataclasses.replace(icq, seeds_a=()))
+        assert rep.optimizer_meta["icc"] == fresh.result.to_dict()
+        assert rep.I_cc_lower == min(rep.I_cq_lower, fresh.value)
 
 
     # On these states the general family cannot beat the projective one;
