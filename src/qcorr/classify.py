@@ -10,8 +10,9 @@ the verdict is judged by the residual off-diagonal mass of the rotated
 state.
 
 The family is one (m, d, d) array throughout: it is gathered from the
-state's blocks by array indexing, and each Jacobi rotation updates every
-member with one matmul.
+state's blocks by array indexing, each Jacobi rotation updates every
+member with one matmul, and a pair that is degenerate across the family
+(zero surrogate) is left alone.
 """
 
 from __future__ import annotations
@@ -108,6 +109,10 @@ def joint_diagonalize(ops, tol: float = 1e-14,
                 h[:, 2] = (1j * (a_qp - a_pq)).real
                 # Reduced over the outer axis: summed member by member.
                 g = np.add.reduce(h[:, :, None] * h[:, None, :], 0)
+                if not g.any():
+                    # Degenerate across the family: every rotation of the
+                    # pair is optimal, so none is taken.
+                    continue
                 evals, evecs = np.linalg.eigh(g)
                 x, y, z = evecs[:, -1]
                 if x < 0:

@@ -119,7 +119,8 @@ def oracle_joint_diagonalize(ops, tol: float = 1e-14,
     """Jacobi joint diagonalization one family member at a time: the
     surrogate g is summed with one outer product per member and every
     member is rotated by its own matmul.  Same sweeps, pair order,
-    rotation formulas and stopping rule as `classify.joint_diagonalize`."""
+    rotation formulas and stopping rule as `classify.joint_diagonalize`;
+    a pair whose g is exactly zero is skipped."""
     ops = [np.array(o, dtype=complex) for o in ops]
     d = ops[0].shape[0]
     u = np.eye(d, dtype=complex)
@@ -137,6 +138,8 @@ def oracle_joint_diagonalize(ops, tol: float = 1e-14,
                         (1j * (a[q, p] - a[p, q])).real,
                     ])
                     g += np.outer(h, h)
+                if not g.any():
+                    continue
                 evals, evecs = np.linalg.eigh(g)
                 x, y, z = evecs[:, -1]
                 if x < 0:

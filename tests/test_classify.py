@@ -131,6 +131,28 @@ class TestJointDiagonalize:
             off = rot - np.diag(np.diag(rot))
             assert np.abs(off).max() <= 1e-10
 
+    @pytest.mark.parametrize("fam", [
+        [np.eye(3)],
+        [np.eye(2), 2.5 * np.eye(2)],
+        [np.diag([1.0, 1.0, 2.0])],
+        [np.diag([1.0, 1.0, 2.0]), np.diag([3.0, 3.0, 0.0])],
+        [np.diag([1.0, 1.0, 2.0, 2.0]), np.eye(4)],
+    ], ids=["identity_3", "identities_2", "tied_3", "tied_pair_3", "tied_4"])
+    def test_degenerate_family_stops_after_one_sweep(self, fam, monkeypatch):
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(1)
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        d = fam[0].shape[0]
+        assert np.array_equal(joint_diagonalize(fam), np.eye(d))
+        # Pairs tied across the family skip the 3x3 eigh; the rest take
+        # one each in the single sweep.
+        assert len(calls) <= d * (d - 1) // 2
+
     def test_single_hermitian_operator(self, rng):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = a + a.conj().T
@@ -169,6 +191,14 @@ class TestVerdicts:
 
     def test_maximally_mixed_is_cc(self):
         assert is_cc(maximally_mixed((2, 2))).kind is Kind.CC
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_maximally_mixed_keeps_computational_bases(self, dims):
+        v = is_cc(maximally_mixed(dims))
+        assert v.kind is Kind.CC
+        assert v.residual == 0.0
+        assert np.array_equal(v.basis_A, np.eye(dims[0]))
+        assert np.array_equal(v.basis_B, np.eye(dims[1]))
 
     def test_classical_bit_pair_is_cc(self):
         v = is_cc(classically_correlated_bit())
