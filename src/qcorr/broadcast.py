@@ -305,8 +305,8 @@ def _broadcast_candidates(rho: DensityMatrix,
     if cfg is None:
         cfg = OptimizerConfig(restarts=6, max_evals=500)
     d_a, d_b = rho.dims
-    anc_a = cfg.ancilla_dim or d_a
-    anc_b = cfg.ancilla_dim or d_b
+    anc_a = d_a if cfg.ancilla_dim is None else cfg.ancilla_dim
+    anc_b = d_b if cfg.ancilla_dim is None else cfg.ancilla_dim
     pd_a = stinespring_param_dim(d_a, anc_a)
     pd_b = stinespring_param_dim(d_b, anc_b)
 

@@ -214,6 +214,30 @@ def is_cq(rho: DensityMatrix, tol: float = TAU_CLASS,
     return ClassicalityVerdict(Kind.NEITHER, None, None, residual)
 
 
+def _side_verdicts(rho: DensityMatrix, tol: float):
+    """The `is_cc`, side-0 `is_cq` and side-1 `is_cq` verdicts, in that
+    order, from one classical basis and residual per side."""
+    basis_a = classical_basis(rho, 0)
+    basis_b = classical_basis(rho, 1)
+    res_a = _block_residual(rho, basis_a, 0)
+    res_b = _block_residual(rho, basis_b, 1)
+    cq = (ClassicalityVerdict(Kind.CQ, basis_a, None, res_a) if res_a <= tol
+          else ClassicalityVerdict(Kind.NEITHER, None, None, res_a))
+    qc = (ClassicalityVerdict(Kind.QC, None, basis_b, res_b) if res_b <= tol
+          else ClassicalityVerdict(Kind.NEITHER, None, None, res_b))
+    if res_a <= tol and res_b <= tol:
+        residual = _product_residual(rho, basis_a, basis_b)
+        if residual <= tol:
+            cc = ClassicalityVerdict(Kind.CC, basis_a, basis_b, residual)
+            return cc, cq, qc
+    if res_a <= tol:
+        return cq, cq, qc
+    if res_b <= tol:
+        return qc, cq, qc
+    return (ClassicalityVerdict(Kind.NEITHER, None, None, min(res_a, res_b)),
+            cq, qc)
+
+
 def is_cc(rho: DensityMatrix, tol: float = TAU_CLASS) -> ClassicalityVerdict:
     """Two-sided classicality test.
 
@@ -221,19 +245,7 @@ def is_cc(rho: DensityMatrix, tol: float = TAU_CLASS) -> ClassicalityVerdict:
     neither otherwise.  For CC the residual is the max off-diagonal of the
     state rotated into the claimed product basis.
     """
-    basis_a = classical_basis(rho, 0)
-    basis_b = classical_basis(rho, 1)
-    res_a = _block_residual(rho, basis_a, 0)
-    res_b = _block_residual(rho, basis_b, 1)
-    if res_a <= tol and res_b <= tol:
-        residual = _product_residual(rho, basis_a, basis_b)
-        if residual <= tol:
-            return ClassicalityVerdict(Kind.CC, basis_a, basis_b, residual)
-    if res_a <= tol:
-        return ClassicalityVerdict(Kind.CQ, basis_a, None, res_a)
-    if res_b <= tol:
-        return ClassicalityVerdict(Kind.QC, None, basis_b, res_b)
-    return ClassicalityVerdict(Kind.NEITHER, None, None, min(res_a, res_b))
+    return _side_verdicts(rho, tol)[0]
 
 
 def ppt_label(rho: DensityMatrix) -> str:

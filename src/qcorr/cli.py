@@ -23,7 +23,7 @@ from . import __version__
 from .broadcast import broadcast_search
 from .channels import (ChannelError, ChannelParseError, KrausChannel,
                        apply_channel, apply_local, petz_recovery)
-from .classify import is_cc, is_cq, ppt_label
+from .classify import _side_verdicts, ppt_label
 from .correlations import correlation_report, mutual_information
 from .corpus import make_corpus
 from .optimize import OptimizerConfig
@@ -137,10 +137,11 @@ def cmd_classify(args) -> int:
     rho = _load_state(args.state)
     cfg = OptimizerConfig(seed=args.seed)
     try:
+        cc, cq, qc = _side_verdicts(rho, args.tol)
         verdicts = {
-            "verdict": is_cc(rho, tol=args.tol).to_dict(),
-            "cq_verdict": is_cq(rho, tol=args.tol, side=0).to_dict(),
-            "qc_verdict": is_cq(rho, tol=args.tol, side=1).to_dict(),
+            "verdict": cc.to_dict(),
+            "cq_verdict": cq.to_dict(),
+            "qc_verdict": qc.to_dict(),
             "ppt": ppt_label(rho),
         }
     except StateError as exc:

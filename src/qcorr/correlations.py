@@ -186,6 +186,20 @@ def _cc_value(rho_mat: np.ndarray, ms: np.ndarray, ns: np.ndarray):
     return h_a + h_b - shannon_bits(p.reshape(p.shape[:-2] + (-1,)))
 
 
+def _pair_stacks(stack, params: np.ndarray, split: int, args_a: tuple,
+                 args_b: tuple):
+    """Element stacks of both parties from (..., split + m) parameters:
+    `stack(params[..., :split], *args_a)` and the same of the rest with
+    `args_b`.  Parties with one parameterization (equal args) share one
+    `stack` call on the (..., 2, split) view, so the batched `eigh` or `svd`
+    inside runs once for both; the stacks are bitwise those of two calls."""
+    if args_a == args_b:
+        both = stack(params.reshape(params.shape[:-1] + (2, split)), *args_a)
+        return both[..., 0, :, :, :], both[..., 1, :, :, :]
+    return (stack(params[..., :split], *args_a),
+            stack(params[..., split:], *args_b))
+
+
 def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
     """Projective parameter seeds: classical basis, marginal eigenbasis,
     computational basis."""
@@ -235,7 +249,7 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     if cfg.projective_only:
         return best
 
-    n_out = cfg.outcome_count or d * d
+    n_out = d * d if cfg.outcome_count is None else cfg.outcome_count
     gen_seeds = [
         embed_projective_in_general(projective_povm(s, d), n_out)
         for s in proj_seeds
@@ -289,8 +303,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
         proj_seeds.append(np.concatenate([icq.result.params, seeds_b[1]]))
 
     def proj_obj(params):
-        return _cc_value(rho_mat, projective_stack(params[..., :pd_a], d_a),
-                         projective_stack(params[..., pd_a:], d_b))
+        return _cc_value(rho_mat, *_pair_stacks(projective_stack, params,
+                                                pd_a, (d_a,), (d_b,)))
 
     proj_res = maximize(proj_obj, pd_a + pd_b, cfg, seed_points=proj_seeds)
     best = MeasurementOptimum(
@@ -304,8 +318,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     if cfg.projective_only:
         return best
 
-    n_a = cfg.outcome_count or d_a * d_a
-    n_b = cfg.outcome_count or d_b * d_b
+    n_a = d_a * d_a if cfg.outcome_count is None else cfg.outcome_count
+    n_b = d_b * d_b if cfg.outcome_count is None else cfg.outcome_count
     gd_a = param_dim_general_povm(d_a, n_a)
 
     def embed_pair(povm_a: Povm, povm_b: Povm) -> np.ndarray:
@@ -328,8 +342,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     ]))
 
     def gen_obj(params):
-        return _cc_value(rho_mat, general_stack(params[..., :gd_a], d_a, n_a),
-                         general_stack(params[..., gd_a:], d_b, n_b))
+        return _cc_value(rho_mat, *_pair_stacks(general_stack, params, gd_a,
+                                                (d_a, n_a), (d_b, n_b)))
 
     gen_res = maximize(gen_obj, gd_a + param_dim_general_povm(d_b, n_b),
                        cfg, seed_points=gen_seeds)

@@ -11,11 +11,22 @@ All restarts advance in lockstep, so one objective call evaluates every
 point the restarts need next: the seed points and whole initial simplices
 at the start, then one trial point or one shrunk simplex per restart.
 The parameterizations below accept the same leading batch axes.
+
+One round costs one `concatenate` of the waiting points, one objective
+call and one finiteness check, then per live restart a comparison with
+its best value and one Nelder-Mead step: a scalar convergence test, the
+centroid and the trial point (four array operations), and the argsort with
+two takes that keep the simplex sorted.  Per-call overhead, not FLOPs,
+sets the speed at these sizes, so the objectives stack work instead of
+looping: the two-party I_CC objectives parameterize both parties in one
+call when their shapes agree.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +34,11 @@ import numpy as np
 from .channels import Povm
 from .classify import joint_diagonalize
 from .qstate import DensityMatrix, StateError, _as_layout
+
+
+def _int_at_least(value, low: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low)
 
 
 @dataclass(frozen=True)
@@ -36,10 +52,20 @@ class OptimizerConfig:
     ancilla_dim: int | None = None
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_evals < 1:
-            raise ValueError("restarts and max_evals must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name, low in (("seed", 0), ("restarts", 1), ("max_evals", 1)):
+            value = getattr(self, name)
+            if not _int_at_least(value, low):
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("outcome_count", "ancilla_dim"):
+            value = getattr(self, name)
+            if value is not None and not _int_at_least(value, 1):
+                raise ValueError(
+                    f"{name} must be None or an integer >= 1, got {value!r}")
+        tol = self.tol
+        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+                and math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -273,18 +299,22 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
         fsim = fsim.take(ind)
 
     while fcalls < max_evals:
-        # Both tests must hold; the cheap one goes first.
-        if (np.abs(fsim[0] - fsim[1:]).max() <= fatol
+        # Both tests must hold; the cheap one goes first.  fsim is sorted
+        # and rounding is monotone, so scipy's max|fsim[0] - fsim[1:]| is
+        # the last difference.
+        if (fsim[-1] - fsim[0] <= fatol
                 and np.abs(sim[1:] - sim[0]).max() <= xatol):
             return "converged"
         xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
+        # scipy's coefficient products, with the exact factors rho = 1
+        # left out.
+        xr = (1 + rho) * xbar - sim[-1]
         fxr, = yield xr[None]
         fcalls += 1
         if fxr < fsim[0]:
             if fcalls >= max_evals:
                 return "budget"
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            xe = (1 + chi) * xbar - chi * sim[-1]
             fxe, = yield xe[None]
             fcalls += 1
             if fxe < fxr:
@@ -297,7 +327,7 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
             if fcalls >= max_evals:
                 return "budget"
             if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                xc = (1 + psi) * xbar - psi * sim[-1]
                 fxc, = yield xc[None]
                 fcalls += 1
                 shrink = not fxc <= fxr
@@ -380,27 +410,33 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
         if values.shape != (len(batch),):
             raise ValueError(
                 f"objective returned shape {values.shape} for {len(batch)} points")
-        finite = np.isfinite(values)
-        all_finite = finite.all()
+        all_finite = np.isfinite(values).all()
         offset = 0
         for i, pts in list(pending.items()):
             m = len(pts)
             vals = values[offset:offset + m]
-            bad = () if all_finite else np.flatnonzero(~finite[offset:offset + m])
-            good = int(bad[0]) if len(bad) else m  # values before a non-finite one
-            if good:
-                j = int(vals[:good].argmin())
-                if vals[j] < best_f[i]:
-                    best_f[i] = vals[j]
-                    best_x[i] = batch[offset + j]
             offset += m
-            if len(bad):
-                evals[i] += good + 1
-                non_finite[i] = float(vals[good])
-                stops[i] = "non-finite"
-                runs[i].close()
-                del pending[i]
-                continue
+            if m == 1 and all_finite:
+                # The usual round: one finite trial point.
+                v = vals[0]
+                if v < best_f[i]:
+                    best_f[i] = v
+                    best_x[i] = pts[0]
+            else:
+                bad = np.flatnonzero(~np.isfinite(vals))
+                good = int(bad[0]) if len(bad) else m  # values before a non-finite one
+                if good:
+                    j = int(vals[:good].argmin())
+                    if vals[j] < best_f[i]:
+                        best_f[i] = vals[j]
+                        best_x[i] = pts[j]
+                if len(bad):
+                    evals[i] += good + 1
+                    non_finite[i] = float(vals[good])
+                    stops[i] = "non-finite"
+                    runs[i].close()
+                    del pending[i]
+                    continue
             evals[i] += m
             try:
                 pending[i] = runs[i].send(vals)

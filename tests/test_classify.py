@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcorr.classify import (
+    TAU_CLASS,
+    ClassicalityVerdict,
     Kind,
     _block_residual,
     _conditional_family,
+    _product_residual,
+    _side_verdicts,
     classical_basis,
     commute_residual,
     is_cc,
@@ -22,7 +28,12 @@ from qcorr.corpus import (
     werner_qubit,
 )
 from qcorr.optimize import haar_unitary, random_density
-from qcorr.qstate import StateError, bell_phi_plus, maximally_mixed
+from qcorr.qstate import (
+    StateError,
+    bell_phi_plus,
+    maximally_mixed,
+    pure_state,
+)
 
 from conftest import (
     oracle_block_residual,
@@ -221,6 +232,82 @@ class TestVerdicts:
         m = rot.conj().T @ rho.matrix @ rot
         off = m - np.diag(np.diag(m))
         assert np.abs(off).max() <= 1e-10
+
+
+def separate_cc_verdict(rho, tol):
+    """`is_cc` as two bases and three residuals computed on their own."""
+    basis_a, basis_b = classical_basis(rho, 0), classical_basis(rho, 1)
+    res_a = _block_residual(rho, basis_a, 0)
+    res_b = _block_residual(rho, basis_b, 1)
+    if res_a <= tol and res_b <= tol:
+        residual = _product_residual(rho, basis_a, basis_b)
+        if residual <= tol:
+            return ClassicalityVerdict(Kind.CC, basis_a, basis_b, residual)
+    if res_a <= tol:
+        return ClassicalityVerdict(Kind.CQ, basis_a, None, res_a)
+    if res_b <= tol:
+        return ClassicalityVerdict(Kind.QC, None, basis_b, res_b)
+    return ClassicalityVerdict(Kind.NEITHER, None, None, min(res_a, res_b))
+
+
+def max_entangled(d_a, d_b):
+    """sum_i |ii> / sqrt(min(d_a, d_b)); the Bell state at 2x2."""
+    r = min(d_a, d_b)
+    psi = np.zeros(d_a * d_b, dtype=complex)
+    psi[[i * d_b + i for i in range(r)]] = 1 / np.sqrt(r)
+    return pure_state(psi, (d_a, d_b))
+
+
+def _verdict_json(cc, cq, qc):
+    return json.dumps({"verdict": cc.to_dict(), "cq_verdict": cq.to_dict(),
+                       "qc_verdict": qc.to_dict()}, sort_keys=True, indent=2)
+
+
+class TestSideVerdicts:
+    """All three verdicts from one basis per side, byte for byte those of
+    the separate calls."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("tol", [TAU_CLASS, 1e-2])
+    def test_matches_separate_calls(self, dims, tol):
+        rng = np.random.default_rng(8000 + 10 * dims[0] + dims[1])
+        states = _corpus_states(*dims, rng)
+        del states["full"]
+        states["max_entangled"] = max_entangled(*dims)
+        kinds = set()
+        for label, rho in states.items():
+            got = _side_verdicts(rho, tol)
+            want = (separate_cc_verdict(rho, tol), is_cq(rho, tol=tol, side=0),
+                    is_cq(rho, tol=tol, side=1))
+            assert _verdict_json(*got) == _verdict_json(*want), label
+            assert is_cc(rho, tol=tol).to_dict() == want[0].to_dict(), label
+            kinds.add(got[0].kind)
+        assert {Kind.CC, Kind.NEITHER} <= kinds
+
+    def test_bell_state(self):
+        rho = bell_phi_plus()
+        assert _verdict_json(*_side_verdicts(rho, TAU_CLASS)) == _verdict_json(
+            separate_cc_verdict(rho, TAU_CLASS), is_cq(rho, side=0),
+            is_cq(rho, side=1))
+
+    def test_one_basis_per_side(self, rng, monkeypatch):
+        import qcorr.classify as classify_mod
+
+        calls = []
+        real = classify_mod.joint_diagonalize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classify_mod, "joint_diagonalize", counting)
+        cc, cq, qc = _side_verdicts(random_cq(3, 3, rng), TAU_CLASS)
+        assert len(calls) == 2
+        assert (cc.kind, cq.kind, qc.kind) == (Kind.CQ, Kind.CQ, Kind.NEITHER)
+
+    def test_rejects_non_bipartite(self):
+        with pytest.raises(StateError):
+            _side_verdicts(maximally_mixed((2,)), TAU_CLASS)
 
 
 class TestPptLabel:

@@ -5,9 +5,9 @@ import pytest
 
 from qcorr.channels import depolarizing_channel, unitary_channel
 from qcorr.cli import main
-from qcorr.corpus import classically_correlated_bit
+from qcorr.corpus import classically_correlated_bit, random_cq
 from qcorr.optimize import haar_unitary
-from qcorr.qstate import bell_phi_plus, pure_state
+from qcorr.qstate import DensityMatrix, bell_phi_plus, pure_state
 
 
 FAST = ["--restarts", "2", "--max-evals", "150"]
@@ -48,6 +48,26 @@ def test_classify_cc_state(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["verdict"]["kind"] == "CC"
     assert payload["ppt"] == "ppt"
+
+
+def test_classify_output_is_the_separate_verdicts(tmp_path):
+    from qcorr.classify import is_cc, is_cq
+
+    rng = np.random.default_rng(5)
+    states = {"cc": classically_correlated_bit(), "bell": bell_phi_plus(),
+              "cq": random_cq(2, 3, rng), "cq_3x3": random_cq(3, 3, rng)}
+    for name, rho in states.items():
+        path = tmp_path / f"{name}.json"
+        rho.save(path)
+        rho = DensityMatrix.load(path)
+        out = tmp_path / f"{name}_verdict.json"
+        assert main(["classify", str(path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        payload.update(verdict=is_cc(rho).to_dict(),
+                       cq_verdict=is_cq(rho, side=0).to_dict(),
+                       qc_verdict=is_cq(rho, side=1).to_dict())
+        assert out.read_text() == json.dumps(payload, sort_keys=True,
+                                             indent=2) + "\n", name
 
 
 def test_classify_bell(tmp_path):

@@ -294,6 +294,65 @@ def test_batched_objectives_match_single_points(rng, dims, family):
         assert cc[i] == pytest.approx(_cc_value(rho_mat, m1, n1), abs=1e-12)
 
 
+class TestStackedPartyObjectives:
+    """The I_CC objectives parameterize both parties in one call when their
+    shapes agree, and in one call per party otherwise; either way the
+    values are bitwise those of the per-party composition."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    def test_objectives_equal_per_party_composition(self, dims, monkeypatch):
+        import qcorr.correlations as corr_mod
+
+        d_a, d_b = dims
+        rng = np.random.default_rng(9000 + 10 * d_a + d_b)
+        rho = random_density(dims, d_a * d_b, rng)
+        rho_mat = np.ascontiguousarray(rho.matrix)
+        cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
+        icq = optimize_icq(rho, cfg)
+
+        objectives, stack_calls = [], []
+        real_maximize = corr_mod.maximize
+
+        def recording(objective, *args, **kwargs):
+            objectives.append(objective)
+            return real_maximize(objective, *args, **kwargs)
+
+        def counted(stack):
+            def call(*args, **kwargs):
+                stack_calls.append(stack.__name__)
+                return stack(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(corr_mod, "maximize", recording)
+        optimize_icc(rho, cfg, icq=icq)
+        proj_obj, gen_obj = objectives
+        monkeypatch.setattr(corr_mod, "projective_stack",
+                            counted(projective_stack))
+        monkeypatch.setattr(corr_mod, "general_stack", counted(general_stack))
+
+        pd_a = d_a * d_a
+        n_a, n_b = d_a * d_a, d_b * d_b
+        gd_a = param_dim_general_povm(d_a, n_a)
+        calls_per_eval = 1 if d_a == d_b else 2
+        for k in (1, 3, 30):
+            x = rng.normal(scale=np.pi / 4, size=(k, pd_a + d_b * d_b))
+            stack_calls.clear()
+            got = proj_obj(x)
+            assert stack_calls == ["projective_stack"] * calls_per_eval
+            want = _cc_value(rho_mat, projective_stack(x[:, :pd_a], d_a),
+                             projective_stack(x[:, pd_a:], d_b))
+            assert np.array_equal(got, want), k
+
+            y = rng.normal(scale=np.pi / 4,
+                           size=(k, gd_a + param_dim_general_povm(d_b, n_b)))
+            stack_calls.clear()
+            got = gen_obj(y)
+            assert stack_calls == ["general_stack"] * calls_per_eval
+            want = _cc_value(rho_mat, general_stack(y[:, :gd_a], d_a, n_a),
+                             general_stack(y[:, gd_a:], d_b, n_b))
+            assert np.array_equal(got, want), k
+
+
 # Report invariants on random inputs at every supported local dimension
 # and rank, at a budget too small to matter: exactness comes from the seed
 # points, the chain from the report's construction.  At d = 4 the general

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,6 +350,93 @@ class TestLockstepMatchesScipy:
         starts = list(rng.normal(scale=np.pi / 4, size=(3, 16)))
         cfg = OptimizerConfig(seed=0, restarts=3, max_evals=400)
         self._check(objective, starts, cfg)
+
+
+    def test_plateau_objective(self, rng):
+        # Piecewise constant: the simplex values tie, so argsort's order
+        # among equal values and the fatol test on ties decide the steps.
+        def plateau(x):
+            return np.floor(4 * x).sum(-1)
+
+        stops = []
+        # tol = 1 is one plateau step: the value spread can equal it.
+        for n, tol in ((2, 1e-8), (5, 1e-8), (12, 1e-8), (3, 1.0), (6, 1.0)):
+            starts = list(rng.normal(size=(3, n)))
+            cfg = OptimizerConfig(seed=0, restarts=3, max_evals=600, tol=tol)
+            s, _ = self._check(plateau, starts, cfg)
+            stops += s
+        assert "converged" in stops
+
+    def test_budget_below_initial_simplex(self, rng):
+        # max_evals < n + 1: the budget ends inside the initial simplex.
+        starts = list(rng.normal(size=(3, 8)))
+        cfg = OptimizerConfig(seed=0, restarts=3, max_evals=5, tol=1e-8)
+        stops, _ = self._check(_wavy, starts, cfg)
+        assert stops == ("budget",) * 3
+
+
+class TestOptimizerConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+        {"tol": -1e-8}, {"tol": "1e-8"}, {"tol": True},
+        {"outcome_count": 0}, {"ancilla_dim": 0}, {"ancilla_dim": -1},
+        {"outcome_count": 2.0}, {"seed": -1}, {"seed": 1.0}, {"seed": None},
+        {"restarts": 2.5}, {"restarts": 0}, {"max_evals": 0},
+        {"max_evals": True},
+    ], ids=repr)
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**kwargs)
+
+    def test_accepted_values_keep_their_dict(self):
+        cfg = OptimizerConfig(seed=np.int64(3), restarts=2, max_evals=10,
+                              tol=1, outcome_count=4, ancilla_dim=1)
+        assert cfg.to_dict() == {
+            "seed": 3, "restarts": 2, "max_evals": 10, "tol": 1,
+            "outcome_count": 4, "projective_only": False, "ancilla_dim": 1}
+
+
+def _valid_int(value, low):
+    return type(value) is int and value >= low
+
+
+def _config_values(ints):
+    return st.one_of(ints, st.none(), st.booleans(),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.just("2"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "seed": _config_values(st.integers(-3, 2 ** 70)),
+    "restarts": _config_values(st.integers(-2, 3)),
+    "max_evals": _config_values(st.integers(-2, 30)),
+    "tol": _config_values(st.integers(-2, 2)),
+    "outcome_count": _config_values(st.integers(-2, 5)),
+    "ancilla_dim": _config_values(st.integers(-2, 5)),
+    "projective_only": st.booleans(),
+}))
+def test_config_raises_value_error_or_runs(kwargs):
+    full = {**OptimizerConfig().to_dict(), **kwargs}
+    tol = full["tol"]
+    valid = (_valid_int(full["seed"], 0) and _valid_int(full["restarts"], 1)
+             and _valid_int(full["max_evals"], 1)
+             and all(full[k] is None or _valid_int(full[k], 1)
+                     for k in ("outcome_count", "ancilla_dim"))
+             and type(tol) in (int, float) and np.isfinite(tol) and tol > 0)
+    try:
+        cfg = OptimizerConfig(**kwargs)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    cfg = dataclasses.replace(cfg, max_evals=min(cfg.max_evals, 30),
+                              restarts=min(cfg.restarts, 3))
+    res = maximize(lambda x: -np.sum(x ** 2, axis=-1), 2, cfg)
+    assert np.isfinite(res.value)
+    assert len(res.restart_stops) == cfg.restarts
+    assert set(res.restart_stops) <= {"converged", "budget"}
+    assert all(n <= cfg.max_evals for n in res.restart_evals)
 
 
 @settings(max_examples=20, deadline=None)
