@@ -50,7 +50,14 @@ from .correlations import (
     discord,
     correlation_report,
 )
-from .classify import is_cc, is_cq, commute_residual, ppt_label, Kind
+from .classify import (
+    is_cc,
+    is_cq,
+    side_verdicts,
+    commute_residual,
+    ppt_label,
+    Kind,
+)
 from .broadcast import (
     BroadcastCandidate,
     cc_broadcast_channels,

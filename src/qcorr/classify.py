@@ -214,9 +214,10 @@ def is_cq(rho: DensityMatrix, tol: float = TAU_CLASS,
     return ClassicalityVerdict(Kind.NEITHER, None, None, residual)
 
 
-def _side_verdicts(rho: DensityMatrix, tol: float):
+def side_verdicts(rho: DensityMatrix, tol: float = TAU_CLASS):
     """The `is_cc`, side-0 `is_cq` and side-1 `is_cq` verdicts, in that
-    order, from one classical basis and residual per side."""
+    order, from one classical basis and residual per side: two joint
+    diagonalizations where the three separate calls make four."""
     basis_a = classical_basis(rho, 0)
     basis_b = classical_basis(rho, 1)
     res_a = _block_residual(rho, basis_a, 0)
@@ -245,7 +246,7 @@ def is_cc(rho: DensityMatrix, tol: float = TAU_CLASS) -> ClassicalityVerdict:
     neither otherwise.  For CC the residual is the max off-diagonal of the
     state rotated into the claimed product basis.
     """
-    return _side_verdicts(rho, tol)[0]
+    return side_verdicts(rho, tol)[0]
 
 
 def ppt_label(rho: DensityMatrix) -> str:

@@ -23,7 +23,7 @@ from . import __version__
 from .broadcast import broadcast_search
 from .channels import (ChannelError, ChannelParseError, KrausChannel,
                        apply_channel, apply_local, petz_recovery)
-from .classify import _side_verdicts, ppt_label
+from .classify import ppt_label, side_verdicts
 from .correlations import correlation_report, mutual_information
 from .corpus import make_corpus
 from .optimize import OptimizerConfig
@@ -137,7 +137,7 @@ def cmd_classify(args) -> int:
     rho = _load_state(args.state)
     cfg = OptimizerConfig(seed=args.seed)
     try:
-        cc, cq, qc = _side_verdicts(rho, args.tol)
+        cc, cq, qc = side_verdicts(rho, args.tol)
         verdicts = {
             "verdict": cc.to_dict(),
             "cq_verdict": cq.to_dict(),

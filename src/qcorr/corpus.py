@@ -116,7 +116,10 @@ def make_corpus(n_per_class: int = 10, seed: int = 20260826,
     for k in range(n_per_class):
         out.append(LabeledState(
             f"sep_{k:02d}", "sep", separable_non_cq(d_a, d_b, rng)))
-    ent: list[DensityMatrix] = [bell_phi_plus(), werner_qubit(0.95)]
+    # The Bell and Werner states lead the class at 2x2 only; other sizes
+    # are all pure states of full Schmidt rank.
+    ent: list[DensityMatrix] = ([bell_phi_plus(), werner_qubit(0.95)]
+                                if (d_a, d_b) == (2, 2) else [])
     while len(ent) < n_per_class:
         cand = random_pure_entangled(d_a, d_b, rng)
         if ppt_label(cand) == "npt":

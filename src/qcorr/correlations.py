@@ -12,7 +12,7 @@ noise level).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .optimize import (
     OptimizerConfig,
     embed_projective_in_general,
     general_povm,
-    general_stack,
+    isometry_from_params,
+    isometry_stack,
     maximize,
     param_dim_general_povm,
     param_dim_unitary,
@@ -164,14 +165,21 @@ class MeasurementOptimum:
     # Party A's projective seed points (`_local_bases_seeds(rho, 0)`) of a
     # side-0 I_CQ search, kept so the I_CC search can reuse them.
     seeds_a: tuple[np.ndarray, ...] = ()
+    # The general-family search, run second; None under `projective_only`.
+    general: OptimizationResult | None = None
 
 
 def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray):
     """I of the CQ state for POVM element stacks `ms` (..., n, dA, dA) on
     the first party; a float for one stack, an array over leading axes."""
     blocks = cq_blocks(rho_mat, ms)
+    return _cq_bits(blocks, np.linalg.eigvalsh(blocks), s_b)
+
+
+def _cq_bits(blocks: np.ndarray, lam: np.ndarray, s_b: float):
+    """H(p) + S(B) - H(eigenvalues of all blocks): I of the CQ state with
+    conditional blocks B_i (Tr B_i = p_i) whose eigenvalues are `lam`."""
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
-    lam = np.linalg.eigvalsh(blocks)
     lam = np.clip(lam.reshape(lam.shape[:-2] + (-1,)), 0.0, None)
     return (shannon_bits(np.clip(probs, 0.0, None))
             + s_b - shannon_bits(lam))
@@ -180,22 +188,92 @@ def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray):
 def _cc_value(rho_mat: np.ndarray, ms: np.ndarray, ns: np.ndarray):
     """Classical mutual information of the outcomes of stacks `ms`, `ns`
     (same leading axes); a float for one pair of stacks."""
-    p = np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None)
+    return _cc_bits(np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None))
+
+
+def _cc_bits(p: np.ndarray):
+    """H(A) + H(B) - H(AB) of joint distributions p (..., nA, nB)."""
     h_a = shannon_bits(p.sum(axis=-1))
     h_b = shannon_bits(p.sum(axis=-2))
     return h_a + h_b - shannon_bits(p.reshape(p.shape[:-2] + (-1,)))
 
 
+# Eigenvalues and probabilities are floored at this inside gradient logs
+# only: a zero one multiplies a vector that is zero there anyway.
+_LOG_FLOOR = np.finfo(float).tiny
+
+
+def _log2_floor(x: np.ndarray) -> np.ndarray:
+    return np.log2(np.maximum(x, _LOG_FLOOR))
+
+
+def _isometry_gradient(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean gradient, packed as parameters, of sum_i Tr[M_i Q_i] (Q_i
+    fixed and Hermitian) over the isometries w whose conjugated rows a_i
+    give M_i = a_i a_i^dag: row i of the complex gradient is 2 w_i Q_i."""
+    z = 2 * (w[..., None, :] @ q)[..., 0, :]
+    return z.reshape(z.shape[:-2] + (-1,)).view(float)
+
+
+def _cq_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray, s_b: float,
+                   w: np.ndarray):
+    """Values of `_cq_value` on the general POVMs of isometries w
+    (..., n, dA) and their gradients (..., 2 n dA).
+
+    One `eigh` of the blocks B_i gives both: the derivative of I in B_i is
+    L_i = log2 B_i - log2 p_i (Lewis, "Derivatives of spectral functions",
+    Math. Oper. Res. 21, 1996), and Tr[L_i dB_i] = Tr[dM_i Q_i] with
+    Q_i = Tr_B[(I (x) L_i) rho].
+    """
+    blocks = cq_blocks(rho_mat, isometry_stack(w))
+    lam, vecs = np.linalg.eigh(blocks)
+    value = _cq_bits(blocks, lam, s_b)
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    log_ratio = _log2_floor(lam) - _log2_floor(probs)[..., None]
+    l_b = (vecs * log_ratio[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return value, _isometry_gradient(w, cq_blocks(rho_swap, l_b))
+
+
+def _cc_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray,
+                   w_a: np.ndarray, w_b: np.ndarray):
+    """Values of `_cc_value` on the general POVMs of isometries w_a
+    (..., nA, dA) and w_b (..., nB, dB), and their gradients
+    (..., 2 nA dA + 2 nB dB).
+
+    The derivative of I in p_ij is g_ij = log2(p_ij / (p_i. p_.j)) (up to
+    a constant that completeness cancels), so party A's direction for
+    element i is Q_i = sum_j g_ij R_j with R_j = Tr_B[(I (x) N_j) rho], and
+    party B's is built the same way from the blocks Tr_A[(M_i (x) I) rho].
+    """
+    ms, ns = isometry_stack(w_a), isometry_stack(w_b)
+    p = np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None)
+    value = _cc_bits(p)
+    g = (_log2_floor(p) - _log2_floor(p.sum(axis=-1))[..., :, None]
+         - _log2_floor(p.sum(axis=-2))[..., None, :])
+
+    def direction(weights, blocks):
+        *batch, n, d, _ = blocks.shape
+        return (weights @ blocks.reshape(*batch, n, d * d)).reshape(
+            *batch, weights.shape[-2], d, d)
+
+    q_a = direction(g, cq_blocks(rho_swap, ns))
+    q_b = direction(g.swapaxes(-1, -2), cq_blocks(rho_mat, ms))
+    return value, np.concatenate(
+        (_isometry_gradient(w_a, q_a), _isometry_gradient(w_b, q_b)), axis=-1)
+
+
 def _pair_stacks(stack, params: np.ndarray, split: int, args_a: tuple,
                  args_b: tuple):
-    """Element stacks of both parties from (..., split + m) parameters:
-    `stack(params[..., :split], *args_a)` and the same of the rest with
-    `args_b`.  Parties with one parameterization (equal args) share one
-    `stack` call on the (..., 2, split) view, so the batched `eigh` or `svd`
-    inside runs once for both; the stacks are bitwise those of two calls."""
+    """Per-party outputs of a parameterization from (..., split + m)
+    parameters: `stack(params[..., :split], *args_a)` and the same of the
+    rest with `args_b`.  Parties with one parameterization (equal args)
+    share one `stack` call on the (..., 2, split) view, so the batched
+    `eigh` or `svd` inside runs once for both; the outputs are bitwise
+    those of two calls."""
     if args_a == args_b:
         both = stack(params.reshape(params.shape[:-1] + (2, split)), *args_a)
-        return both[..., 0, :, :, :], both[..., 1, :, :, :]
+        rest = (slice(None),) * (both.ndim - params.ndim)  # the output's axes
+        return both[(..., 0) + rest], both[(..., 1) + rest]
     return (stack(params[..., :split], *args_a),
             stack(params[..., split:], *args_b))
 
@@ -256,21 +334,22 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     ]
     gen_seeds.append(embed_projective_in_general(best.povm_a, n_out))
 
+    # The parties exchanged: `cq_blocks` of it traces out the measured one.
+    rho_swap = np.ascontiguousarray(
+        (rho if side else permute_subsystems(rho, (1, 0))).matrix)
+
     def gen_obj(params):
-        return _cq_value(rho_mat, s_b, general_stack(params, d, n_out))
+        return _cq_value_grad(rho_mat, rho_swap, s_b,
+                              isometry_from_params(params, n_out, d))
 
     gen_res = maximize(gen_obj, param_dim_general_povm(d, n_out), cfg,
-                       seed_points=gen_seeds)
+                       seed_points=gen_seeds, isometries=((n_out, d),))
+    best = replace(best, general=gen_res)
     if gen_res.value > best.value + TAU_NUM:
-        best = MeasurementOptimum(
-            value=gen_res.value,
-            povm_a=general_povm(gen_res.params, d, n_out),
-            povm_b=None,
-            family="general",
-            result=gen_res,
-            projective=proj_res,
-            seeds_a=seeds_a,
-        )
+        best = replace(
+            best, value=gen_res.value,
+            povm_a=general_povm(gen_res.params, d, n_out), family="general",
+            result=gen_res)
     return best
 
 
@@ -292,7 +371,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
         icq = optimize_icq(rho, cfg)
 
     seeds_a = list(icq.seeds_a) or _local_bases_seeds(rho, 0)
-    seeds_b = _local_bases_seeds(permute_subsystems(rho, (1, 0)), 0)
+    swapped = permute_subsystems(rho, (1, 0))
+    seeds_b = _local_bases_seeds(swapped, 0)
     pd_a, pd_b = param_dim_unitary(d_a), param_dim_unitary(d_b)
 
     proj_seeds = [np.concatenate([sa, sb])
@@ -341,21 +421,22 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
         embed_projective_in_general(eig_b, n_b),
     ]))
 
+    rho_swap = np.ascontiguousarray(swapped.matrix)
+
     def gen_obj(params):
-        return _cc_value(rho_mat, *_pair_stacks(general_stack, params, gd_a,
-                                                (d_a, n_a), (d_b, n_b)))
+        return _cc_value_grad(rho_mat, rho_swap, *_pair_stacks(
+            isometry_from_params, params, gd_a, (n_a, d_a), (n_b, d_b)))
 
     gen_res = maximize(gen_obj, gd_a + param_dim_general_povm(d_b, n_b),
-                       cfg, seed_points=gen_seeds)
+                       cfg, seed_points=gen_seeds,
+                       isometries=((n_a, d_a), (n_b, d_b)))
+    best = replace(best, general=gen_res)
     if gen_res.value > best.value + TAU_NUM:
-        best = MeasurementOptimum(
-            value=gen_res.value,
+        best = replace(
+            best, value=gen_res.value,
             povm_a=general_povm(gen_res.params[:gd_a], d_a, n_a),
             povm_b=general_povm(gen_res.params[gd_a:], d_b, n_b),
-            family="general",
-            result=gen_res,
-            projective=proj_res,
-        )
+            family="general", result=gen_res)
     return best
 
 
@@ -406,6 +487,13 @@ class CorrelationReport:
         }
 
 
+def _general_gain(opt: MeasurementOptimum) -> float | None:
+    """General-family value minus projective value (None if not searched)."""
+    if opt.general is None:
+        return None
+    return opt.general.value - opt.projective.value
+
+
 def correlation_report(rho: DensityMatrix,
                        cfg: OptimizerConfig) -> CorrelationReport:
     """All correlation measures of a bipartite state, chain-consistent."""
@@ -434,6 +522,8 @@ def correlation_report(rho: DensityMatrix,
         "icq_projective": icq.projective.to_dict(),
         "icq_family": icq.family,
         "icc_family": icc.family,
+        "icq_general_gain": _general_gain(icq),
+        "icc_general_gain": _general_gain(icc),
         "outcome_cap": "d^2 rank-1 outcomes for the general POVM family",
     }
     return CorrelationReport(

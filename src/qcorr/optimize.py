@@ -1,25 +1,39 @@
-"""Randomness, POVM parameterizations, and derivative-free maximization.
+"""Randomness, POVM parameterizations, and multi-start maximization.
 
-The maximizer is a multi-start Nelder-Mead ascent.  Objectives involve
-eigendecompositions with non-smooth level crossings, so derivative-free
-search is used throughout.  Runs are deterministic for a fixed seed: RNG
-streams are spawned per restart, and user-supplied seed points are always
-evaluated directly, so the returned value never falls below any seed.
+`maximize` runs every restart of a search in lockstep, with one of two
+step rules:
 
-Objectives are batched: they map a (k, n) array of points to k values.
-All restarts advance in lockstep, so one objective call evaluates every
-point the restarts need next: the seed points and whole initial simplices
-at the start, then one trial point or one shrunk simplex per restart.
-The parameterizations below accept the same leading batch axes.
+- Nelder-Mead (derivative-free) for the projective POVM phases and the
+  broadcast search.  Their points pass through exp(iH) of a Hermitian
+  generator, whose derivative needs the divided differences of H's
+  spectrum, and the broadcast residual is a trace norm, which is not smooth
+  where its argument is singular.  Each restart takes scipy's Nelder-Mead
+  steps exactly.
+- Riemannian gradient ascent for the general POVM phases.  Their points
+  are isometries W (`isometry_from_params`), and both I_CQ and I_CC are
+  smooth functions of W with closed-form gradients (the spectral-function
+  derivative of Tr B log B is defined wherever the blocks B are, level
+  crossings included).  Each restart steps along the tangent gradient
+  with a Barzilai-Borwein length, retracts with the polar factor, and
+  halves the step until the Armijo test passes, so every accepted step
+  rises.  It needs tens of evaluations where Nelder-Mead uses hundreds.
 
-One round costs one `concatenate` of the waiting points, one objective
-call and one finiteness check, then per live restart a comparison with
-its best value and one Nelder-Mead step: a scalar convergence test, the
-centroid and the trial point (four array operations), and the argsort with
-two takes that keep the simplex sorted.  Per-call overhead, not FLOPs,
-sets the speed at these sizes, so the objectives stack work instead of
-looping: the two-party I_CC objectives parameterize both parties in one
-call when their shapes agree.
+Both step rules and the lockstep driver `minimize` live in `lockstep`.
+
+Runs are deterministic for a fixed seed: RNG streams are spawned per
+restart, and user-supplied seed points are always evaluated directly, so
+the returned value never falls below any seed.
+
+Objectives are batched: they map a (k, n) array of points to k values (or,
+for the gradient rule, to k values and a (k, n) array of gradients).  One
+objective call evaluates every point the live restarts need next: the
+seed points, then the whole initial simplex or the start point of each
+restart, then one trial point (or one shrunk simplex) per restart.  The
+parameterizations below accept the same leading batch axes.
+
+Per-call overhead, not FLOPs, sets the speed at these sizes, so the
+objectives stack work instead of looping: the two-party I_CC objectives
+parameterize both parties in one call when their shapes agree.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ import numpy as np
 
 from .channels import Povm
 from .classify import joint_diagonalize
+from .lockstep import minimize
 from .qstate import DensityMatrix, StateError, _as_layout
 
 
@@ -84,14 +99,17 @@ class OptimizationResult:
     value: float
     params: np.ndarray
     n_evals: int
-    # Seed points first, then the Nelder-Mead restarts.
+    # Seed points first, then the restarts.
     restart_values: tuple[float, ...]
     seed: int
     diagnostics: tuple[str, ...] = field(default=())
-    # Per Nelder-Mead restart: evaluations used and why it stopped
-    # ("converged", "budget" or "non-finite").
+    # Per restart: evaluations used and why it stopped ("converged",
+    # "budget" or "non-finite").
     restart_evals: tuple[int, ...] = field(default=())
     restart_stops: tuple[str, ...] = field(default=())
+    # Which start gave `value`: "seed i" or "restart i" (None if no value
+    # was finite).
+    winner: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -103,6 +121,7 @@ class OptimizationResult:
             "diagnostics": list(self.diagnostics),
             "restart_evals": list(self.restart_evals),
             "restart_stops": list(self.restart_stops),
+            "winner": self.winner,
         }
 
 
@@ -229,10 +248,16 @@ def isometry_from_params(params: np.ndarray, n: int, d: int) -> np.ndarray:
     return u @ vh
 
 
+def isometry_stack(w: np.ndarray) -> np.ndarray:
+    """(..., n, d, d) projectors onto the conjugated rows of (..., n, d)
+    isometries: the elements of the general POVM family (hot path)."""
+    w = w.conj()
+    return np.ascontiguousarray(w[..., :, None] * w.conj()[..., None, :])
+
+
 def general_stack(params: np.ndarray, d: int, n_outcomes: int) -> np.ndarray:
     """Unvalidated (..., n, d, d) element stacks of `general_povm` (hot path)."""
-    w = isometry_from_params(params, n_outcomes, d).conj()
-    return np.ascontiguousarray(w[..., :, None] * w.conj()[..., None, :])
+    return isometry_stack(isometry_from_params(params, n_outcomes, d))
 
 
 def general_povm(params: np.ndarray, d: int, n_outcomes: int) -> Povm:
@@ -266,204 +291,18 @@ def embed_projective_in_general(povm: Povm, n_outcomes: int) -> np.ndarray:
 
 
 
-# ---------------------------------------------------------------------------
-# Lockstep Nelder-Mead
-
-
-def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
-    """One Nelder-Mead minimization from x0, as a generator.
-
-    Takes exactly the steps of scipy's `minimize(method="Nelder-Mead")`
-    with options maxfev, xatol and fatol: the same initial simplex (5 %
-    steps, 0.00025 for zero coordinates), coefficients 1, 2, 1/2, 1/2,
-    argsort reordering and stopping rules, so for the same values it
-    evaluates the same points.  Each `yield` hands out an (m, n) array of
-    points and receives their m values; the return value is the reason
-    it stopped: "converged" or "budget".
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    diag = np.arange(n)
-    sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full(n + 1, np.inf)
-    fcalls = min(n + 1, max_evals)
-    fsim[:fcalls] = yield sim[:fcalls]
-    if n == 0:
-        return "converged"
-    # scipy sorts twice before its first iteration; with tied values a
-    # second argsort need not be the identity.
-    for _ in range(2):
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind)
-
-    while fcalls < max_evals:
-        # Both tests must hold; the cheap one goes first.  fsim is sorted
-        # and rounding is monotone, so scipy's max|fsim[0] - fsim[1:]| is
-        # the last difference.
-        if (fsim[-1] - fsim[0] <= fatol
-                and np.abs(sim[1:] - sim[0]).max() <= xatol):
-            return "converged"
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        # scipy's coefficient products, with the exact factors rho = 1
-        # left out.
-        xr = (1 + rho) * xbar - sim[-1]
-        fxr, = yield xr[None]
-        fcalls += 1
-        if fxr < fsim[0]:
-            if fcalls >= max_evals:
-                return "budget"
-            xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe, = yield xe[None]
-            fcalls += 1
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fcalls >= max_evals:
-                return "budget"
-            if fxr < fsim[-1]:
-                xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc, = yield xc[None]
-                fcalls += 1
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc, = yield xcc[None]
-                fcalls += 1
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                # scipy evaluates the shrunk vertices one by one until the
-                # budget runs out; they do not depend on each other.
-                m = min(n, max_evals - fcalls)
-                if m == 0:
-                    return "budget"
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:m + 1] = yield sim[1:m + 1]
-                fcalls += m
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind)
-    return "budget"
-
-
-def _evaluate_once(x: np.ndarray):
-    yield x[None]
-    return "evaluated"
-
-
-@dataclass(frozen=True)
-class LockstepResult:
-    """Outcome of `minimize`, one entry per run (points, then restarts).
-
-    `fun[i]` is the lowest value run i reached before it stopped (inf if
-    none was finite) and `x[i]` the first point that reached it.  A run
-    stopped by a non-finite value records that value in `non_finite[i]`
-    and counts it in `evals[i]`; its later points are not counted.
-    """
-
-    fun: np.ndarray
-    x: np.ndarray
-    evals: tuple[int, ...]
-    stops: tuple[str, ...]
-    non_finite: tuple[float | None, ...]
-    nfev: int
-    success: bool
-    message: str
-
-
-def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
-             points: np.ndarray | None = None) -> LockstepResult:
-    """Lockstep Nelder-Mead minimization of a batched objective.
-
-    `fun` maps a (k, n) array to k values.  One Nelder-Mead run starts
-    from each row of `x0s` (budget `max_evals`, xatol = fatol = `tol`),
-    and each row of `points` is evaluated once.  Every round gathers the
-    points all live runs wait for into one `fun` call.  A non-finite
-    value stops only the run it belongs to.  `success` says every
-    restart converged; `message` names the first reason one did not.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    n = x0s.shape[1]
-    points = np.empty((0, n)) if points is None else np.asarray(points, dtype=float)
-    runs = ([_evaluate_once(p) for p in points]
-            + [_nelder_mead(x0, max_evals, tol, tol) for x0 in x0s])
-    n_runs = len(runs)
-    best_f = np.full(n_runs, np.inf)
-    best_x = np.zeros((n_runs, n))
-    evals = [0] * n_runs
-    stops = [""] * n_runs
-    non_finite: list[float | None] = [None] * n_runs
-
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        batch = np.concatenate(list(pending.values()))
-        values = np.asarray(fun(batch), dtype=float)
-        if values.shape != (len(batch),):
-            raise ValueError(
-                f"objective returned shape {values.shape} for {len(batch)} points")
-        all_finite = np.isfinite(values).all()
-        offset = 0
-        for i, pts in list(pending.items()):
-            m = len(pts)
-            vals = values[offset:offset + m]
-            offset += m
-            if m == 1 and all_finite:
-                # The usual round: one finite trial point.
-                v = vals[0]
-                if v < best_f[i]:
-                    best_f[i] = v
-                    best_x[i] = pts[0]
-            else:
-                bad = np.flatnonzero(~np.isfinite(vals))
-                good = int(bad[0]) if len(bad) else m  # values before a non-finite one
-                if good:
-                    j = int(vals[:good].argmin())
-                    if vals[j] < best_f[i]:
-                        best_f[i] = vals[j]
-                        best_x[i] = pts[j]
-                if len(bad):
-                    evals[i] += good + 1
-                    non_finite[i] = float(vals[good])
-                    stops[i] = "non-finite"
-                    runs[i].close()
-                    del pending[i]
-                    continue
-            evals[i] += m
-            try:
-                pending[i] = runs[i].send(vals)
-            except StopIteration as stop:
-                stops[i] = stop.value
-                del pending[i]
-
-    restart_stops = stops[len(points):]
-    if "budget" in restart_stops:
-        message = "Maximum number of function evaluations has been exceeded."
-    elif "non-finite" in restart_stops:
-        message = "A restart stopped on a non-finite objective value."
-    else:
-        message = "Optimization terminated successfully."
-    return LockstepResult(
-        fun=best_f, x=best_x, evals=tuple(evals), stops=tuple(stops),
-        non_finite=tuple(non_finite), nfev=sum(evals),
-        success=all(s == "converged" for s in restart_stops), message=message)
-
-
 def maximize(objective, param_dim: int, cfg: OptimizerConfig,
-             seed_points=()) -> OptimizationResult:
-    """Multi-start Nelder-Mead ascent of a batched objective over R^param_dim.
+             seed_points=(), isometries: tuple = ()) -> OptimizationResult:
+    """Multi-start lockstep ascent of a batched objective over R^param_dim.
 
-    `objective` maps a (k, param_dim) array to k values.  Seed points are
-    evaluated directly (and polish-started when restart budget allows), so
-    the result never undercuts any of them.  A restart whose objective goes
+    `objective` maps a (k, param_dim) array to k values, and the restarts
+    are Nelder-Mead runs.  With `isometries`, the (n, d) shapes of the
+    complex matrices each point packs (as in `isometry_from_params`), it
+    returns the k values and their (k, param_dim) Euclidean gradients at
+    the polar factors of those matrices, and the restarts are monotone
+    Riemannian gradient ascents on the isometries.  Seed points are
+    evaluated directly (and start restarts while restarts remain), so the
+    result never undercuts any of them.  A restart whose objective goes
     non-finite is aborted and recorded; the others run on.  Ties go to the
     earliest seed, then the earliest restart, as if the restarts ran one
     after another.
@@ -485,22 +324,32 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
     else:
         starts = [] if seed_points else [np.zeros(0)]
 
-    res = minimize(lambda x: -np.asarray(objective(x), dtype=float),
-                   np.reshape(starts, (len(starts), param_dim)),
-                   cfg.max_evals, cfg.tol,
-                   points=np.reshape(seed_points, (len(seed_points), param_dim)))
+    if isometries:
+        def negated(x):
+            values, grads = objective(x)
+            return (-np.asarray(values, dtype=float),
+                    -np.asarray(grads, dtype=float))
+    else:
+        def negated(x):
+            return -np.asarray(objective(x), dtype=float)
 
-    best_val = -np.inf
-    best_params = np.zeros(param_dim)
-    restart_values = []
-    for f, x in zip(res.fun, res.x):
-        val = float(-f)
-        restart_values.append(val)
-        if val > best_val:
-            best_val, best_params = val, x
+    res = minimize(negated, np.reshape(starts, (len(starts), param_dim)),
+                   cfg.max_evals, cfg.tol,
+                   points=np.reshape(seed_points, (len(seed_points), param_dim)),
+                   isometries=tuple(isometries))
+
     n_seeds = len(seed_points)
     names = ([f"seed {i}" for i in range(n_seeds)]
              + [f"restart {i}" for i in range(len(starts))])
+    best_val = -np.inf
+    best_params = np.zeros(param_dim)
+    winner = None
+    restart_values = []
+    for name, f, x in zip(names, res.fun, res.x):
+        val = float(-f)
+        restart_values.append(val)
+        if val > best_val:
+            best_val, best_params, winner = val, x, name
     diagnostics = tuple(f"{name}: objective returned {-bad}"
                         for name, bad in zip(names, res.non_finite)
                         if bad is not None)
@@ -513,4 +362,5 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
         diagnostics=diagnostics,
         restart_evals=res.evals[n_seeds:],
         restart_stops=res.stops[n_seeds:],
+        winner=winner,
     )

@@ -11,13 +11,13 @@ from qcorr.classify import (
     _block_residual,
     _conditional_family,
     _product_residual,
-    _side_verdicts,
     classical_basis,
     commute_residual,
     is_cc,
     is_cq,
     joint_diagonalize,
     ppt_label,
+    side_verdicts,
 )
 from qcorr.corpus import (
     classically_correlated_bit,
@@ -276,7 +276,7 @@ class TestSideVerdicts:
         states["max_entangled"] = max_entangled(*dims)
         kinds = set()
         for label, rho in states.items():
-            got = _side_verdicts(rho, tol)
+            got = side_verdicts(rho, tol)
             want = (separate_cc_verdict(rho, tol), is_cq(rho, tol=tol, side=0),
                     is_cq(rho, tol=tol, side=1))
             assert _verdict_json(*got) == _verdict_json(*want), label
@@ -286,7 +286,7 @@ class TestSideVerdicts:
 
     def test_bell_state(self):
         rho = bell_phi_plus()
-        assert _verdict_json(*_side_verdicts(rho, TAU_CLASS)) == _verdict_json(
+        assert _verdict_json(*side_verdicts(rho, TAU_CLASS)) == _verdict_json(
             separate_cc_verdict(rho, TAU_CLASS), is_cq(rho, side=0),
             is_cq(rho, side=1))
 
@@ -301,13 +301,21 @@ class TestSideVerdicts:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(classify_mod, "joint_diagonalize", counting)
-        cc, cq, qc = _side_verdicts(random_cq(3, 3, rng), TAU_CLASS)
+        cc, cq, qc = side_verdicts(random_cq(3, 3, rng), TAU_CLASS)
         assert len(calls) == 2
         assert (cc.kind, cq.kind, qc.kind) == (Kind.CQ, Kind.CQ, Kind.NEITHER)
 
     def test_rejects_non_bipartite(self):
         with pytest.raises(StateError):
-            _side_verdicts(maximally_mixed((2,)), TAU_CLASS)
+            side_verdicts(maximally_mixed((2,)), TAU_CLASS)
+
+    def test_public_with_the_default_tolerance(self, rng):
+        import qcorr
+
+        assert qcorr.side_verdicts is side_verdicts
+        rho = random_cq(2, 3, rng)
+        assert (_verdict_json(*side_verdicts(rho))
+                == _verdict_json(*side_verdicts(rho, TAU_CLASS)))
 
 
 class TestPptLabel:

@@ -16,11 +16,14 @@ from qcorr.corpus import (
     product_state,
     random_cc,
     random_cq,
+    random_pure_entangled,
 )
 from qcorr.correlations import (
     Ensemble,
     _cc_value,
+    _cc_value_grad,
     _cq_value,
+    _cq_value_grad,
     cc_state,
     classical_mutual_information,
     correlation_report,
@@ -34,10 +37,13 @@ from qcorr.correlations import (
     optimize_icc,
     optimize_icq,
 )
+from qcorr.lockstep import _retract, _tangent
 from qcorr.optimize import (
     OptimizerConfig,
+    embed_projective_in_general,
     general_stack,
     haar_unitary,
+    isometry_from_params,
     param_dim_general_povm,
     projective_stack,
     random_density,
@@ -49,6 +55,7 @@ from qcorr.qstate import (
     SubsystemLayout,
     bell_phi_plus,
     partial_trace,
+    permute_subsystems,
     pure_state,
     von_neumann_entropy,
 )
@@ -297,7 +304,8 @@ def test_batched_objectives_match_single_points(rng, dims, family):
 class TestStackedPartyObjectives:
     """The I_CC objectives parameterize both parties in one call when their
     shapes agree, and in one call per party otherwise; either way the
-    values are bitwise those of the per-party composition."""
+    values (and, for the general family, the gradients) are bitwise those
+    of the per-party composition."""
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
     def test_objectives_equal_per_party_composition(self, dims, monkeypatch):
@@ -310,47 +318,199 @@ class TestStackedPartyObjectives:
         cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
         icq = optimize_icq(rho, cfg)
 
-        objectives, stack_calls = [], []
+        objectives, calls = [], []
         real_maximize = corr_mod.maximize
 
         def recording(objective, *args, **kwargs):
             objectives.append(objective)
             return real_maximize(objective, *args, **kwargs)
 
-        def counted(stack):
+        def counted(name, fn):
             def call(*args, **kwargs):
-                stack_calls.append(stack.__name__)
-                return stack(*args, **kwargs)
+                calls.append(name)
+                return fn(*args, **kwargs)
             return call
 
         monkeypatch.setattr(corr_mod, "maximize", recording)
         optimize_icc(rho, cfg, icq=icq)
         proj_obj, gen_obj = objectives
         monkeypatch.setattr(corr_mod, "projective_stack",
-                            counted(projective_stack))
-        monkeypatch.setattr(corr_mod, "general_stack", counted(general_stack))
+                            counted("projective_stack", projective_stack))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
 
         pd_a = d_a * d_a
         n_a, n_b = d_a * d_a, d_b * d_b
         gd_a = param_dim_general_povm(d_a, n_a)
         calls_per_eval = 1 if d_a == d_b else 2
+        rho_swap = np.ascontiguousarray(
+            permute_subsystems(rho, (1, 0)).matrix)
         for k in (1, 3, 30):
             x = rng.normal(scale=np.pi / 4, size=(k, pd_a + d_b * d_b))
-            stack_calls.clear()
+            calls.clear()
             got = proj_obj(x)
-            assert stack_calls == ["projective_stack"] * calls_per_eval
+            assert calls == ["projective_stack"] * calls_per_eval
             want = _cc_value(rho_mat, projective_stack(x[:, :pd_a], d_a),
                              projective_stack(x[:, pd_a:], d_b))
             assert np.array_equal(got, want), k
 
             y = rng.normal(scale=np.pi / 4,
                            size=(k, gd_a + param_dim_general_povm(d_b, n_b)))
-            stack_calls.clear()
-            got = gen_obj(y)
-            assert stack_calls == ["general_stack"] * calls_per_eval
+            calls.clear()
+            got, grad = gen_obj(y)
+            # One (stacked) SVD per round when the shapes agree.
+            assert calls == ["svd"] * calls_per_eval
+            assert grad.shape == y.shape
             want = _cc_value(rho_mat, general_stack(y[:, :gd_a], d_a, n_a),
                              general_stack(y[:, gd_a:], d_b, n_b))
             assert np.array_equal(got, want), k
+            _, want_grad = _cc_value_grad(
+                rho_mat, rho_swap, isometry_from_params(y[:, :gd_a], n_a, d_a),
+                isometry_from_params(y[:, gd_a:], n_b, d_b))
+            assert np.array_equal(grad, want_grad), k
+
+
+def _general_objectives(rho, kind):
+    """The general-family search objective of `kind` ("cq" or "cc") on rho,
+    with gradients; the value-only composition it must agree with; and its
+    isometry shapes."""
+    d_a, d_b = rho.dims
+    n_a, n_b = d_a * d_a, d_b * d_b
+    rho_mat = np.ascontiguousarray(rho.matrix)
+    rho_swap = np.ascontiguousarray(
+        permute_subsystems(rho, (1, 0)).matrix)
+    s_b = von_neumann_entropy(partial_trace(rho, (1,)))
+    if kind == "cq":
+        def with_grad(x):
+            return _cq_value_grad(rho_mat, rho_swap, s_b,
+                                  isometry_from_params(x, n_a, d_a))
+
+        def value(x):
+            return _cq_value(rho_mat, s_b, general_stack(x, d_a, n_a))
+        return with_grad, value, ((n_a, d_a),)
+    split = param_dim_general_povm(d_a, n_a)
+
+    def with_grad(x):
+        return _cc_value_grad(rho_mat, rho_swap,
+                              isometry_from_params(x[..., :split], n_a, d_a),
+                              isometry_from_params(x[..., split:], n_b, d_b))
+
+    def value(x):
+        return _cc_value(rho_mat, general_stack(x[..., :split], d_a, n_a),
+                         general_stack(x[..., split:], d_b, n_b))
+    return with_grad, value, ((n_a, d_a), (n_b, d_b))
+
+
+GRAD_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+
+
+class TestGeneralGradients:
+    """Closed-form gradients of the general-family I_CQ and I_CC objectives
+    in the isometry W."""
+
+    @pytest.mark.parametrize("kind", ["cq", "cc"])
+    @pytest.mark.parametrize("dims", GRAD_DIMS)
+    def test_match_central_differences(self, dims, kind):
+        rng = np.random.default_rng(7100 + 10 * dims[0] + dims[1])
+        rho = random_density(dims, dims[0] * dims[1], rng)
+        with_grad, _, shapes = _general_objectives(rho, kind)
+        size = sum(2 * n * d for n, d in shapes)
+        h = 1e-5
+        for _ in range(3):
+            x = _retract(rng.normal(size=(1, size)), shapes)
+            xi = _tangent(x, rng.normal(size=x.shape), shapes)
+            xi /= np.linalg.norm(xi)
+            slope = float(np.vdot(with_grad(x)[1], xi))
+            # The objective takes the polar factor of each point, so x +- h xi
+            # lie on the retracted path.
+            fd = (with_grad(x + h * xi)[0][0]
+                  - with_grad(x - h * xi)[0][0]) / (2 * h)
+            assert abs(slope - fd) <= 1e-6 * abs(fd)
+
+    @pytest.mark.parametrize("kind", ["cq", "cc"])
+    @pytest.mark.parametrize("dims", GRAD_DIMS)
+    def test_batch_matches_single_points(self, dims, kind):
+        rng = np.random.default_rng(7200 + 10 * dims[0] + dims[1])
+        rho = random_density(dims, dims[0] * dims[1], rng)
+        with_grad, _, shapes = _general_objectives(rho, kind)
+        x = rng.normal(size=(4, sum(2 * n * d for n, d in shapes)))
+        values, grads = with_grad(x)
+        assert values.shape == (4,) and grads.shape == x.shape
+        for i in range(4):
+            value, grad = with_grad(x[i])
+            assert grad.shape == x[i].shape
+            assert value == pytest.approx(values[i], rel=0, abs=1e-12)
+            np.testing.assert_allclose(grad, grads[i], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cq", "cc"])
+    @pytest.mark.parametrize("dims", GRAD_DIMS)
+    def test_values_are_those_of_the_value_functions(self, dims, kind):
+        rng = np.random.default_rng(7300 + 10 * dims[0] + dims[1])
+        rho = random_density(dims, 2, rng)
+        with_grad, value, shapes = _general_objectives(rho, kind)
+        x = rng.normal(size=(5, sum(2 * n * d for n, d in shapes)))
+        got, want = with_grad(x)[0], value(x)
+        if kind == "cc":
+            assert np.array_equal(got, want)
+        else:
+            # eigh and eigvalsh may round the eigenvalues differently.
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("state", [
+        bell_phi_plus,
+        lambda: random_pure_entangled(2, 2, np.random.default_rng(1)),
+        lambda: random_pure_entangled(2, 3, np.random.default_rng(2)),
+        lambda: random_pure_entangled(3, 3, np.random.default_rng(3)),
+    ], ids=["bell", "pure_2x2", "pure_2x3", "pure_3x3"])
+    def test_rank_deficient_blocks(self, state):
+        # Measuring both sides of a pure state in its Schmidt bases gives
+        # I_CQ = I_CC = S_A, the maximum, with rank-deficient blocks and
+        # zero joint probabilities; the gradients stay finite and vanish.
+        rho = state()
+        d_a, d_b = rho.dims
+        s_a = von_neumann_entropy(partial_trace(rho, (0,)))
+        bases = [np.linalg.eigh(partial_trace(rho, (side,)).matrix)[1]
+                 for side in (0, 1)]
+        x_a, x_b = (embed_projective_in_general(projective_basis_povm(u), d * d)
+                    for u, d in zip(bases, (d_a, d_b)))
+        for kind, x in (("cq", x_a), ("cc", np.concatenate([x_a, x_b]))):
+            with_grad, _, shapes = _general_objectives(rho, kind)
+            value, grad = with_grad(x[None])
+            assert value[0] == pytest.approx(s_a, abs=1e-12), kind
+            assert np.isfinite(grad).all(), kind
+            assert np.linalg.norm(_tangent(x[None], grad, shapes)) <= 1e-9, kind
+        rep = correlation_report(rho, SMALL)
+        assert rep.I_cq_lower == pytest.approx(s_a, abs=1e-9)
+        assert rep.I_cc_lower == pytest.approx(s_a, abs=1e-9)
+        for phase in ("icq", "icc"):
+            assert rep.optimizer_meta[phase]["diagnostics"] == []
+
+
+class TestGeneralGain:
+    def test_report_records_the_general_gain(self, rng):
+        rho = random_density((3, 3), 9, rng)
+        cfg = OptimizerConfig(seed=1, restarts=2, max_evals=100)
+        rep = correlation_report(rho, cfg)
+        meta = rep.optimizer_meta
+        icq = optimize_icq(rho, cfg)
+        assert meta["icq_general_gain"] == (icq.general.value
+                                            - icq.projective.value)
+        icc = optimize_icc(rho, cfg, icq=icq)
+        assert meta["icc_general_gain"] == (icc.general.value
+                                            - icc.projective.value)
+        assert meta["icq"]["winner"] == icq.result.winner
+        assert meta["icc"]["winner"] == icc.result.winner
+        # The general search starts from the projective optimum's embedding.
+        assert meta["icq_general_gain"] >= -1e-12
+        assert meta["icc_general_gain"] >= -1e-12
+
+    def test_no_gain_under_projective_only(self, rng):
+        rho = random_density((2, 2), 4, rng)
+        cfg = OptimizerConfig(seed=0, restarts=2, max_evals=50,
+                              projective_only=True)
+        meta = correlation_report(rho, cfg).optimizer_meta
+        assert meta["icq_general_gain"] is None
+        assert meta["icc_general_gain"] is None
+        assert meta["icq"]["winner"].startswith(("seed ", "restart "))
 
 
 # Report invariants on random inputs at every supported local dimension

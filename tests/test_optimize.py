@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
-from qcorr.correlations import _cq_value
+from qcorr.correlations import _cc_value_grad, _cq_value
 from qcorr.optimize import (
     OptimizerConfig,
     embed_projective_in_general,
@@ -23,7 +23,7 @@ from qcorr.optimize import (
     random_density,
     unitary_from_params,
 )
-from qcorr.qstate import partial_trace, von_neumann_entropy
+from qcorr.qstate import partial_trace, permute_subsystems, von_neumann_entropy
 
 
 class TestRandomObjects:
@@ -210,6 +210,7 @@ class TestMaximize:
         cfg = OptimizerConfig(seed=0, restarts=1, max_evals=3)
         res = maximize(objective, 2, cfg, seed_points=[seed_point])
         assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert res.winner == "seed 0"
 
     def test_deterministic_for_fixed_seed(self):
         def objective(x):
@@ -229,6 +230,9 @@ class TestMaximize:
         res = maximize(objective, 2, cfg)
         assert len(res.restart_values) == 4
         assert res.value == pytest.approx(max(res.restart_values), abs=0)
+        best = res.restart_values.index(res.value)
+        assert res.winner == f"restart {best}"
+        assert res.to_dict()["winner"] == res.winner
 
     def test_non_finite_objective_aborts_restart(self):
         def objective(x):
@@ -238,6 +242,7 @@ class TestMaximize:
         res = maximize(objective, 2, cfg)
         assert res.value == -np.inf
         assert len(res.diagnostics) >= 1
+        assert res.winner is None
 
     def test_non_finite_value_aborts_only_its_own_restart(self):
         # NaN wherever x[1] > 10.2: restart 0's initial simplex reaches it
@@ -373,6 +378,145 @@ class TestLockstepMatchesScipy:
         cfg = OptimizerConfig(seed=0, restarts=3, max_evals=5, tol=1e-8)
         stops, _ = self._check(_wavy, starts, cfg)
         assert stops == ("budget",) * 3
+
+
+def _linear_on_isometries(targets):
+    """f(W_1, ...) = sum_p Re Tr(A_p^dag W_p) over isometries W_p, batched,
+    with its gradient; its maximum is the sum of the A_p's singular values,
+    at their polar factors."""
+    shapes = tuple(a.shape for a in targets)
+    packed = np.concatenate([a.reshape(-1).view(float) for a in targets])
+
+    def objective(x):
+        values, start = np.zeros(len(x)), 0
+        for a in targets:
+            stop = start + 2 * a.size
+            w = isometry_from_params(x[:, start:stop], *a.shape)
+            values += np.real(np.sum(a.conj() * w, axis=(-2, -1)))
+            start = stop
+        return values, np.tile(packed, (len(x), 1))
+
+    best = sum(np.linalg.svd(a, compute_uv=False).sum() for a in targets)
+    return objective, shapes, best
+
+
+def _cc_general_objective(dims, seed):
+    """The general I_CC objective (values and gradients) on a random state."""
+    d_a, d_b = dims
+    rng = np.random.default_rng(seed)
+    rho = random_density(dims, d_a * d_b, rng)
+    rho_mat = np.ascontiguousarray(rho.matrix)
+    rho_swap = np.ascontiguousarray(
+        permute_subsystems(rho, (1, 0)).matrix)
+    n_a, n_b = d_a * d_a, d_b * d_b
+    split = 2 * n_a * d_a
+
+    def objective(x):
+        return _cc_value_grad(rho_mat, rho_swap,
+                              isometry_from_params(x[:, :split], n_a, d_a),
+                              isometry_from_params(x[:, split:], n_b, d_b))
+    return objective, ((n_a, d_a), (n_b, d_b)), rng
+
+
+class TestRiemannianAscent:
+    """`maximize` with isometry shapes: monotone gradient ascent on W."""
+
+    @pytest.mark.parametrize("shapes", [((4, 2),), ((9, 3),),
+                                        ((4, 2), (9, 3)), ((3, 3), (3, 3))])
+    def test_recovers_linear_maximum(self, rng, shapes):
+        targets = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        objective, shapes, best = _linear_on_isometries(targets)
+        param_dim = sum(2 * n * d for n, d in shapes)
+        cfg = OptimizerConfig(seed=2, restarts=3, max_evals=300, tol=1e-12)
+        res = maximize(objective, param_dim, cfg, isometries=shapes)
+        assert res.value == pytest.approx(best, abs=1e-8)
+        assert res.restart_stops == ("converged",) * 3
+        assert max(res.restart_evals) < 100
+        assert res.winner.startswith("restart ")
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_lockstep_matches_restarts_one_at_a_time(self, dims):
+        objective, shapes, rng = _cc_general_objective(dims, 40 + dims[1])
+        param_dim = sum(2 * n * d for n, d in shapes)
+        starts = list(rng.normal(scale=np.pi / 4, size=(3, param_dim)))
+        cfg = OptimizerConfig(seed=0, restarts=3, max_evals=150)
+        together = maximize(objective, param_dim, cfg, seed_points=starts,
+                            isometries=shapes)
+        one = dataclasses.replace(cfg, restarts=1)
+        for i, x0 in enumerate(starts):
+            alone = maximize(objective, param_dim, one, seed_points=[x0],
+                             isometries=shapes)
+            assert alone.restart_values[1] == together.restart_values[3 + i]
+            assert alone.restart_evals == together.restart_evals[i:i + 1]
+            assert alone.restart_stops == together.restart_stops[i:i + 1]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    def test_no_restart_ends_below_its_start(self, dims):
+        objective, shapes, rng = _cc_general_objective(dims, 50 + dims[1])
+        param_dim = sum(2 * n * d for n, d in shapes)
+        starts = list(rng.normal(scale=np.pi / 4, size=(4, param_dim)))
+        for max_evals in (2, 7, 40):
+            cfg = OptimizerConfig(seed=0, restarts=4, max_evals=max_evals)
+            res = maximize(objective, param_dim, cfg, seed_points=starts,
+                           isometries=shapes)
+            for i in range(4):
+                assert res.restart_values[4 + i] >= res.restart_values[i]
+            assert res.value == max(res.restart_values)
+
+    def test_restart_stops_on_budget(self, rng):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
+        cfg = OptimizerConfig(seed=0, restarts=2, max_evals=3)
+        res = maximize(objective, 16, cfg, isometries=shapes)
+        assert res.restart_evals == (3, 3)
+        assert res.restart_stops == ("budget", "budget")
+        assert res.n_evals == 6
+
+    def test_stationary_start_converges_at_once(self):
+        # W = A is the maximum of Re Tr(A^dag W): its tangent gradient is 0.
+        a = np.eye(3, 2, dtype=complex)
+        objective, shapes, best = _linear_on_isometries([a])
+        cfg = OptimizerConfig(seed=0, restarts=1, max_evals=50)
+        res = maximize(objective, 12, cfg, seed_points=[a.view(float).ravel()],
+                       isometries=shapes)
+        assert res.restart_stops == ("converged",)
+        assert res.restart_evals == (1,)
+        assert res.value == best == 2.0
+        assert res.winner == "seed 0"
+
+    def test_non_finite_gradient_stops_only_its_restart(self, rng):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
+
+        def poisoned(x):
+            values, grads = objective(x)
+            grads[x[:, 0] > 5.0] = np.nan
+            return values, grads
+
+        starts = [np.full(16, 10.0), np.full(16, 0.1)]
+        cfg = OptimizerConfig(seed=0, restarts=2, max_evals=200)
+        res = maximize(poisoned, 16, cfg, seed_points=starts,
+                       isometries=shapes)
+        assert res.restart_stops[0] == "non-finite"
+        assert res.restart_evals[0] == 1
+        assert res.restart_stops[1] == "converged"
+        # The seed point itself is scored as non-finite as well.
+        assert res.diagnostics == ("seed 0: objective returned nan",
+                                   "restart 0: objective returned nan")
+        assert res.winner in ("seed 1", "restart 1")
+
+    def test_rejects_inconsistent_shapes(self, rng):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
+        cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
+        with pytest.raises(ValueError):
+            maximize(objective, 16, cfg, isometries=((3, 2),))
+
+        def wrong_gradients(x):
+            return objective(x)[0], np.zeros((len(x), 3))
+
+        with pytest.raises(ValueError):
+            maximize(wrong_gradients, 16, cfg, isometries=shapes)
 
 
 class TestOptimizerConfigValidation:
