@@ -4,8 +4,8 @@ Subcommands: measures, classify, broadcast, petz, suite, make-corpus.
 All reports are JSON (suite emits CSV) and embed a run manifest.  Reports
 are byte-reproducible for a fixed seed; wall time goes to stderr only.
 
-Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 optimizer
-failure.
+Exit codes: 0 success, 2 parse error (an unreadable input or an unwritable
+output), 3 invariant violation, 4 optimizer failure.
 """
 
 from __future__ import annotations
@@ -52,12 +52,22 @@ def _manifest(command: str, inputs: list[str], cfg: OptimizerConfig) -> dict:
     }
 
 
-def _write_report(payload: dict, out_path: str | None) -> None:
+def _cannot_write(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
+def _write_report(payload: dict, out_path: str | None) -> int:
+    """Write the JSON report to `out_path` (stdout if None); the exit code."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out_path).write_text(text)
+    except OSError as exc:
+        return _cannot_write(out_path, exc)
+    return 0
 
 
 def _convert_units(payload, units: str):
@@ -129,8 +139,7 @@ def cmd_measures(args) -> int:
         "units": args.units,
         "report": _convert_units(report.to_dict(), args.units),
     }
-    _write_report(payload, args.out)
-    return 0
+    return _write_report(payload, args.out)
 
 
 def cmd_classify(args) -> int:
@@ -152,8 +161,7 @@ def cmd_classify(args) -> int:
         "tol": args.tol,
         **verdicts,
     }
-    _write_report(payload, args.out)
-    return 0
+    return _write_report(payload, args.out)
 
 
 def cmd_broadcast(args) -> int:
@@ -172,8 +180,7 @@ def cmd_broadcast(args) -> int:
         "units": args.units,
         "candidate": _convert_units(cand.to_dict(), args.units),
     }
-    _write_report(payload, args.out)
-    return 0
+    return _write_report(payload, args.out)
 
 
 def cmd_petz(args) -> int:
@@ -215,8 +222,7 @@ def cmd_petz(args) -> int:
         "recovery_trace_distance": trace_distance(recovered, rho),
         **mi,
     }
-    _write_report(payload, args.out)
-    return 0
+    return _write_report(payload, args.out)
 
 
 def cmd_suite(args) -> int:
@@ -262,10 +268,13 @@ def cmd_suite(args) -> int:
             "seed": cfg.seed,
         })
     out_path = args.out or "suite.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(out_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        return _cannot_write(out_path, exc)
     print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
     return 0
 
@@ -273,13 +282,16 @@ def cmd_suite(args) -> int:
 def cmd_make_corpus(args) -> int:
     states = make_corpus(n_per_class=args.per_class, seed=args.seed)
     out_dir = Path(args.out or "corpus")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    labels = []
-    for entry in states:
-        entry.rho.save(out_dir / f"{entry.state_id}.json")
-        labels.append({"state_id": entry.state_id, "label": entry.label})
-    (out_dir / "labels.json").write_text(
-        json.dumps(labels, indent=2, sort_keys=True) + "\n")
+    labels = [{"state_id": entry.state_id, "label": entry.label}
+              for entry in states]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for entry in states:
+            entry.rho.save(out_dir / f"{entry.state_id}.json")
+        (out_dir / "labels.json").write_text(
+            json.dumps(labels, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     print(f"wrote {len(states)} states to {out_dir}", file=sys.stderr)
     return 0
 

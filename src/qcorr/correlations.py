@@ -32,10 +32,6 @@ from .optimize import (
     isometry_stack,
     maximize,
     param_dim_general_povm,
-    param_dim_unitary,
-    params_from_unitary,
-    projective_povm,
-    projective_stack,
 )
 from .qstate import (
     TAU_NUM,
@@ -279,17 +275,14 @@ def _pair_stacks(stack, params: np.ndarray, split: int, args_a: tuple,
 
 
 def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
-    """Projective parameter seeds: classical basis, marginal eigenbasis,
-    computational basis."""
+    """Projective seed points: the isometries W = U^dag, packed as in
+    `isometry_from_params`, of the bases U (as columns) of the computational
+    basis, the marginal's eigenbasis and the classical basis."""
     d = rho.dims[side]
     marginal = partial_trace(rho, (side,))
     _, eigvecs = np.linalg.eigh(marginal.matrix)
-    seeds = [
-        np.zeros(param_dim_unitary(d)),
-        params_from_unitary(eigvecs),
-        params_from_unitary(classical_basis(rho, side)),
-    ]
-    return seeds
+    return [np.ascontiguousarray(np.conj(u).T, dtype=complex).view(float).ravel()
+            for u in (np.eye(d), eigvecs, classical_basis(rho, side))]
 
 
 def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -298,7 +291,10 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
 
     The seed set always contains the computational basis, the measured
     marginal's eigenbasis, and the jointly diagonalizing classical basis,
-    which makes the bound exact (I_CQ = I) on CQ-structured inputs.
+    which makes the bound exact (I_CQ = I) on CQ-structured inputs.  Both
+    families are isometries W searched by gradient ascent: the projective
+    one is the d-outcome family (W unitary), the general one has
+    `cfg.outcome_count` outcomes (default d^2).
     """
     if rho.layout.n_subsystems != 2:
         raise StateError("optimize_icq requires a bipartite layout")
@@ -306,44 +302,34 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     d = work.dims[0]
     rho_mat = np.ascontiguousarray(work.matrix)
     s_b = von_neumann_entropy(partial_trace(work, (1,)))
+    # The parties exchanged: `cq_blocks` of it traces out the measured one.
+    rho_swap = np.ascontiguousarray(
+        (rho if side else permute_subsystems(rho, (1, 0))).matrix)
+
+    def search(n, seeds):
+        def objective(params):
+            return _cq_value_grad(rho_mat, rho_swap, s_b,
+                                  isometry_from_params(params, n, d))
+        return maximize(objective, param_dim_general_povm(d, n), cfg,
+                        seed_points=seeds, isometries=((n, d),))
 
     proj_seeds = _local_bases_seeds(work, 0)
-
-    def proj_obj(params):
-        return _cq_value(rho_mat, s_b, projective_stack(params, d))
-
-    proj_res = maximize(proj_obj, param_dim_unitary(d), cfg,
-                        seed_points=proj_seeds)
-    seeds_a = tuple(proj_seeds) if side == 0 else ()
+    proj_res = search(d, proj_seeds)
     best = MeasurementOptimum(
         value=proj_res.value,
-        povm_a=projective_povm(proj_res.params, d),
+        povm_a=general_povm(proj_res.params, d, d),
         povm_b=None,
         family="projective",
         result=proj_res,
         projective=proj_res,
-        seeds_a=seeds_a,
+        seeds_a=tuple(proj_seeds) if side == 0 else (),
     )
     if cfg.projective_only:
         return best
 
     n_out = d * d if cfg.outcome_count is None else cfg.outcome_count
-    gen_seeds = [
-        embed_projective_in_general(projective_povm(s, d), n_out)
-        for s in proj_seeds
-    ]
-    gen_seeds.append(embed_projective_in_general(best.povm_a, n_out))
-
-    # The parties exchanged: `cq_blocks` of it traces out the measured one.
-    rho_swap = np.ascontiguousarray(
-        (rho if side else permute_subsystems(rho, (1, 0))).matrix)
-
-    def gen_obj(params):
-        return _cq_value_grad(rho_mat, rho_swap, s_b,
-                              isometry_from_params(params, n_out, d))
-
-    gen_res = maximize(gen_obj, param_dim_general_povm(d, n_out), cfg,
-                       seed_points=gen_seeds, isometries=((n_out, d),))
+    gen_res = search(n_out, [embed_projective_in_general(x, d, n_out)
+                             for x in (*proj_seeds, proj_res.params)])
     best = replace(best, general=gen_res)
     if gen_res.value > best.value + TAU_NUM:
         best = replace(
@@ -373,7 +359,17 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     seeds_a = list(icq.seeds_a) or _local_bases_seeds(rho, 0)
     swapped = permute_subsystems(rho, (1, 0))
     seeds_b = _local_bases_seeds(swapped, 0)
-    pd_a, pd_b = param_dim_unitary(d_a), param_dim_unitary(d_b)
+    rho_swap = np.ascontiguousarray(swapped.matrix)
+
+    def search(n_a, n_b, seeds):
+        split = param_dim_general_povm(d_a, n_a)
+
+        def objective(params):
+            return _cc_value_grad(rho_mat, rho_swap, *_pair_stacks(
+                isometry_from_params, params, split, (n_a, d_a), (n_b, d_b)))
+        return maximize(objective, split + param_dim_general_povm(d_b, n_b),
+                        cfg, seed_points=seeds,
+                        isometries=((n_a, d_a), (n_b, d_b)))
 
     proj_seeds = [np.concatenate([sa, sb])
                   for sa, sb in zip(seeds_a, seeds_b)]
@@ -382,15 +378,13 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
         # CQ optimum's POVM paired with the B eigenbasis.
         proj_seeds.append(np.concatenate([icq.result.params, seeds_b[1]]))
 
-    def proj_obj(params):
-        return _cc_value(rho_mat, *_pair_stacks(projective_stack, params,
-                                                pd_a, (d_a,), (d_b,)))
-
-    proj_res = maximize(proj_obj, pd_a + pd_b, cfg, seed_points=proj_seeds)
+    proj_res = search(d_a, d_b, proj_seeds)
+    pd_a = param_dim_general_povm(d_a, d_a)
+    x_a, x_b = proj_res.params[:pd_a], proj_res.params[pd_a:]
     best = MeasurementOptimum(
         value=proj_res.value,
-        povm_a=projective_povm(proj_res.params[:pd_a], d_a),
-        povm_b=projective_povm(proj_res.params[pd_a:], d_b),
+        povm_a=general_povm(x_a, d_a, d_a),
+        povm_b=general_povm(x_b, d_b, d_b),
         family="projective",
         result=proj_res,
         projective=proj_res,
@@ -401,35 +395,13 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     n_a = d_a * d_a if cfg.outcome_count is None else cfg.outcome_count
     n_b = d_b * d_b if cfg.outcome_count is None else cfg.outcome_count
     gd_a = param_dim_general_povm(d_a, n_a)
-
-    def embed_pair(povm_a: Povm, povm_b: Povm) -> np.ndarray:
-        return np.concatenate([
-            embed_projective_in_general(povm_a, n_a),
-            embed_projective_in_general(povm_b, n_b),
-        ])
-
-    gen_seeds = [
-        embed_pair(projective_povm(sa, d_a), projective_povm(sb, d_b))
-        for sa, sb in zip(seeds_a, seeds_b)
-    ]
-    gen_seeds.append(embed_pair(best.povm_a, best.povm_b))
-    eig_b = projective_povm(seeds_b[1], d_b)
-    gen_seeds.append(np.concatenate([
-        embed_projective_in_general(icq.povm_a, n_a)
-        if icq.povm_a.outcome_count <= n_a
-        else embed_projective_in_general(best.povm_a, n_a),
-        embed_projective_in_general(eig_b, n_b),
-    ]))
-
-    rho_swap = np.ascontiguousarray(swapped.matrix)
-
-    def gen_obj(params):
-        return _cc_value_grad(rho_mat, rho_swap, *_pair_stacks(
-            isometry_from_params, params, gd_a, (n_a, d_a), (n_b, d_b)))
-
-    gen_res = maximize(gen_obj, gd_a + param_dim_general_povm(d_b, n_b),
-                       cfg, seed_points=gen_seeds,
-                       isometries=((n_a, d_a), (n_b, d_b)))
+    # The I_CQ optimum's point, unless it has more outcomes than fit.
+    x_cq = icq.result.params if icq.result.params.size <= gd_a else x_a
+    pairs = [*zip(seeds_a, seeds_b), (x_a, x_b), (x_cq, seeds_b[1])]
+    gen_res = search(n_a, n_b, [
+        np.concatenate([embed_projective_in_general(sa, d_a, n_a),
+                        embed_projective_in_general(sb, d_b, n_b)])
+        for sa, sb in pairs])
     best = replace(best, general=gen_res)
     if gen_res.value > best.value + TAU_NUM:
         best = replace(

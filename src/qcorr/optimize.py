@@ -3,20 +3,22 @@
 `maximize` runs every restart of a search in lockstep, with one of two
 step rules:
 
-- Nelder-Mead (derivative-free) for the projective POVM phases and the
-  broadcast search.  Their points pass through exp(iH) of a Hermitian
-  generator, whose derivative needs the divided differences of H's
-  spectrum, and the broadcast residual is a trace norm, which is not smooth
-  where its argument is singular.  Each restart takes scipy's Nelder-Mead
-  steps exactly.
-- Riemannian gradient ascent for the general POVM phases.  Their points
-  are isometries W (`isometry_from_params`), and both I_CQ and I_CC are
-  smooth functions of W with closed-form gradients (the spectral-function
-  derivative of Tr B log B is defined wherever the blocks B are, level
-  crossings included).  Each restart steps along the tangent gradient
-  with a Barzilai-Borwein length, retracts with the polar factor, and
-  halves the step until the Armijo test passes, so every accepted step
-  rises.  It needs tens of evaluations where Nelder-Mead uses hundreds.
+- Riemannian gradient ascent for every measurement search: the projective
+  and the general POVM phases of I_CQ and I_CC, and so the discord bound.
+  Their points are isometries W (`isometry_from_params`): the projective
+  family is the n = d case, a unitary W whose conjugated rows give the d
+  rank-1 projectors, and the general family has n > d rows.  Both I_CQ
+  and I_CC are smooth functions of W with closed-form gradients (the
+  spectral-function derivative of Tr B log B is defined wherever the
+  blocks B are, level crossings included).  Each restart steps along the
+  tangent gradient with a Barzilai-Borwein length, retracts with the polar
+  factor, and halves the step until the Armijo test passes, so every
+  accepted step rises.  It needs tens of evaluations where Nelder-Mead
+  uses hundreds.
+- Nelder-Mead (derivative-free) for the broadcast search.  Its points pass
+  through exp(iH) of a Hermitian generator (`unitary_from_params`), and
+  its residual is a trace norm, which is not smooth where its argument is
+  singular.  Each restart takes scipy's Nelder-Mead steps exactly.
 
 Both step rules and the lockstep driver `minimize` live in `lockstep`.
 
@@ -219,8 +221,7 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def projective_stack(params: np.ndarray, d: int) -> np.ndarray:
-    """Unvalidated (..., d, d, d) element stacks of `projective_povm`
-    (hot path)."""
+    """Unvalidated (..., d, d, d) element stacks of `projective_povm`."""
     u = unitary_from_params(params, d)
     cols = u.swapaxes(-1, -2)  # cols[..., i, :] = i-th column of u
     return np.ascontiguousarray(cols[..., :, None] * cols.conj()[..., None, :])
@@ -276,18 +277,16 @@ def param_dim_general_povm(d: int, n_outcomes: int) -> int:
     return 2 * n_outcomes * d
 
 
-def embed_projective_in_general(povm: Povm, n_outcomes: int) -> np.ndarray:
-    """Parameters putting a rank-1 projective POVM in the general family:
-    G's row i is the conjugated vector of element i, and rows past the
-    POVM's outcomes are zero."""
-    d = povm.dim
-    if n_outcomes < povm.outcome_count:
+def embed_projective_in_general(params: np.ndarray, d: int,
+                                n_outcomes: int) -> np.ndarray:
+    """A point of a smaller isometry family on C^d (the projective one, say)
+    as a point of the `n_outcomes` family: the matrix G it packs with zero
+    rows appended.  The polar factor of [G; 0] is that of G with the zero
+    rows, so the POVM is the same, with zero elements for the new outcomes."""
+    params = np.asarray(params, dtype=float).reshape(-1)
+    if params.size > 2 * n_outcomes * d:
         raise ValueError("general family has too few outcomes")
-    w = np.zeros((n_outcomes, d), dtype=complex)
-    for i, m in enumerate(povm.elements):
-        evals, v = np.linalg.eigh(m)
-        w[i] = (np.sqrt(max(evals[-1], 0.0)) * v[:, -1]).conj()
-    return w.view(float).reshape(-1)
+    return np.concatenate((params, np.zeros(2 * n_outcomes * d - params.size)))
 
 
 

@@ -325,3 +325,43 @@ def test_invalid_option_value_exit_code(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["broadcast", state, flag, value])
     assert exc.value.code == 2
+
+
+def _unwritable_out(tmp_path, where):
+    """An --out path that cannot be written: under a missing directory, a
+    directory itself, or (for make-corpus) an existing file or a path
+    under one."""
+    afile = tmp_path / "afile"
+    afile.write_text("taken\n")
+    return str({"missing_dir": tmp_path / "nonexistent" / "x.json",
+                "directory": tmp_path,
+                "existing_file": afile,
+                "under_a_file": afile / "sub"}[where])
+
+
+def _argv_for(subcommand, tmp_path):
+    state = _write_bell(tmp_path)
+    if subcommand == "petz":
+        chan_path = tmp_path / "chan.json"
+        depolarizing_channel(4).save(chan_path)
+        return ["petz", state, str(chan_path)]
+    if subcommand == "suite":
+        return _corpus_with(tmp_path, [{"state_id": "bell", "label": "ent"}],
+                            [("bell", bell_phi_plus())])[:2] + FAST
+    if subcommand == "make-corpus":
+        return ["make-corpus", "--per-class", "1"]
+    return [subcommand, state, *FAST]
+
+
+@pytest.mark.parametrize("subcommand,where", [
+    (sub, where)
+    for sub in ("measures", "classify", "broadcast", "petz", "suite")
+    for where in ("missing_dir", "directory")
+] + [("make-corpus", "existing_file"), ("make-corpus", "under_a_file")])
+def test_unwritable_out_exit_code(tmp_path, capsys, subcommand, where):
+    argv = _argv_for(subcommand, tmp_path)
+    out = _unwritable_out(tmp_path, where)
+    assert main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err
+    assert "Traceback" not in err

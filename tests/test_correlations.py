@@ -37,6 +37,7 @@ from qcorr.correlations import (
     optimize_icc,
     optimize_icq,
 )
+from qcorr.classify import classical_basis
 from qcorr.lockstep import _retract, _tangent
 from qcorr.optimize import (
     OptimizerConfig,
@@ -215,9 +216,9 @@ class TestOptimizedBounds:
         monkeypatch.setattr(optimize_mod, "joint_diagonalize", counting)
         rho = random_density((2, 3), 4, rng)
         rep = correlation_report(rho, SMALL)
-        # Per side: the classical basis, and the parameters of it and of
-        # the marginal eigenbasis.  Side A's are computed once, not twice.
-        assert len(calls) == 6
+        # One classical basis per side; side A's is computed once, not
+        # twice, and the seed bases are packed as isometries directly.
+        assert len(calls) == 2
         monkeypatch.undo()
         icq = optimize_icq(rho, SMALL)
         assert len(icq.seeds_a) == 3
@@ -304,8 +305,8 @@ def test_batched_objectives_match_single_points(rng, dims, family):
 class TestStackedPartyObjectives:
     """The I_CC objectives parameterize both parties in one call when their
     shapes agree, and in one call per party otherwise; either way the
-    values (and, for the general family, the gradients) are bitwise those
-    of the per-party composition."""
+    values and gradients are bitwise those of the per-party composition,
+    for the projective (d-outcome) and the general (d^2-outcome) family."""
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
     def test_objectives_equal_per_party_composition(self, dims, monkeypatch):
@@ -333,48 +334,41 @@ class TestStackedPartyObjectives:
 
         monkeypatch.setattr(corr_mod, "maximize", recording)
         optimize_icc(rho, cfg, icq=icq)
-        proj_obj, gen_obj = objectives
-        monkeypatch.setattr(corr_mod, "projective_stack",
-                            counted("projective_stack", projective_stack))
+        assert len(objectives) == 2
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
 
-        pd_a = d_a * d_a
-        n_a, n_b = d_a * d_a, d_b * d_b
-        gd_a = param_dim_general_povm(d_a, n_a)
         calls_per_eval = 1 if d_a == d_b else 2
         rho_swap = np.ascontiguousarray(
             permute_subsystems(rho, (1, 0)).matrix)
-        for k in (1, 3, 30):
-            x = rng.normal(scale=np.pi / 4, size=(k, pd_a + d_b * d_b))
-            calls.clear()
-            got = proj_obj(x)
-            assert calls == ["projective_stack"] * calls_per_eval
-            want = _cc_value(rho_mat, projective_stack(x[:, :pd_a], d_a),
-                             projective_stack(x[:, pd_a:], d_b))
-            assert np.array_equal(got, want), k
-
-            y = rng.normal(scale=np.pi / 4,
-                           size=(k, gd_a + param_dim_general_povm(d_b, n_b)))
-            calls.clear()
-            got, grad = gen_obj(y)
-            # One (stacked) SVD per round when the shapes agree.
-            assert calls == ["svd"] * calls_per_eval
-            assert grad.shape == y.shape
-            want = _cc_value(rho_mat, general_stack(y[:, :gd_a], d_a, n_a),
-                             general_stack(y[:, gd_a:], d_b, n_b))
-            assert np.array_equal(got, want), k
-            _, want_grad = _cc_value_grad(
-                rho_mat, rho_swap, isometry_from_params(y[:, :gd_a], n_a, d_a),
-                isometry_from_params(y[:, gd_a:], n_b, d_b))
-            assert np.array_equal(grad, want_grad), k
+        for objective, (n_a, n_b) in zip(
+                objectives, ((d_a, d_b), (d_a * d_a, d_b * d_b))):
+            split = param_dim_general_povm(d_a, n_a)
+            size = split + param_dim_general_povm(d_b, n_b)
+            for k in (1, 3, 30):
+                y = rng.normal(scale=np.pi / 4, size=(k, size))
+                calls.clear()
+                got, grad = objective(y)
+                # One (stacked) SVD per round when the shapes agree.
+                assert calls == ["svd"] * calls_per_eval
+                assert grad.shape == y.shape
+                want = _cc_value(rho_mat,
+                                 general_stack(y[:, :split], d_a, n_a),
+                                 general_stack(y[:, split:], d_b, n_b))
+                assert np.array_equal(got, want), (n_a, k)
+                _, want_grad = _cc_value_grad(
+                    rho_mat, rho_swap,
+                    isometry_from_params(y[:, :split], n_a, d_a),
+                    isometry_from_params(y[:, split:], n_b, d_b))
+                assert np.array_equal(grad, want_grad), (n_a, k)
 
 
-def _general_objectives(rho, kind):
-    """The general-family search objective of `kind` ("cq" or "cc") on rho,
-    with gradients; the value-only composition it must agree with; and its
-    isometry shapes."""
+def _general_objectives(rho, kind, projective=False):
+    """The search objective of `kind` ("cq" or "cc") on rho, with
+    gradients, for the general (d^2-outcome) or the projective (d-outcome)
+    family; the value-only composition it must agree with; and its isometry
+    shapes."""
     d_a, d_b = rho.dims
-    n_a, n_b = d_a * d_a, d_b * d_b
+    n_a, n_b = (d_a, d_b) if projective else (d_a * d_a, d_b * d_b)
     rho_mat = np.ascontiguousarray(rho.matrix)
     rho_swap = np.ascontiguousarray(
         permute_subsystems(rho, (1, 0)).matrix)
@@ -407,12 +401,9 @@ class TestGeneralGradients:
     """Closed-form gradients of the general-family I_CQ and I_CC objectives
     in the isometry W."""
 
-    @pytest.mark.parametrize("kind", ["cq", "cc"])
-    @pytest.mark.parametrize("dims", GRAD_DIMS)
-    def test_match_central_differences(self, dims, kind):
-        rng = np.random.default_rng(7100 + 10 * dims[0] + dims[1])
-        rho = random_density(dims, dims[0] * dims[1], rng)
-        with_grad, _, shapes = _general_objectives(rho, kind)
+    @staticmethod
+    def _assert_central_differences(rng, rho, kind, projective):
+        with_grad, _, shapes = _general_objectives(rho, kind, projective)
         size = sum(2 * n * d for n, d in shapes)
         h = 1e-5
         for _ in range(3):
@@ -425,6 +416,21 @@ class TestGeneralGradients:
             fd = (with_grad(x + h * xi)[0][0]
                   - with_grad(x - h * xi)[0][0]) / (2 * h)
             assert abs(slope - fd) <= 1e-6 * abs(fd)
+
+    @pytest.mark.parametrize("kind", ["cq", "cc"])
+    @pytest.mark.parametrize("dims", GRAD_DIMS)
+    def test_match_central_differences(self, dims, kind):
+        rng = np.random.default_rng(7100 + 10 * dims[0] + dims[1])
+        rho = random_density(dims, dims[0] * dims[1], rng)
+        self._assert_central_differences(rng, rho, kind, projective=False)
+
+    @pytest.mark.parametrize("kind", ["cq", "cc"])
+    @pytest.mark.parametrize("dims", GRAD_DIMS)
+    def test_projective_match_central_differences(self, dims, kind):
+        # The projective family is the n = d case: W unitary.
+        rng = np.random.default_rng(7400 + 10 * dims[0] + dims[1])
+        rho = random_density(dims, dims[0] * dims[1], rng)
+        self._assert_central_differences(rng, rho, kind, projective=True)
 
     @pytest.mark.parametrize("kind", ["cq", "cc"])
     @pytest.mark.parametrize("dims", GRAD_DIMS)
@@ -470,8 +476,9 @@ class TestGeneralGradients:
         s_a = von_neumann_entropy(partial_trace(rho, (0,)))
         bases = [np.linalg.eigh(partial_trace(rho, (side,)).matrix)[1]
                  for side in (0, 1)]
-        x_a, x_b = (embed_projective_in_general(projective_basis_povm(u), d * d)
-                    for u, d in zip(bases, (d_a, d_b)))
+        x_a, x_b = (embed_projective_in_general(
+            np.ascontiguousarray(u.conj().T).view(float).ravel(), d, d * d)
+            for u, d in zip(bases, (d_a, d_b)))
         for kind, x in (("cq", x_a), ("cc", np.concatenate([x_a, x_b]))):
             with_grad, _, shapes = _general_objectives(rho, kind)
             value, grad = with_grad(x[None])
@@ -483,6 +490,73 @@ class TestGeneralGradients:
         assert rep.I_cc_lower == pytest.approx(s_a, abs=1e-9)
         for phase in ("icq", "icc"):
             assert rep.optimizer_meta[phase]["diagnostics"] == []
+
+
+def _seed_bases(rho, side):
+    """The seed bases of a side, as columns: computational, marginal
+    eigenbasis, classical."""
+    d = rho.dims[side]
+    return [np.eye(d, dtype=complex),
+            np.linalg.eigh(partial_trace(rho, (side,)).matrix)[1],
+            classical_basis(rho, side)]
+
+
+class TestProjectivePhase:
+    """The projective phases search unitaries W (the d-outcome isometry
+    family) by gradient ascent from the seed bases."""
+
+    @pytest.mark.parametrize("dims", GRAD_DIMS)
+    def test_povms_are_complete_orthogonal_rank1_projectors(self, dims):
+        d_a, d_b = dims
+        rng = np.random.default_rng(7500 + 10 * d_a + d_b)
+        rho = random_density(dims, d_a * d_b, rng)
+        cfg = OptimizerConfig(seed=1, restarts=2, max_evals=100,
+                              projective_only=True)
+        icq = optimize_icq(rho, cfg)
+        icc = optimize_icc(rho, cfg, icq=icq)
+        povms = [(icq.povm_a, d_a), (optimize_icq(rho, cfg, side=1).povm_a, d_b),
+                 (icc.povm_a, d_a), (icc.povm_b, d_b)]
+        assert icq.family == icc.family == "projective"
+        for povm, d in povms:
+            ms = povm.as_array()
+            assert ms.shape == (d, d, d)
+            products = np.einsum("iab,jbc->ijac", ms, ms)
+            want = np.eye(d)[:, :, None, None] * ms[:, None]
+            np.testing.assert_allclose(products, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.trace(ms, axis1=1, axis2=2), 1.0,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ms.sum(axis=0), np.eye(d),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", GRAD_DIMS)
+    def test_value_never_below_best_seed(self, dims):
+        d_a, d_b = dims
+        rng = np.random.default_rng(7600 + 10 * d_a + d_b)
+        states = [random_density(dims, d_a * d_b, rng),
+                  random_density(dims, 2, rng),
+                  random_cq(d_a, d_b, rng), random_cc(d_a, d_b, rng)]
+        # A budget too small to converge: the seeds carry the value.
+        cfg = OptimizerConfig(seed=2, restarts=1, max_evals=3,
+                              projective_only=True)
+        for rho in states:
+            rho_mat = np.ascontiguousarray(rho.matrix)
+            s_b = von_neumann_entropy(partial_trace(rho, (1,)))
+            povms_a = [projective_basis_povm(u).as_array()
+                       for u in _seed_bases(rho, 0)]
+            povms_b = [projective_basis_povm(u).as_array()
+                       for u in _seed_bases(rho, 1)]
+            cq_seeds = [_cq_value(rho_mat, s_b, m) for m in povms_a]
+            cc_seeds = [_cc_value(rho_mat, m, n)
+                        for m, n in [*zip(povms_a, povms_b),
+                                     (povms_a[0], povms_b[1])]]
+            icq = optimize_icq(rho, cfg)
+            icc = optimize_icc(rho, cfg, icq=icq)
+            for opt, seeds in ((icq, cq_seeds), (icc, cc_seeds)):
+                res = opt.projective
+                np.testing.assert_allclose(res.restart_values[:len(seeds)],
+                                           seeds, rtol=0, atol=1e-12)
+                assert res.value >= max(seeds) - 1e-12
+                assert res.value == max(res.restart_values)
 
 
 class TestGeneralGain:

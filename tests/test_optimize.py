@@ -164,8 +164,9 @@ class TestPovmParameterizations:
     def test_embed_projective_reproduces_elements(self, rng):
         d, n = 2, 4
         u = haar_unitary(d, rng)
-        from qcorr.channels import projective_basis_povm
-        params = embed_projective_in_general(projective_basis_povm(u), n)
+        # The projective point of basis u packs W = u^dag.
+        params = embed_projective_in_general(
+            np.ascontiguousarray(u.conj().T).view(float).ravel(), d, n)
         povm = general_povm(params, d, n)
         want = [np.outer(u[:, i], u[:, i].conj()) for i in range(d)]
         for i in range(d):
@@ -179,8 +180,14 @@ class TestPovmParameterizations:
         n = d * d
         u = haar_unitary(d, rng)
         povm = projective_basis_povm(u)
-        params = embed_projective_in_general(povm, n)
+        x = np.ascontiguousarray(u.conj().T).view(float).ravel()
+        # The projective point of basis u packs W = u^dag.
+        np.testing.assert_allclose(general_stack(x, d, d), povm.as_array(),
+                                   atol=1e-14)
+        params = embed_projective_in_general(x, d, n)
         assert params.shape == (param_dim_general_povm(d, n),)
+        assert np.array_equal(params[:x.size], x)
+        assert not params[x.size:].any()
         want = np.zeros((n, d, d), dtype=complex)
         want[:d] = povm.as_array()
         np.testing.assert_allclose(general_stack(params, d, n), want,
