@@ -285,6 +285,23 @@ def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
             for u in (np.eye(d), eigvecs, classical_basis(rho, side))]
 
 
+# Each measurement search makes a fixed number of objective calls, two per
+# real parameter but at most `max_evals`: a restart that converges early
+# hands its slot to a new random one, so a search costs the same on every
+# state of a given size.  Stopping a restart early saves nothing then, so
+# restarts run on until their steps gain `_POLISH * tol`.
+_ROUNDS_PER_PARAM = 2
+_POLISH = 0.01
+
+
+def _search(objective, param_dim: int, cfg: OptimizerConfig, seeds,
+            isometries: tuple, ascend_seeds: bool) -> OptimizationResult:
+    return maximize(objective, param_dim, replace(cfg, tol=_POLISH * cfg.tol),
+                    seed_points=seeds, isometries=isometries,
+                    ascend_seeds=ascend_seeds,
+                    rounds=min(_ROUNDS_PER_PARAM * param_dim, cfg.max_evals))
+
+
 def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
                  side: int = 0) -> MeasurementOptimum:
     """Lower bound on I_CQ: best single-party measurement found.
@@ -310,8 +327,8 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
         def objective(params):
             return _cq_value_grad(rho_mat, rho_swap, s_b,
                                   isometry_from_params(params, n, d))
-        return maximize(objective, param_dim_general_povm(d, n), cfg,
-                        seed_points=seeds, isometries=((n, d),))
+        return _search(objective, param_dim_general_povm(d, n), cfg, seeds,
+                       ((n, d),), ascend_seeds=n == d)
 
     proj_seeds = _local_bases_seeds(work, 0)
     proj_res = search(d, proj_seeds)
@@ -367,9 +384,9 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
         def objective(params):
             return _cc_value_grad(rho_mat, rho_swap, *_pair_stacks(
                 isometry_from_params, params, split, (n_a, d_a), (n_b, d_b)))
-        return maximize(objective, split + param_dim_general_povm(d_b, n_b),
-                        cfg, seed_points=seeds,
-                        isometries=((n_a, d_a), (n_b, d_b)))
+        return _search(objective, split + param_dim_general_povm(d_b, n_b),
+                       cfg, seeds, ((n_a, d_a), (n_b, d_b)),
+                       ascend_seeds=(n_a, n_b) == (d_a, d_b))
 
     proj_seeds = [np.concatenate([sa, sb])
                   for sa, sb in zip(seeds_a, seeds_b)]

@@ -15,7 +15,9 @@ objective call.  Two step rules run this way:
 
 One round costs one `concatenate` of the waiting points, one objective
 call and one finiteness check, then per live run a comparison with its
-best value and one step of its rule.
+best value and one step of its rule.  With a fixed number of rounds,
+runs that stop early are replaced, so every round evaluates as many
+points as the first.
 """
 
 from __future__ import annotations
@@ -173,15 +175,19 @@ def _stiefel_descent(x0: np.ndarray, shapes, max_evals: int, tol: float):
     The objective is taken at the polar factors W of each point.  Each step
     goes along minus the tangent gradient with a Barzilai-Borwein length
     (Barzilai and Borwein, "Two-point step size gradient methods", IMA J.
-    Numer. Anal. 8, 1988), capped at `_MAX_STEP`, and is halved until the
-    value falls by at least `_ARMIJO` times the predicted decrease t |g|^2.
-    The point handed out is W - t g itself: the objective's own polar
-    factor is the retraction, and only an accepted point is retracted here.
+    Numer. Anal. 8, 1988), the long one s.s / |s.y| and the short one
+    |s.y| / y.y in turn (Dai and Fletcher, Numer. Math. 100, 2005: the
+    short steps spare the halvings a run of long ones costs), capped at
+    `_MAX_STEP`, and is halved until the value falls by at least `_ARMIJO`
+    times the predicted decrease t |g|^2.  The point handed out is W - t g
+    itself: the objective's own polar factor is the retraction, and only
+    an accepted point is retracted here.
 
     Each `yield` hands out a (1, P) array and receives its values and
-    Euclidean gradients.  Stops as "converged" when an accepted step gains
-    at most `tol` or the next step's predicted gain t |g|^2 is at most
-    `tol`, and as "budget" after `max_evals` evaluations.
+    Euclidean gradients.  Stops as "converged" when an accepted long step
+    gains at most `tol` or the next long step's predicted gain t |g|^2 is
+    at most `tol` (a short step can predict too little), and as "budget"
+    after `max_evals` evaluations.
     """
     y = x0[None]
     f, z = yield y
@@ -189,10 +195,14 @@ def _stiefel_descent(x0: np.ndarray, shapes, max_evals: int, tol: float):
     x = _retract(y, shapes)
     g = _tangent(x, z, shapes)
     gg = float(np.vdot(g, g))
-    t = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
+    t = t_long = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
+    long_step, accepted = True, 0
     while evals < max_evals:
         if t * gg <= tol:
-            return "converged"
+            if long_step:
+                return "converged"
+            t, long_step = t_long, True
+            continue
         y = x - t * g
         fy, zy = yield y
         evals += 1
@@ -202,13 +212,17 @@ def _stiefel_descent(x0: np.ndarray, shapes, max_evals: int, tol: float):
             g_new = _tangent(x_new, zy, shapes)
             s, dg = x_new - x, g_new - g
             x, f, g = x_new, fy, g_new
-            if gain <= tol:
+            if gain <= tol and long_step:
                 return "converged"
             gg = float(np.vdot(g, g))
             sy = abs(float(np.vdot(s, dg)))
-            t = _MAX_STEP / math.sqrt(gg) if gg else 0.0
+            t_long = t_short = _MAX_STEP / math.sqrt(gg) if gg else 0.0
             if sy:
-                t = min(t, float(np.vdot(s, s)) / sy)
+                t_long = min(t_long, float(np.vdot(s, s)) / sy)
+                t_short = min(t_short, sy / float(np.vdot(dg, dg)))
+            accepted += 1
+            long_step = accepted % 2 == 1
+            t = t_long if long_step else t_short
         else:
             t *= 0.5
     return "budget"
@@ -244,8 +258,8 @@ class LockstepResult:
 
 
 def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
-             points: np.ndarray | None = None,
-             isometries: tuple = ()) -> LockstepResult:
+             points: np.ndarray | None = None, isometries: tuple = (),
+             rounds: int | None = None, refill=None) -> LockstepResult:
     """Lockstep minimization of a batched objective.
 
     `fun` maps a (k, n) array to k values.  One Nelder-Mead run starts
@@ -256,25 +270,48 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
     run is a `_stiefel_descent` instead; a point whose gradient is not
     finite counts as a non-finite value.  Every round gathers the points
     all live runs wait for into one `fun` call.  A non-finite value stops
-    only the run it belongs to.  `success` says every restart converged;
-    `message` names the first reason one did not.
+    only the run it belongs to.
+
+    With `rounds`, there are that many rounds (fewer only when no run is
+    left): a run that stops sooner hands its slot to a new run from the
+    point `refill()` returns, and the runs still live after the last
+    round stop as "rounds".  Each round then evaluates one point per row
+    of `x0s`, however soon the runs converge.
+
+    `success` says every restart converged; `message` names the first
+    reason one did not.
     """
     x0s = np.asarray(x0s, dtype=float)
     n = x0s.shape[1]
     points = np.empty((0, n)) if points is None else np.asarray(points, dtype=float)
     if isometries and sum(2 * r * c for r, c in isometries) != n:
         raise ValueError(f"isometry shapes {isometries} do not pack {n} parameters")
-    runs = ([_evaluate_once(p) for p in points]
-            + [_stiefel_descent(x0, isometries, max_evals, tol) if isometries
-               else _nelder_mead(x0, max_evals, tol, tol) for x0 in x0s])
-    n_runs = len(runs)
-    best_f = np.full(n_runs, np.inf)
-    best_x = np.zeros((n_runs, n))
-    evals = [0] * n_runs
-    stops = [""] * n_runs
-    non_finite: list[float | None] = [None] * n_runs
 
+    def start(x0):
+        return (_stiefel_descent(x0, isometries, max_evals, tol) if isometries
+                else _nelder_mead(x0, max_evals, tol, tol))
+
+    runs = [_evaluate_once(p) for p in points] + [start(x0) for x0 in x0s]
+    best_f = [np.inf] * len(runs)
+    best_x = [np.zeros(n)] * len(runs)
+    evals = [0] * len(runs)
+    stops = [""] * len(runs)
+    non_finite: list[float | None] = [None] * len(runs)
     pending = {i: next(run) for i, run in enumerate(runs)}
+    done = 0  # rounds so far
+
+    def stop(i, reason):
+        stops[i] = reason
+        del pending[i]
+        if rounds is not None and i >= len(points) and done < rounds:
+            runs.append(start(refill()))
+            best_f.append(np.inf)
+            best_x.append(np.zeros(n))
+            evals.append(0)
+            stops.append("")
+            non_finite.append(None)
+            pending[len(runs) - 1] = next(runs[-1])
+
     while pending:
         batch = np.concatenate(list(pending.values()))
         if isometries:
@@ -290,6 +327,7 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
         if values.shape != (len(batch),):
             raise ValueError(
                 f"objective returned shape {values.shape} for {len(batch)} points")
+        done += 1
         all_finite = np.isfinite(values).all()
         offset = 0
         for i, pts in list(pending.items()):
@@ -302,7 +340,7 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
                 v = vals[0]
                 if v < best_f[i]:
                     best_f[i] = v
-                    best_x[i] = pts[0]
+                    best_x[i] = pts[0].copy()
             else:
                 bad = np.flatnonzero(~np.isfinite(vals))
                 good = int(bad[0]) if len(bad) else m  # values before a non-finite one
@@ -310,29 +348,35 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
                     j = int(vals[:good].argmin())
                     if vals[j] < best_f[i]:
                         best_f[i] = vals[j]
-                        best_x[i] = pts[j]
+                        best_x[i] = pts[j].copy()
                 if len(bad):
                     evals[i] += good + 1
                     non_finite[i] = float(vals[good])
-                    stops[i] = "non-finite"
                     runs[i].close()
-                    del pending[i]
+                    stop(i, "non-finite")
                     continue
             evals[i] += m
             try:
                 pending[i] = runs[i].send(sent)
-            except StopIteration as stop:
-                stops[i] = stop.value
-                del pending[i]
+            except StopIteration as end:
+                stop(i, end.value)
+        if rounds is not None and done >= rounds:
+            for i in pending:
+                runs[i].close()
+                stops[i] = "rounds"
+            pending.clear()
 
     restart_stops = stops[len(points):]
-    if "budget" in restart_stops:
+    if "rounds" in restart_stops:
+        message = "The rounds ran out before every restart converged."
+    elif "budget" in restart_stops:
         message = "Maximum number of function evaluations has been exceeded."
     elif "non-finite" in restart_stops:
         message = "A restart stopped on a non-finite objective value."
     else:
         message = "Optimization terminated successfully."
     return LockstepResult(
-        fun=best_f, x=best_x, evals=tuple(evals), stops=tuple(stops),
+        fun=np.array(best_f), x=np.reshape(best_x, (len(runs), n)),
+        evals=tuple(evals), stops=tuple(stops),
         non_finite=tuple(non_finite), nfev=sum(evals),
         success=all(s == "converged" for s in restart_stops), message=message)

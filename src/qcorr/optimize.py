@@ -14,7 +14,9 @@ step rules:
   tangent gradient with a Barzilai-Borwein length, retracts with the polar
   factor, and halves the step until the Armijo test passes, so every
   accepted step rises.  It needs tens of evaluations where Nelder-Mead
-  uses hundreds.
+  uses hundreds.  The measurement searches give it a fixed number of
+  rounds (`rounds`): a restart that converges early hands its slot to a
+  new random start, so a search costs the same on every state.
 - Nelder-Mead (derivative-free) for the broadcast search.  Its points pass
   through exp(iH) of a Hermitian generator (`unitary_from_params`), and
   its residual is a trace norm, which is not smooth where its argument is
@@ -106,7 +108,7 @@ class OptimizationResult:
     seed: int
     diagnostics: tuple[str, ...] = field(default=())
     # Per restart: evaluations used and why it stopped ("converged",
-    # "budget" or "non-finite").
+    # "budget", "non-finite" or "rounds").
     restart_evals: tuple[int, ...] = field(default=())
     restart_stops: tuple[str, ...] = field(default=())
     # Which start gave `value`: "seed i" or "restart i" (None if no value
@@ -291,7 +293,8 @@ def embed_projective_in_general(params: np.ndarray, d: int,
 
 
 def maximize(objective, param_dim: int, cfg: OptimizerConfig,
-             seed_points=(), isometries: tuple = ()) -> OptimizationResult:
+             seed_points=(), isometries: tuple = (), rounds: int | None = None,
+             ascend_seeds: bool = True) -> OptimizationResult:
     """Multi-start lockstep ascent of a batched objective over R^param_dim.
 
     `objective` maps a (k, param_dim) array to k values, and the restarts
@@ -300,11 +303,19 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
     returns the k values and their (k, param_dim) Euclidean gradients at
     the polar factors of those matrices, and the restarts are monotone
     Riemannian gradient ascents on the isometries.  Seed points are
-    evaluated directly (and start restarts while restarts remain), so the
-    result never undercuts any of them.  A restart whose objective goes
-    non-finite is aborted and recorded; the others run on.  Ties go to the
-    earliest seed, then the earliest restart, as if the restarts ran one
-    after another.
+    evaluated directly, so the result never undercuts any of them, and
+    take the first of the `cfg.restarts` restart slots; they start the
+    restarts in those slots unless `ascend_seeds` is False, which leaves
+    those slots empty.  The other slots start at random points.  A restart
+    whose objective goes non-finite is aborted and recorded; the others
+    run on.  Ties go to the earliest seed, then the earliest restart, as
+    if the restarts ran one after another.
+
+    With `rounds`, the search makes that many objective calls (one when
+    no slot runs a restart): a restart that stops sooner hands its slot
+    to a restart from a new random point (see `lockstep.minimize`), so
+    the cost is set by the slots and `rounds` alone, and the restarts
+    still running after the last call stop as "rounds".
     """
     seed_points = [np.asarray(s, dtype=float).reshape(-1) for s in seed_points]
     for s in seed_points:
@@ -314,10 +325,13 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
     ss = np.random.SeedSequence(cfg.seed)
     streams = ss.spawn(cfg.restarts)
 
-    starts = list(seed_points)
-    for i in range(len(starts), cfg.restarts):
-        rng = np.random.default_rng(streams[i])
-        starts.append(rng.normal(scale=np.pi / 4, size=param_dim))
+    def random_start(stream):
+        rng = np.random.default_rng(stream)
+        return rng.normal(scale=np.pi / 4, size=param_dim)
+
+    starts = list(seed_points) if ascend_seeds else []
+    starts += [random_start(streams[i])
+               for i in range(len(seed_points), cfg.restarts)]
     if param_dim > 0:
         starts = starts[:cfg.restarts]
     else:
@@ -335,11 +349,12 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
     res = minimize(negated, np.reshape(starts, (len(starts), param_dim)),
                    cfg.max_evals, cfg.tol,
                    points=np.reshape(seed_points, (len(seed_points), param_dim)),
-                   isometries=tuple(isometries))
+                   isometries=tuple(isometries), rounds=rounds,
+                   refill=lambda: random_start(ss.spawn(1)[0]))
 
     n_seeds = len(seed_points)
     names = ([f"seed {i}" for i in range(n_seeds)]
-             + [f"restart {i}" for i in range(len(starts))])
+             + [f"restart {i}" for i in range(len(res.evals) - n_seeds)])
     best_val = -np.inf
     best_params = np.zeros(param_dim)
     winner = None

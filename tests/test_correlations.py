@@ -587,6 +587,69 @@ class TestGeneralGain:
         assert meta["icq"]["winner"].startswith(("seed ", "restart "))
 
 
+class TestSteadyCost:
+    """Each measurement search makes a fixed number of objective calls, all
+    after the first of one size, so a report costs the same on every state
+    of a given size."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_search_calls_do_not_depend_on_the_state(self, monkeypatch,
+                                                     dims):
+        import qcorr.correlations as corr_mod
+
+        real = corr_mod.maximize
+        searches = []
+
+        def recording(objective, *args, **kwargs):
+            sizes = []
+
+            def counted(x):
+                sizes.append(len(x))
+                return objective(x)
+            res = real(counted, *args, **kwargs)
+            searches.append((sizes, res))
+            return res
+
+        monkeypatch.setattr(corr_mod, "maximize", recording)
+        rng = np.random.default_rng(9100 + 10 * dims[0] + dims[1])
+        states = [random_cc(*dims, rng), random_cq(*dims, rng),
+                  random_pure_entangled(*dims, rng), product_state(*dims, rng),
+                  random_density(dims, dims[0] * dims[1], rng)]
+        shapes = []
+        for rho in states:
+            searches.clear()
+            correlation_report(rho, SMALL)
+            # Projective I_CQ, general I_CQ, projective I_CC, general I_CC.
+            assert len(searches) == 4
+            shapes.append([sizes[1:] for sizes, _ in searches])
+            for (sizes, res), param_dim in zip(
+                    searches, [2 * dims[0] ** 2, 2 * dims[0] ** 3,
+                               2 * (dims[0] ** 2 + dims[1] ** 2),
+                               2 * (dims[0] ** 3 + dims[1] ** 3)]):
+                assert res.n_evals == sum(sizes)
+                if res.restart_evals:
+                    assert len(sizes) == min(2 * param_dim, SMALL.max_evals)
+                    assert set(sizes[1:]) == {SMALL.restarts}
+                else:
+                    # Seeds only: the general phase's seeds fill its slots.
+                    assert sizes == [sizes[0]]
+        assert all(s == shapes[0] for s in shapes)
+
+    def test_general_phase_scores_its_seeds_without_ascending(self, rng):
+        rho = random_density((2, 2), 4, rng)
+        icq = optimize_icq(rho, SMALL)
+        # Three seed bases and the projective optimum fill the 3 slots.
+        assert icq.general.restart_evals == ()
+        assert len(icq.general.restart_values) == 4
+        assert icq.general.value == pytest.approx(icq.projective.value,
+                                                  abs=1e-12)
+        more = dataclasses.replace(SMALL, restarts=6)
+        icq = optimize_icq(rho, more)
+        assert len(icq.general.restart_values) == 4 + len(
+            icq.general.restart_evals)
+        assert len(icq.general.restart_evals) >= 2
+
+
 # Report invariants on random inputs at every supported local dimension
 # and rank, at a budget too small to matter: exactness comes from the seed
 # points, the chain from the report's construction.  At d = 4 the general

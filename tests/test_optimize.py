@@ -526,6 +526,97 @@ class TestRiemannianAscent:
             maximize(wrong_gradients, 16, cfg, isometries=shapes)
 
 
+class TestFixedRounds:
+    """`maximize(..., rounds=R)`: R objective calls whatever the objective."""
+
+    @staticmethod
+    def _counting(objective):
+        batches = []
+
+        def counted(x):
+            batches.append(len(x))
+            return objective(x)
+        return counted, batches
+
+    @pytest.mark.parametrize("rounds", [1, 2, 9, 60])
+    def test_every_round_evaluates_every_slot(self, rng, rounds):
+        # The linear objective converges in a few steps, so restarts stop
+        # early and hand their slots on.
+        objective, shapes, best = _linear_on_isometries(
+            [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
+        counted, batches = self._counting(objective)
+        seeds = [rng.normal(size=16)]
+        cfg = OptimizerConfig(seed=3, restarts=3, max_evals=300)
+        res = maximize(counted, 16, cfg, seed_points=seeds,
+                       isometries=shapes, rounds=rounds)
+        assert batches == [1 + 3] + [3] * (rounds - 1)
+        assert res.n_evals == sum(batches) == 1 + sum(res.restart_evals)
+        assert len(res.restart_values) == 1 + len(res.restart_evals)
+        # Only the three runs of the last round can stop as "rounds".
+        assert set(res.restart_stops) <= {"rounds", "converged"}
+        assert res.restart_stops.count("rounds") <= 3
+        assert res.value == max(res.restart_values)
+        if rounds == 60:
+            assert len(res.restart_evals) > 3
+            assert res.value == pytest.approx(best, abs=1e-8)
+
+    def test_budget_stops_hand_slots_on(self, rng):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))])
+        cfg = OptimizerConfig(seed=0, restarts=2, max_evals=4)
+        res = maximize(objective, 18, cfg, isometries=shapes, rounds=10)
+        assert res.restart_evals == (4, 4, 4, 4, 2, 2)
+        assert res.restart_stops == ("budget",) * 4 + ("rounds",) * 2
+        assert res.n_evals == 20
+
+    def test_refills_are_deterministic_and_distinct(self, rng):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
+        cfg = OptimizerConfig(seed=5, restarts=2, max_evals=3)
+        runs = [maximize(objective, 16, cfg, isometries=shapes, rounds=12)
+                for _ in range(2)]
+        assert runs[0].to_dict() == runs[1].to_dict()
+        # Each refill starts from a new point: no two restarts tie.
+        assert len(set(runs[0].restart_values)) == len(runs[0].restart_values)
+
+    def test_without_rounds_nothing_changes(self, rng):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
+        cfg = OptimizerConfig(seed=1, restarts=3, max_evals=300, tol=1e-12)
+        res = maximize(objective, 16, cfg, isometries=shapes)
+        assert len(res.restart_evals) == 3
+        assert res.restart_stops == ("converged",) * 3
+
+    def test_seeds_left_unascended_keep_their_slots(self, rng):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
+        seeds = list(rng.normal(size=(2, 16)))
+        cfg = OptimizerConfig(seed=4, restarts=3, max_evals=50)
+        res = maximize(objective, 16, cfg, seed_points=seeds,
+                       isometries=shapes, ascend_seeds=False)
+        full = maximize(objective, 16, cfg, seed_points=seeds,
+                        isometries=shapes)
+        # Both seeds are scored; only the third slot runs, from the same
+        # random start as the third restart with the seeds ascended.
+        assert res.restart_values[:2] == full.restart_values[:2]
+        assert len(res.restart_evals) == 1
+        assert res.restart_values[2] == full.restart_values[4]
+        assert res.restart_evals == full.restart_evals[2:]
+        none_left = maximize(objective, 16, dataclasses.replace(cfg, restarts=2),
+                             seed_points=seeds, isometries=shapes,
+                             ascend_seeds=False, rounds=30)
+        assert none_left.restart_evals == ()
+        assert none_left.n_evals == 2
+
+    def test_nelder_mead_slots_refill_too(self):
+        counted, batches = self._counting(lambda x: -np.sum(x ** 2, axis=-1))
+        cfg = OptimizerConfig(seed=0, restarts=2, max_evals=5)
+        res = maximize(counted, 3, cfg, rounds=7)
+        assert len(batches) == 7
+        assert res.restart_stops[-2:] == ("rounds", "rounds")
+        assert res.n_evals == sum(batches)
+
+
 class TestOptimizerConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
