@@ -28,7 +28,6 @@ from .optimize import (
     OptimizerConfig,
     embed_projective_in_general,
     general_povm,
-    isometry_from_params,
     isometry_stack,
     maximize,
     param_dim_general_povm,
@@ -258,22 +257,6 @@ def _cc_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray,
         (_isometry_gradient(w_a, q_a), _isometry_gradient(w_b, q_b)), axis=-1)
 
 
-def _pair_stacks(stack, params: np.ndarray, split: int, args_a: tuple,
-                 args_b: tuple):
-    """Per-party outputs of a parameterization from (..., split + m)
-    parameters: `stack(params[..., :split], *args_a)` and the same of the
-    rest with `args_b`.  Parties with one parameterization (equal args)
-    share one `stack` call on the (..., 2, split) view, so the batched
-    `eigh` or `svd` inside runs once for both; the outputs are bitwise
-    those of two calls."""
-    if args_a == args_b:
-        both = stack(params.reshape(params.shape[:-1] + (2, split)), *args_a)
-        rest = (slice(None),) * (both.ndim - params.ndim)  # the output's axes
-        return both[(..., 0) + rest], both[(..., 1) + rest]
-    return (stack(params[..., :split], *args_a),
-            stack(params[..., split:], *args_b))
-
-
 def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
     """Projective seed points: the isometries W = U^dag, packed as in
     `isometry_from_params`, of the bases U (as columns) of the computational
@@ -285,21 +268,64 @@ def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
             for u in (np.eye(d), eigvecs, classical_basis(rho, side))]
 
 
-# Each measurement search makes a fixed number of objective calls, two per
-# real parameter but at most `max_evals`: a restart that converges early
-# hands its slot to a new random one, so a search costs the same on every
-# state of a given size.  Stopping a restart early saves nothing then, so
-# restarts run on until their steps gain `_POLISH * tol`.
-_ROUNDS_PER_PARAM = 2
-_POLISH = 0.01
+def _outcomes(cfg: OptimizerConfig, d: int) -> int:
+    """Outcome count of the general POVM family on C^d."""
+    return d * d if cfg.outcome_count is None else cfg.outcome_count
 
 
-def _search(objective, param_dim: int, cfg: OptimizerConfig, seeds,
-            isometries: tuple, ascend_seeds: bool) -> OptimizationResult:
-    return maximize(objective, param_dim, replace(cfg, tol=_POLISH * cfg.tol),
-                    seed_points=seeds, isometries=isometries,
-                    ascend_seeds=ascend_seeds,
-                    rounds=min(_ROUNDS_PER_PARAM * param_dim, cfg.max_evals))
+def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
+             general_seeds) -> MeasurementOptimum:
+    """Best measurement found on parties of local dimensions `dims`.
+
+    `value_grad(*ws)` gives the values and gradients of the functional at
+    one (k, n, d) isometry array per party.  A seed is a sequence of
+    per-party points.  The projective phase (n = d) ascends from
+    `proj_seeds`.  Unless `cfg.projective_only`, the general phase
+    (`cfg.outcome_count` outcomes, default d^2) scores the seeds
+    `general_seeds(x)`, x being the projective optimum, each embedded with
+    zero rows appended; its value wins only if it beats the projective
+    one by more than `TAU_NUM`.
+
+    Each search makes a fixed number of objective calls, two per real
+    parameter but at most `max_evals`: a restart that converges early
+    hands its slot to a new random one, so a search costs the same on
+    every state of a given size.  Stopping a restart early saves nothing
+    then, so restarts run on until their steps gain `tol / 100`.
+    """
+    def search(counts, seeds):
+        shapes = tuple(zip(counts, dims))
+        param_dim = sum(param_dim_general_povm(d, n) for n, d in shapes)
+        return maximize(value_grad, param_dim, replace(cfg, tol=0.01 * cfg.tol),
+                        seed_points=[np.concatenate(x) for x in seeds],
+                        isometries=shapes, ascend_seeds=counts == dims,
+                        rounds=min(2 * param_dim, cfg.max_evals))
+
+    def parts(x, counts):
+        ends = np.cumsum([param_dim_general_povm(d, n)
+                          for n, d in zip(counts, dims)])
+        return np.split(x, ends[:-1])
+
+    def found(res, counts, family):
+        povms = [general_povm(x, d, n)
+                 for x, d, n in zip(parts(res.params, counts), dims, counts)]
+        return dict(value=res.value, povm_a=povms[0],
+                    povm_b=(*povms, None)[1], family=family, result=res)
+
+    proj_res = search(dims, proj_seeds)
+    best = MeasurementOptimum(projective=proj_res,
+                              **found(proj_res, dims, "projective"))
+    if cfg.projective_only:
+        return best
+
+    counts = tuple(_outcomes(cfg, d) for d in dims)
+    gen_res = search(counts, [
+        [embed_projective_in_general(x, d, n)
+         for x, d, n in zip(seed, dims, counts)]
+        for seed in general_seeds(parts(proj_res.params, dims))])
+    best = replace(best, general=gen_res)
+    if gen_res.value > best.value + TAU_NUM:
+        best = replace(best, **found(gen_res, counts, "general"))
+    return best
 
 
 def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -316,44 +342,17 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     if rho.layout.n_subsystems != 2:
         raise StateError("optimize_icq requires a bipartite layout")
     work = rho if side == 0 else permute_subsystems(rho, (1, 0))
-    d = work.dims[0]
     rho_mat = np.ascontiguousarray(work.matrix)
     s_b = von_neumann_entropy(partial_trace(work, (1,)))
     # The parties exchanged: `cq_blocks` of it traces out the measured one.
     rho_swap = np.ascontiguousarray(
         (rho if side else permute_subsystems(rho, (1, 0))).matrix)
 
-    def search(n, seeds):
-        def objective(params):
-            return _cq_value_grad(rho_mat, rho_swap, s_b,
-                                  isometry_from_params(params, n, d))
-        return _search(objective, param_dim_general_povm(d, n), cfg, seeds,
-                       ((n, d),), ascend_seeds=n == d)
-
-    proj_seeds = _local_bases_seeds(work, 0)
-    proj_res = search(d, proj_seeds)
-    best = MeasurementOptimum(
-        value=proj_res.value,
-        povm_a=general_povm(proj_res.params, d, d),
-        povm_b=None,
-        family="projective",
-        result=proj_res,
-        projective=proj_res,
-        seeds_a=tuple(proj_seeds) if side == 0 else (),
-    )
-    if cfg.projective_only:
-        return best
-
-    n_out = d * d if cfg.outcome_count is None else cfg.outcome_count
-    gen_res = search(n_out, [embed_projective_in_general(x, d, n_out)
-                             for x in (*proj_seeds, proj_res.params)])
-    best = replace(best, general=gen_res)
-    if gen_res.value > best.value + TAU_NUM:
-        best = replace(
-            best, value=gen_res.value,
-            povm_a=general_povm(gen_res.params, d, n_out), family="general",
-            result=gen_res)
-    return best
+    bases = _local_bases_seeds(work, 0)
+    seeds = [(x,) for x in bases]
+    best = _measure(lambda w: _cq_value_grad(rho_mat, rho_swap, s_b, w),
+                    (work.dims[0],), cfg, seeds, lambda x: [*seeds, x])
+    return replace(best, seeds_a=tuple(bases) if side == 0 else ())
 
 
 def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -368,7 +367,7 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     """
     if rho.layout.n_subsystems != 2:
         raise StateError("optimize_icc requires a bipartite layout")
-    d_a, d_b = rho.dims
+    d_a = rho.dims[0]
     rho_mat = np.ascontiguousarray(rho.matrix)
     if icq is None:
         icq = optimize_icq(rho, cfg)
@@ -378,64 +377,30 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     seeds_b = _local_bases_seeds(swapped, 0)
     rho_swap = np.ascontiguousarray(swapped.matrix)
 
-    def search(n_a, n_b, seeds):
-        split = param_dim_general_povm(d_a, n_a)
-
-        def objective(params):
-            return _cc_value_grad(rho_mat, rho_swap, *_pair_stacks(
-                isometry_from_params, params, split, (n_a, d_a), (n_b, d_b)))
-        return _search(objective, split + param_dim_general_povm(d_b, n_b),
-                       cfg, seeds, ((n_a, d_a), (n_b, d_b)),
-                       ascend_seeds=(n_a, n_b) == (d_a, d_b))
-
-    proj_seeds = [np.concatenate([sa, sb])
-                  for sa, sb in zip(seeds_a, seeds_b)]
-    proj_seeds.append(np.concatenate([seeds_a[0], seeds_b[1]]))
+    pairs = list(zip(seeds_a, seeds_b))
+    proj_seeds = [*pairs, (seeds_a[0], seeds_b[1])]
     if icq.family == "projective":
         # CQ optimum's POVM paired with the B eigenbasis.
-        proj_seeds.append(np.concatenate([icq.result.params, seeds_b[1]]))
+        proj_seeds.append((icq.result.params, seeds_b[1]))
 
-    proj_res = search(d_a, d_b, proj_seeds)
-    pd_a = param_dim_general_povm(d_a, d_a)
-    x_a, x_b = proj_res.params[:pd_a], proj_res.params[pd_a:]
-    best = MeasurementOptimum(
-        value=proj_res.value,
-        povm_a=general_povm(x_a, d_a, d_a),
-        povm_b=general_povm(x_b, d_b, d_b),
-        family="projective",
-        result=proj_res,
-        projective=proj_res,
-    )
-    if cfg.projective_only:
-        return best
+    def general_seeds(x):
+        # The I_CQ optimum's point, unless it has more outcomes than fit.
+        x_cq = icq.result.params
+        if x_cq.size > param_dim_general_povm(d_a, _outcomes(cfg, d_a)):
+            x_cq = x[0]
+        return [*pairs, x, (x_cq, seeds_b[1])]
 
-    n_a = d_a * d_a if cfg.outcome_count is None else cfg.outcome_count
-    n_b = d_b * d_b if cfg.outcome_count is None else cfg.outcome_count
-    gd_a = param_dim_general_povm(d_a, n_a)
-    # The I_CQ optimum's point, unless it has more outcomes than fit.
-    x_cq = icq.result.params if icq.result.params.size <= gd_a else x_a
-    pairs = [*zip(seeds_a, seeds_b), (x_a, x_b), (x_cq, seeds_b[1])]
-    gen_res = search(n_a, n_b, [
-        np.concatenate([embed_projective_in_general(sa, d_a, n_a),
-                        embed_projective_in_general(sb, d_b, n_b)])
-        for sa, sb in pairs])
-    best = replace(best, general=gen_res)
-    if gen_res.value > best.value + TAU_NUM:
-        best = replace(
-            best, value=gen_res.value,
-            povm_a=general_povm(gen_res.params[:gd_a], d_a, n_a),
-            povm_b=general_povm(gen_res.params[gd_a:], d_b, n_b),
-            family="general", result=gen_res)
-    return best
+    return _measure(
+        lambda w_a, w_b: _cc_value_grad(rho_mat, rho_swap, w_a, w_b),
+        rho.dims, cfg, proj_seeds, general_seeds)
 
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig,
             side: int = 0) -> float:
     """Gap I - I_CQ with the measured party restricted to complete
     projective measurements; an upper bound on the true discord."""
-    proj_cfg = OptimizerConfig(**{**cfg.to_dict(), "projective_only": True})
     i = mutual_information(rho)
-    icq = optimize_icq(rho, proj_cfg, side=side)
+    icq = optimize_icq(rho, replace(cfg, projective_only=True), side=side)
     return max(i - min(icq.value, i), 0.0)
 
 

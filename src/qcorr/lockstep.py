@@ -13,6 +13,13 @@ objective call.  Two step rules run this way:
   polar factor (Edelman, Arias and Smith, "The geometry of algorithms with
   orthogonality constraints", SIAM J. Matrix Anal. Appl. 20, 1998).
 
+For the descent, the driver is the one place that turns points into
+isometries: each round takes the polar factors of every waiting point,
+with one batched SVD per distinct matrix shape, hands the objective one
+(k, n, d) isometry array per party, and sends each run its polar factors
+along with its values and gradients.  The polar factor of a trial point is
+its retraction, so an accepted step costs no second SVD.
+
 One round costs one `concatenate` of the waiting points, one objective
 call and one finiteness check, then per live run a comparison with its
 best value and one step of its rule.  With a fixed number of rounds,
@@ -149,14 +156,11 @@ def _packed(parts: list) -> np.ndarray:
                           axis=-1)
 
 
-def _retract(y: np.ndarray, shapes) -> np.ndarray:
-    """The polar factor U V^dag (thin SVD) of every block of the (m, P)
-    points y: the computation of `optimize.isometry_from_params`."""
-    parts = []
-    for block in _party_blocks(y, shapes):
-        u, _, vh = np.linalg.svd(block, full_matrices=False)
-        parts.append(u @ vh)
-    return _packed(parts)
+def _polar(block: np.ndarray) -> np.ndarray:
+    """The polar factor U V^dag (thin SVD) of every matrix of a stack: the
+    computation of `optimize.isometry_from_params`."""
+    u, _, vh = np.linalg.svd(block, full_matrices=False)
+    return u @ vh
 
 
 def _tangent(x: np.ndarray, z: np.ndarray, shapes) -> np.ndarray:
@@ -180,19 +184,16 @@ def _stiefel_descent(x0: np.ndarray, shapes, max_evals: int, tol: float):
     short steps spare the halvings a run of long ones costs), capped at
     `_MAX_STEP`, and is halved until the value falls by at least `_ARMIJO`
     times the predicted decrease t |g|^2.  The point handed out is W - t g
-    itself: the objective's own polar factor is the retraction, and only
-    an accepted point is retracted here.
+    itself: the driver's polar factor of it is the retraction.
 
-    Each `yield` hands out a (1, P) array and receives its values and
-    Euclidean gradients.  Stops as "converged" when an accepted long step
-    gains at most `tol` or the next long step's predicted gain t |g|^2 is
-    at most `tol` (a short step can predict too little), and as "budget"
-    after `max_evals` evaluations.
+    Each `yield` hands out a (1, P) array and receives its values, its
+    Euclidean gradients and its packed polar factors.  Stops as
+    "converged" when an accepted long step gains at most `tol` or the next
+    long step's predicted gain t |g|^2 is at most `tol` (a short step can
+    predict too little), and as "budget" after `max_evals` evaluations.
     """
-    y = x0[None]
-    f, z = yield y
+    f, z, x = yield x0[None]
     evals = 1
-    x = _retract(y, shapes)
     g = _tangent(x, z, shapes)
     gg = float(np.vdot(g, g))
     t = t_long = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
@@ -203,12 +204,10 @@ def _stiefel_descent(x0: np.ndarray, shapes, max_evals: int, tol: float):
                 return "converged"
             t, long_step = t_long, True
             continue
-        y = x - t * g
-        fy, zy = yield y
+        fy, zy, x_new = yield x - t * g
         evals += 1
         if fy[0] <= f[0] - _ARMIJO * t * gg:
             gain = f[0] - fy[0]
-            x_new = _retract(y, shapes)
             g_new = _tangent(x_new, zy, shapes)
             s, dg = x_new - x, g_new - g
             x, f, g = x_new, fy, g_new
@@ -265,12 +264,13 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
     `fun` maps a (k, n) array to k values.  One Nelder-Mead run starts
     from each row of `x0s` (budget `max_evals`, xatol = fatol = `tol`),
     and each row of `points` is evaluated once.  With `isometries`, the
-    (rows, cols) shapes of the complex matrices a point packs, `fun`
-    returns the k values and their (k, n) Euclidean gradients, and each
-    run is a `_stiefel_descent` instead; a point whose gradient is not
-    finite counts as a non-finite value.  Every round gathers the points
-    all live runs wait for into one `fun` call.  A non-finite value stops
-    only the run it belongs to.
+    (rows, cols) shapes of the complex matrices a point packs, each run
+    is a `_stiefel_descent` instead: `fun` takes the polar factors of the
+    k points, one (k, rows, cols) array per shape, and returns the k
+    values and their (k, n) Euclidean gradients, packed as the points; a
+    point whose gradient is not finite counts as a non-finite value.
+    Every round gathers the points all live runs wait for into one `fun`
+    call.  A non-finite value stops only the run it belongs to.
 
     With `rounds`, there are that many rounds (fewer only when no run is
     left): a run that stops sooner hands its slot to a new run from the
@@ -315,7 +315,10 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
     while pending:
         batch = np.concatenate(list(pending.values()))
         if isometries:
-            values, grads = fun(batch)
+            blocks = [_polar(b) for b in _party_blocks(batch, isometries)]
+            values, grads = fun(*(b[:, j] for b in blocks
+                                  for j in range(b.shape[1])))
+            polar = _packed(blocks)
             values = np.asarray(values, dtype=float)
             grads = np.ascontiguousarray(grads, dtype=float)
             if grads.shape != batch.shape:
@@ -333,7 +336,8 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
         for i, pts in list(pending.items()):
             m = len(pts)
             vals = values[offset:offset + m]
-            sent = (vals, grads[offset:offset + m]) if isometries else vals
+            sent = ((vals, grads[offset:offset + m], polar[offset:offset + m])
+                    if isometries else vals)
             offset += m
             if m == 1 and all_finite:
                 # The usual round: one finite trial point.

@@ -28,16 +28,16 @@ Runs are deterministic for a fixed seed: RNG streams are spawned per
 restart, and user-supplied seed points are always evaluated directly, so
 the returned value never falls below any seed.
 
-Objectives are batched: they map a (k, n) array of points to k values (or,
-for the gradient rule, to k values and a (k, n) array of gradients).  One
-objective call evaluates every point the live restarts need next: the
-seed points, then the whole initial simplex or the start point of each
-restart, then one trial point (or one shrunk simplex) per restart.  The
-parameterizations below accept the same leading batch axes.
-
-Per-call overhead, not FLOPs, sets the speed at these sizes, so the
-objectives stack work instead of looping: the two-party I_CC objectives
-parameterize both parties in one call when their shapes agree.
+Objectives are batched.  A Nelder-Mead objective maps a (k, n) array of
+points to k values.  A gradient objective takes the points' isometries,
+one (k, n_p, d_p) array per party, and returns k values and a (k, n)
+array of gradients packed as the points; `lockstep.minimize` takes the
+polar factors, with one batched SVD per distinct party shape, so both
+I_CC parties share one when their shapes agree.  One objective call
+evaluates every point the live restarts need next: the seed points, then
+the whole initial simplex or the start point of each restart, then one
+trial point (or one shrunk simplex) per restart.  The parameterizations
+below accept the same leading batch axes.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Povm
-from .classify import joint_diagonalize
 from .lockstep import minimize
 from .qstate import DensityMatrix, StateError, _as_layout
 
@@ -184,10 +183,6 @@ def _hermitian_generator(params: np.ndarray, d: int) -> np.ndarray:
         batch + (d, d))
 
 
-def param_dim_unitary(d: int) -> int:
-    return d * d
-
-
 def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
     """exp(iH) of the generator packed in `params`: (..., d^2) -> (..., d, d)."""
     params = np.atleast_1d(np.asarray(params, dtype=float))
@@ -199,27 +194,6 @@ def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
     evals, vecs = np.linalg.eigh(_hermitian_generator(params, d))
     phases = np.exp(1j * evals)[..., None, :]
     return (vecs * phases) @ vecs.conj().swapaxes(-1, -2)
-
-
-def params_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Inverse of `unitary_from_params` (phases taken in (-pi, pi]).
-
-    U is normal, so its Hermitian parts (U + U^dag)/2 and (U - U^dag)/2i
-    commute; their common eigenbasis J diagonalizes U, and H is
-    J diag(angle(J^dag U J)) J^dag.
-    """
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    uh = u.conj().T
-    j = joint_diagonalize([(u + uh) / 2, (u - uh) / 2j])
-    theta = np.angle(np.diag(j.conj().T @ u @ j))
-    a = 1j * (j * theta) @ j.conj().T  # A = iH
-    params = np.empty(d * d)
-    params[:d] = np.diag(a).imag
-    upper = a[np.triu_indices(d, 1)]
-    params[d::2] = upper.real
-    params[d + 1::2] = upper.imag
-    return params
 
 
 def projective_stack(params: np.ndarray, d: int) -> np.ndarray:
@@ -291,7 +265,6 @@ def embed_projective_in_general(params: np.ndarray, d: int,
     return np.concatenate((params, np.zeros(2 * n_outcomes * d - params.size)))
 
 
-
 def maximize(objective, param_dim: int, cfg: OptimizerConfig,
              seed_points=(), isometries: tuple = (), rounds: int | None = None,
              ascend_seeds: bool = True) -> OptimizationResult:
@@ -299,10 +272,11 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
 
     `objective` maps a (k, param_dim) array to k values, and the restarts
     are Nelder-Mead runs.  With `isometries`, the (n, d) shapes of the
-    complex matrices each point packs (as in `isometry_from_params`), it
-    returns the k values and their (k, param_dim) Euclidean gradients at
-    the polar factors of those matrices, and the restarts are monotone
-    Riemannian gradient ascents on the isometries.  Seed points are
+    complex matrices each point packs (as in `isometry_from_params`), the
+    restarts are monotone Riemannian gradient ascents on the isometries:
+    `objective(*ws)` takes the polar factors of the k points, one (k, n, d)
+    array per shape, and returns the k values and their (k, param_dim)
+    Euclidean gradients, packed as the points.  Seed points are
     evaluated directly, so the result never undercuts any of them, and
     take the first of the `cfg.restarts` restart slots; they start the
     restarts in those slots unless `ascend_seeds` is False, which leaves
@@ -338,8 +312,8 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
         starts = [] if seed_points else [np.zeros(0)]
 
     if isometries:
-        def negated(x):
-            values, grads = objective(x)
+        def negated(*ws):
+            values, grads = objective(*ws)
             return (-np.asarray(values, dtype=float),
                     -np.asarray(grads, dtype=float))
     else:

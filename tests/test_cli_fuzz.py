@@ -68,7 +68,7 @@ def channel_records(draw, dims):
     """A valid channel record on party A or on the whole of a state with
     `dims` (if those are dimensions), or one with a field broken."""
     sizes = [2, 4]
-    if isinstance(dims, list) and all(
+    if isinstance(dims, list) and dims and all(
             isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= 3
             for x in dims):
         sizes = [dims[0], int(np.prod(dims))]
@@ -173,6 +173,23 @@ def test_petz(record, data):
         _check(["petz", _write(tmp / "state.json", state),
                 _write(tmp / "channel.json", channel),
                 *data.draw(options("petz")), "--out", str(tmp / "out.json")])
+
+
+@FUZZ
+@given(channel_records([]), st.data())
+def test_petz_on_empty_dims(channel, data):
+    # The state flaw "dims" can draw the empty list, and `test_petz` then
+    # builds its channel from it: the strategy must fall back to its
+    # default sizes, and `qcorr petz` must reject the state.
+    state = json.dumps({"dims": [], "matrix": [[1.0, 0.0]]})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = ["petz", _write(tmp / "state.json", state),
+                _write(tmp / "channel.json", json.dumps(channel)),
+                *data.draw(options("petz")), "--out", str(tmp / "out.json")]
+        code, err = _run(argv)
+        assert code in (2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
 
 
 LABEL_ENTRIES = st.fixed_dictionaries(

@@ -38,7 +38,7 @@ from qcorr.correlations import (
     optimize_icq,
 )
 from qcorr.classify import classical_basis
-from qcorr.lockstep import _retract, _tangent
+from qcorr.lockstep import _tangent, minimize
 from qcorr.optimize import (
     OptimizerConfig,
     embed_projective_in_general,
@@ -203,7 +203,6 @@ class TestOptimizedBounds:
 
     def test_report_reuses_side_a_seeds(self, rng, monkeypatch):
         import qcorr.classify as classify_mod
-        import qcorr.optimize as optimize_mod
 
         calls = []
         real = classify_mod.joint_diagonalize
@@ -213,7 +212,6 @@ class TestOptimizedBounds:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(classify_mod, "joint_diagonalize", counting)
-        monkeypatch.setattr(optimize_mod, "joint_diagonalize", counting)
         rho = random_density((2, 3), 4, rng)
         rep = correlation_report(rho, SMALL)
         # One classical basis per side; side A's is computed once, not
@@ -303,63 +301,137 @@ def test_batched_objectives_match_single_points(rng, dims, family):
 
 
 class TestStackedPartyObjectives:
-    """The I_CC objectives parameterize both parties in one call when their
-    shapes agree, and in one call per party otherwise; either way the
-    values and gradients are bitwise those of the per-party composition,
-    for the projective (d-outcome) and the general (d^2-outcome) family."""
+    """The lockstep driver takes the polar factors of every point of a
+    round with one SVD call per distinct party shape (both I_CC parties
+    share one when their shapes agree) and none per accepted step; the
+    I_CC objective's values and gradients on them are bitwise those of the
+    per-party composition, for the projective (d-outcome) and the general
+    (d^2-outcome) family."""
+
+    @staticmethod
+    def _counting_svd(monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append("svd")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @staticmethod
+    def _recorded_objectives(rho, cfg, monkeypatch, wrap=None):
+        """Run `optimize_icc` and return each search's objective and its
+        isometry shapes, and the optimum; `wrap(objective)` replaces the
+        objective if given."""
+        import qcorr.correlations as corr_mod
+
+        searches = []
+        real_maximize = corr_mod.maximize
+
+        def recording(objective, *args, **kwargs):
+            searches.append((objective, kwargs["isometries"]))
+            return real_maximize(wrap(objective) if wrap else objective,
+                                 *args, **kwargs)
+
+        monkeypatch.setattr(corr_mod, "maximize", recording)
+        return searches, optimize_icc(rho, cfg, icq=optimize_icq(rho, cfg))
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
     def test_objectives_equal_per_party_composition(self, dims, monkeypatch):
-        import qcorr.correlations as corr_mod
-
         d_a, d_b = dims
         rng = np.random.default_rng(9000 + 10 * d_a + d_b)
         rho = random_density(dims, d_a * d_b, rng)
         rho_mat = np.ascontiguousarray(rho.matrix)
-        cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
-        icq = optimize_icq(rho, cfg)
-
-        objectives, calls = [], []
-        real_maximize = corr_mod.maximize
-
-        def recording(objective, *args, **kwargs):
-            objectives.append(objective)
-            return real_maximize(objective, *args, **kwargs)
-
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return call
-
-        monkeypatch.setattr(corr_mod, "maximize", recording)
-        optimize_icc(rho, cfg, icq=icq)
-        assert len(objectives) == 2
-        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-
-        calls_per_eval = 1 if d_a == d_b else 2
         rho_swap = np.ascontiguousarray(
             permute_subsystems(rho, (1, 0)).matrix)
-        for objective, (n_a, n_b) in zip(
-                objectives, ((d_a, d_b), (d_a * d_a, d_b * d_b))):
+        cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
+        searches, _ = self._recorded_objectives(rho, cfg, monkeypatch)
+        monkeypatch.undo()
+        # The side-0 I_CQ searches, then the two I_CC searches.
+        searches = searches[-2:]
+
+        svd_per_round = 1 if d_a == d_b else 2
+        for (objective, shapes), (n_a, n_b) in zip(
+                searches, ((d_a, d_b), (d_a * d_a, d_b * d_b))):
+            assert shapes == ((n_a, d_a), (n_b, d_b))
             split = param_dim_general_povm(d_a, n_a)
             size = split + param_dim_general_povm(d_b, n_b)
             for k in (1, 3, 30):
                 y = rng.normal(scale=np.pi / 4, size=(k, size))
-                calls.clear()
-                got, grad = objective(y)
-                # One (stacked) SVD per round when the shapes agree.
-                assert calls == ["svd"] * calls_per_eval
+                calls, seen = self._counting_svd(monkeypatch), []
+
+                def recording(*ws):
+                    seen.append((list(calls), ws, objective(*ws)))
+                    return seen[-1][2]
+
+                # One round that evaluates each row of y once.
+                minimize(recording, np.empty((0, size)), 1, 1e-8, points=y,
+                         isometries=shapes)
+                monkeypatch.undo()
+                (svds, (w_a, w_b), (got, grad)), = seen
+                assert svds == ["svd"] * svd_per_round
                 assert grad.shape == y.shape
+                want_a = isometry_from_params(y[:, :split], n_a, d_a)
+                want_b = isometry_from_params(y[:, split:], n_b, d_b)
+                assert np.array_equal(w_a, want_a), (n_a, k)
+                assert np.array_equal(w_b, want_b), (n_a, k)
                 want = _cc_value(rho_mat,
                                  general_stack(y[:, :split], d_a, n_a),
                                  general_stack(y[:, split:], d_b, n_b))
                 assert np.array_equal(got, want), (n_a, k)
-                _, want_grad = _cc_value_grad(
-                    rho_mat, rho_swap,
-                    isometry_from_params(y[:, :split], n_a, d_a),
-                    isometry_from_params(y[:, split:], n_b, d_b))
+                want, want_grad = _cc_value_grad(rho_mat, rho_swap,
+                                                 want_a, want_b)
+                assert np.array_equal(got, want), (n_a, k)
                 assert np.array_equal(grad, want_grad), (n_a, k)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    def test_no_svd_per_accepted_step(self, dims, monkeypatch):
+        # Count the SVD calls between consecutive objective calls of each
+        # search, and after its last: each round takes the polar factors
+        # once, and accepting a step takes none.
+        import qcorr.optimize as optimize_mod
+
+        d_a, d_b = dims
+        rng = np.random.default_rng(9200 + 10 * d_a + d_b)
+        rho = random_density(dims, d_a * d_b, rng)
+        cfg = OptimizerConfig(seed=0, restarts=6, max_evals=40)
+        calls, rounds = self._counting_svd(monkeypatch), []
+
+        def wrap(objective):
+            rounds.append([])
+
+            def counted(*ws):
+                rounds[-1].append(len(calls))
+                calls.clear()
+                return objective(*ws)
+            return counted
+
+        real_minimize = optimize_mod.minimize
+
+        def minimize_then_count(*args, **kwargs):
+            calls.clear()
+            res = real_minimize(*args, **kwargs)
+            rounds[-1].append(len(calls))  # after the last round
+            return res
+
+        monkeypatch.setattr(optimize_mod, "minimize", minimize_then_count)
+        _, icc = self._recorded_objectives(rho, cfg, monkeypatch, wrap)
+        # Projective and general I_CQ, then projective and general I_CC.
+        assert len(rounds) == 4
+        svd_per_round = 1 if d_a == d_b else 2
+        for svds, res in zip(rounds[2:], (icc.projective, icc.general)):
+            assert len(svds) == min(2 * len(res.params), cfg.max_evals) + 1
+            assert svds[:-1] == [svd_per_round] * (len(svds) - 1)
+            assert svds[-1] == 0
+        for svds in rounds[:2]:
+            assert set(svds[:-1]) == {1} and svds[-1] == 0
+        # The first projective restarts start at the seeds, and their
+        # accepted steps lift them above those.
+        res = icc.projective
+        n_seeds = len(res.restart_values) - len(res.restart_evals)
+        assert any(r > s + 1e-9 for r, s in zip(
+            res.restart_values[n_seeds:2 * n_seeds], res.restart_values))
 
 
 def _general_objectives(rho, kind, projective=False):
@@ -394,6 +466,15 @@ def _general_objectives(rho, kind, projective=False):
     return with_grad, value, ((n_a, d_a), (n_b, d_b))
 
 
+def _polar_point(y, shapes):
+    """The points (m, P) whose matrices are the polar factors of those of
+    the points y, one per entry of `shapes`."""
+    ends = np.cumsum([2 * n * d for n, d in shapes])[:-1]
+    return np.concatenate(
+        [isometry_from_params(part, n, d).reshape(len(y), -1).view(float)
+         for part, (n, d) in zip(np.split(y, ends, axis=-1), shapes)], axis=-1)
+
+
 GRAD_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
 
 
@@ -407,7 +488,7 @@ class TestGeneralGradients:
         size = sum(2 * n * d for n, d in shapes)
         h = 1e-5
         for _ in range(3):
-            x = _retract(rng.normal(size=(1, size)), shapes)
+            x = _polar_point(rng.normal(size=(1, size)), shapes)
             xi = _tangent(x, rng.normal(size=x.shape), shapes)
             xi /= np.linalg.norm(xi)
             slope = float(np.vdot(with_grad(x)[1], xi))
@@ -559,6 +640,42 @@ class TestProjectivePhase:
                 assert res.value == max(res.restart_values)
 
 
+def _bell_diagonal_states(count, rng):
+    """Bell-diagonal two-qubit states (I + sum_i c_i sigma_i (x) sigma_i)/4
+    with every eigenvalue at least 1e-3, and their vectors c."""
+    paulis = [np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]], dtype=complex)]
+    found = []
+    while len(found) < count:
+        c = rng.uniform(-1.0, 1.0, size=3)
+        m = (np.eye(4) + sum(ci * np.kron(p, p)
+                             for ci, p in zip(c, paulis))) / 4
+        if np.linalg.eigvalsh(m).min() >= 1e-3:
+            found.append((DensityMatrix(SubsystemLayout((2, 2)), m), c))
+    return found
+
+
+def test_bell_diagonal_states_match_the_closed_form():
+    # Luo, "Quantum discord for two-qubit systems", PRA 77, 042303 (2008):
+    # with c = max |c_i|, the classical correlation is
+    # J = [(1 - c) log2(1 - c) + (1 + c) log2(1 + c)] / 2, and the
+    # marginals are maximally mixed, so I = 2 - H(eigenvalues).  The
+    # budget is the benchmark's report budget.
+    cfg = OptimizerConfig(seed=0, restarts=3, max_evals=300)
+    for rho, c in _bell_diagonal_states(40, np.random.default_rng(4242)):
+        lam = np.linalg.eigvalsh(rho.matrix)
+        i = 2.0 + float(np.sum(lam * np.log2(lam)))
+        c_max = np.abs(c).max()
+        j = ((1 - c_max) * np.log2(1 - c_max)
+             + (1 + c_max) * np.log2(1 + c_max)) / 2
+        rep = correlation_report(rho, cfg)
+        assert rep.I == pytest.approx(i, rel=0, abs=1e-9), c
+        assert rep.I_cq_lower == pytest.approx(j, rel=0, abs=1e-9), c
+        assert rep.I_cc_lower == pytest.approx(j, rel=0, abs=1e-9), c
+        assert rep.discord_upper == pytest.approx(i - j, rel=0, abs=1e-9), c
+
+
 class TestGeneralGain:
     def test_report_records_the_general_gain(self, rng):
         rho = random_density((3, 3), 9, rng)
@@ -603,9 +720,9 @@ class TestSteadyCost:
         def recording(objective, *args, **kwargs):
             sizes = []
 
-            def counted(x):
-                sizes.append(len(x))
-                return objective(x)
+            def counted(*ws):
+                sizes.append(len(ws[0]))
+                return objective(*ws)
             res = real(counted, *args, **kwargs)
             searches.append((sizes, res))
             return res

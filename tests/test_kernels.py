@@ -14,11 +14,8 @@ from qcorr.optimize import (
     _hermitian_generator,
     general_stack,
     param_dim_general_povm,
-    param_dim_unitary,
-    params_from_unitary,
     projective_stack,
     random_density,
-    unitary_from_params,
 )
 
 from conftest import (
@@ -34,7 +31,7 @@ FAMILIES = ("projective", "general")
 def _stack(family, d, rng):
     """A projective (d outcomes) or general (d^2 outcomes) element stack."""
     if family == "projective":
-        return projective_stack(rng.normal(size=param_dim_unitary(d)), d)
+        return projective_stack(rng.normal(size=d * d), d)
     n = d * d
     return general_stack(rng.normal(size=param_dim_general_povm(d, n)), d, n)
 
@@ -92,14 +89,6 @@ def test_joint_probs_against_direct_traces(rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
 def test_generator_packing_matches_loop(d, rng):
-    params = rng.normal(size=param_dim_unitary(d))
+    params = rng.normal(size=d * d)
     want = -1j * oracle_anti_hermitian(params, d)
     np.testing.assert_array_equal(_hermitian_generator(params, d), want)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 9])
-def test_params_from_unitary_inverts_packing(d, rng):
-    # Small parameters keep the spectrum of H inside the principal branch.
-    params = 0.2 * rng.normal(size=param_dim_unitary(d))
-    u = unitary_from_params(params, d)
-    np.testing.assert_allclose(params_from_unitary(u), params, atol=1e-10)
