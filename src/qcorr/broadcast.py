@@ -22,7 +22,9 @@ from .classify import classical_basis
 from .correlations import Ensemble, mutual_information
 from .optimize import (
     OptimizerConfig,
+    isometry_from_params,
     maximize,
+    param_dim_general_povm,
     unitary_from_params,
 )
 from .qstate import (
@@ -214,119 +216,197 @@ def attachment_candidate(rho: DensityMatrix) -> BroadcastCandidate:
                       attach(partial_trace(rho, (1,))))
 
 
-def _stinespring_channel(params: np.ndarray, d: int,
-                         ancilla: int) -> KrausChannel:
-    """Channel d -> d*d via an isometry into d*d (x) ancilla."""
-    big = d * d * ancilla
-    u = unitary_from_params(params, big)
-    v = u[:, :d]  # isometry C^d -> C^(d^2 * ancilla)
-    ops = tuple(
-        v.reshape(d * d, ancilla, d)[:, k, :]
-        for k in range(ancilla)
-    )
+def _channel_of_isometry(v: np.ndarray, d: int, ancilla: int) -> KrausChannel:
+    """The channel d -> d*d with Stinespring isometry V: C^d -> C^d (x) C^d
+    (x) C^ancilla, given as its (d*d*ancilla, d) matrix with rows in
+    [a, a', k] order: Kraus operator k is V's rows of ancilla level k."""
+    ops = tuple(v.reshape(d * d, ancilla, d)[:, k, :] for k in range(ancilla))
     return KrausChannel(ops, out_dims=(d, d))
 
 
+def _stinespring_channel(params: np.ndarray, d: int,
+                         ancilla: int) -> KrausChannel:
+    """The channel of the first d columns of exp(iH) on C^(d*d*ancilla)."""
+    return _channel_of_isometry(
+        unitary_from_params(params, d * d * ancilla)[:, :d], d, ancilla)
+
+
+def _channel_point(channel: KrausChannel, ancilla: int) -> np.ndarray:
+    """A channel with at most `ancilla` Kraus operators as a search point:
+    its Stinespring isometry (the inverse of `_channel_of_isometry`, unused
+    ancilla levels zero) packed as in `isometry_from_params`."""
+    v = np.zeros((channel.d_out, ancilla, channel.d_in), dtype=complex)
+    v[:, :len(channel.kraus)] = np.stack(channel.kraus, axis=1)
+    return v.reshape(-1).view(float)
+
+
 def stinespring_param_dim(d: int, ancilla: int) -> int:
-    return (d * d * ancilla) ** 2
+    """Real parameters of one side's (d*d*ancilla, d) Stinespring isometry."""
+    return param_dim_general_povm(d, d * d * ancilla)
 
 
-def _copy_superoperators(params: np.ndarray, d: int,
-                         ancilla: int) -> np.ndarray:
-    """Both copy marginals of `_stinespring_channel` as superoperators.
+def _legs(w: np.ndarray) -> np.ndarray:
+    """[..., a, a', k, i] -> [..., a, i, a', k]: the order in which copy A's
+    marginal is a Gram matrix over (a', k).  Swapping a and a' first gives
+    copy A''s order."""
+    return w.swapaxes(-1, -3).swapaxes(-1, -2)
 
-    Entry [..., c, (a, b), (i, j)] is <a| Tr_rest[V |i><j| V^dag] |b> with
-    V the Stinespring isometry of the parameters (..., n); copy c = 0
-    keeps A and c = 1 keeps A', the other copy and the ancilla are traced
-    out.  Raw arrays for the search loop: the only check is the isometry
+
+def _copy_superoperators(v: np.ndarray, d: int, ancilla: int):
+    """Both copy marginals of the channels of isometries v (..., d*d*ancilla,
+    d) as superoperators, with the factors they are built from.
+
+    Returns (legs, s): legs[..., c] is V rearranged to [(a, i), (a', k)]
+    for copy c = 0 (keeps A) and to [(a', i), (a, k)] for c = 1 (keeps A');
+    s[..., c, (a, b), (i, j)] = <a| Tr_rest[V |i><j| V^dag] |b> is
+    legs[..., c] @ legs[..., c]^dag with its middle indices swapped.
+    Raw arrays for the search loop: the only check is the isometry
     condition V^dag V = I that constructing the `KrausChannel` would make,
     applied to every isometry of the batch.
     """
-    v = unitary_from_params(params, d * d * ancilla)[..., :d]
     batch = v.shape[:-2]
     err = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(d)).max()
     if err > TAU_NUM:
         raise ChannelError(
             f"Stinespring map is not an isometry: max |V^dag V - I| = {err:.3e}")
     w = v.reshape(batch + (d, d, ancilla, d))  # [..., a, a', k, i]
-    lead = range(len(batch))
-    legs = np.stack((w.transpose(*lead, -4, -1, -3, -2),   # [(a, i), (a', k)]
-                     w.transpose(*lead, -3, -1, -4, -2)),  # [(a', i), (a, k)]
-                    axis=-5)
-    legs = legs.reshape(batch + (2, d * d, d * ancilla))
+    legs = np.stack((_legs(w), _legs(w.swapaxes(-4, -3))), axis=-5).reshape(
+        batch + (2, d * d, d * ancilla))
     gram = legs @ legs.conj().swapaxes(-1, -2)  # [..., c, (a, i), (b, j)]
-    return gram.reshape(batch + (2, d, d, d, d)).swapaxes(-3, -2).reshape(
-        batch + (2, d * d, d * d))
+    return legs, _swap_middle(gram, d)
+
+
+def _swap_middle(x: np.ndarray, d: int) -> np.ndarray:
+    """[..., (p, q), (r, s)] -> [..., (p, r), (q, s)] for d x d x d x d: an
+    involution mapping the Gram matrices to the superoperators and back."""
+    return x.reshape(x.shape[:-2] + (d, d, d, d)).swapaxes(-3, -2).reshape(
+        x.shape[:-2] + (d * d, d * d))
+
+
+def _stinespring_gradient(legs: np.ndarray, g: np.ndarray, d: int,
+                          ancilla: int) -> np.ndarray:
+    """Euclidean gradient, packed as parameters, of f with
+    df = Re sum_c <H_c, dS_c> (S_c the superoperators of
+    `_copy_superoperators`, H_c = g[..., c]): through gram = L L^dag it is
+    (H^ + H^^dag) L per copy, H^ being H with its middle indices swapped,
+    mapped back onto V by the inverse leg order and summed over copies."""
+    h = _swap_middle(g, d)
+    gamma = (h + h.conj().swapaxes(-1, -2)) @ legs
+    # The inverse of `_legs`: [..., c, p, i, q, k] -> [..., c, p, q, k, i].
+    gamma = gamma.reshape(gamma.shape[:-2] + (d, d, d, ancilla)).swapaxes(
+        -1, -2).swapaxes(-1, -3)
+    z = gamma[..., 0, :, :, :, :] + gamma[..., 1, :, :, :, :].swapaxes(-4, -3)
+    return np.ascontiguousarray(z).reshape(z.shape[:-4] + (-1,)).view(float)
 
 
 def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
-    """params (..., n) -> -(sum of both copy-marginal trace distances to rho).
+    """(v_a, v_b) -> (-sum_c ||C_c - rho||_F^2, its gradient).
 
-    Equals minus the residual sum of `verify_broadcast` on
-    `apply_local_broadcast` of the two Stinespring channels, computed on
-    raw arrays: each copy marginal is S_A R S_B^T with R the reshuffled
-    rho.  The copy marginals get the Hermiticity, trace and PSD checks of
-    `DensityMatrix` (the PSD test shares the residuals' `eigvalsh`); one
-    failing candidate fails the whole batch.
+    v_a and v_b are Stinespring isometries (..., d*d*anc, d) of the two
+    sides, and C_c the copy marginals of `apply_local_broadcast` of their
+    channels (`_channel_of_isometry`), computed on raw arrays.  Reshuffling
+    only permutes entries, so the surrogate is -sum_c ||E_c||_F^2 with
+    E_c = S_A[c] R S_B[c]^T - R, R the reshuffled rho.  It vanishes exactly
+    where the trace residuals of `verify_broadcast` do and, unlike them,
+    is smooth: df = -2 Re sum_c (<E_c (R S_B^T)^dag, dS_A> +
+    <E_c^T conj(S_A R), dS_B>), carried onto each V by
+    `_stinespring_gradient`.  The gradient is packed as (v_a, v_b) in
+    `isometry_from_params` order.
+
+    The copy marginals get the Hermiticity, trace and PSD checks of
+    `DensityMatrix`; one failing candidate fails the whole batch.
     """
     d_a, d_b = rho.dims
     n = d_a * d_b
-    pd_a = stinespring_param_dim(d_a, anc_a)
     mat = rho.matrix
     shuffled = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(
         d_a * d_a, d_b * d_b)  # [(i1, j1), (i2, j2)]
 
-    def objective(params):
-        s_a = _copy_superoperators(params[..., :pd_a], d_a, anc_a)
-        s_b = _copy_superoperators(params[..., pd_a:], d_b, anc_b)
-        batch = s_a.shape[:-3]
-        copies = (s_a @ shuffled @ s_b.swapaxes(-1, -2)).reshape(
-            batch + (2, d_a, d_a, d_b, d_b)).swapaxes(-3, -2).reshape(
-            batch + (2, n, n))
-        if np.abs(copies - copies.conj().swapaxes(-1, -2)).max() > TAU_HERM:
+    def objective(v_a, v_b):
+        legs_a, s_a = _copy_superoperators(v_a, d_a, anc_a)
+        legs_b, s_b = _copy_superoperators(v_b, d_b, anc_b)
+        s_b_t = s_b.swapaxes(-1, -2)
+        left = s_a @ shuffled  # S_A R
+        copies = left @ s_b_t  # reshuffled copy marginals
+        batch = copies.shape[:-3]
+        dense = copies.reshape(batch + (2, d_a, d_a, d_b, d_b)).swapaxes(
+            -3, -2).reshape(batch + (2, n, n))
+        if np.abs(dense - dense.conj().swapaxes(-1, -2)).max() > TAU_HERM:
             raise StateError("copy marginal is not Hermitian within tolerance")
-        tr = np.trace(copies, axis1=-2, axis2=-1).real
+        tr = np.trace(dense, axis1=-2, axis2=-1).real
         if np.abs(tr - 1.0).max() > TAU_TR:
             raise StateError(f"copy marginal traces are {tr}, not 1 within tolerance")
-        evals = np.linalg.eigvalsh(np.concatenate((copies - mat, copies), axis=-3))
-        if evals[..., 2:, :].min() < -TAU_PSD:
-            raise StateError(
-                f"copy marginal has negative eigenvalue {evals[..., 2:, :].min()}")
-        return -0.5 * np.abs(evals[..., :2, :]).sum(axis=(-2, -1))
+        low = np.linalg.eigvalsh(dense).min()
+        if low < -TAU_PSD:
+            raise StateError(f"copy marginal has negative eigenvalue {low}")
+        err = copies - shuffled
+        value = -(err.real ** 2 + err.imag ** 2).sum(axis=(-3, -2, -1))
+        g_a = err @ (shuffled @ s_b_t).conj().swapaxes(-1, -2)
+        g_b = err.swapaxes(-1, -2) @ left.conj()
+        return value, np.concatenate(
+            (_stinespring_gradient(legs_a, -2 * g_a, d_a, anc_a),
+             _stinespring_gradient(legs_b, -2 * g_b, d_b, anc_b)), axis=-1)
 
     return objective
 
 
+def _seed_points(cloning: BroadcastCandidate, attachment: BroadcastCandidate,
+                 ancillas: tuple[int, int]) -> list[np.ndarray]:
+    """Search points of the structured channel pairs: cloning on both
+    sides, attachment on both sides, cloning on A with attachment on B,
+    and the reverse.  Each side's ancilla must hold its channel's Kraus
+    operators (d for cloning, the marginal's rank for attachment)."""
+    clone = [_channel_point(cloning.theta_A, ancillas[0]),
+             _channel_point(cloning.theta_B, ancillas[1])]
+    attach = [_channel_point(attachment.theta_A, ancillas[0]),
+              _channel_point(attachment.theta_B, ancillas[1])]
+    return [np.concatenate(pair) for pair in (
+        clone, attach, (clone[0], attach[1]), (attach[0], clone[1]))]
+
+
 def _broadcast_candidates(rho: DensityMatrix,
                           cfg: OptimizerConfig | None) -> list[BroadcastCandidate]:
-    """Basis cloning, marginal attachment and the optimized Stinespring pair."""
+    """Basis cloning, marginal attachment and the optimized Stinespring pair.
+
+    The search is a lockstep Riemannian ascent of the surrogate of
+    `_residual_objective` on both sides' isometries, with a fixed number
+    of rounds as in `correlations._measure`.  Unless an ancilla is smaller
+    than its side, the structured channels seed it: cloning and attachment
+    on both sides and the two mixed pairs, taken from the two structured
+    candidates, so their bases and marginal spectra are computed once.
+    """
     if rho.layout.n_subsystems != 2:
         raise StateError("broadcast search requires a bipartite state")
     if cfg is None:
         cfg = OptimizerConfig(restarts=6, max_evals=500)
-    d_a, d_b = rho.dims
-    anc_a = d_a if cfg.ancilla_dim is None else cfg.ancilla_dim
-    anc_b = d_b if cfg.ancilla_dim is None else cfg.ancilla_dim
-    pd_a = stinespring_param_dim(d_a, anc_a)
-    pd_b = stinespring_param_dim(d_b, anc_b)
+    dims = rho.dims
+    ancillas = tuple(d if cfg.ancilla_dim is None else cfg.ancilla_dim
+                     for d in dims)
+    shapes = tuple((d * d * anc, d) for d, anc in zip(dims, ancillas))
+    pd_a, pd_b = (stinespring_param_dim(d, anc) for d, anc in zip(dims, ancillas))
 
-    candidates = [cloning_candidate(rho), attachment_candidate(rho)]
-    res = maximize(_residual_objective(rho, anc_a, anc_b), pd_a + pd_b, cfg)
-    theta_a = _stinespring_channel(res.params[:pd_a], d_a, anc_a)
-    theta_b = _stinespring_channel(res.params[pd_a:], d_b, anc_b)
-    candidates.append(_candidate(rho, theta_a, theta_b))
-    return candidates
+    cloning, attachment = cloning_candidate(rho), attachment_candidate(rho)
+    seeds = (_seed_points(cloning, attachment, ancillas)
+             if all(anc >= d for d, anc in zip(dims, ancillas)) else [])
+    res = maximize(_residual_objective(rho, *ancillas), pd_a + pd_b, cfg,
+                   seed_points=seeds, isometries=shapes,
+                   rounds=min(2 * (pd_a + pd_b), cfg.max_evals))
+    theta_a, theta_b = (
+        _channel_of_isometry(isometry_from_params(x, n, d), d, anc)
+        for x, (n, d), anc in zip(np.split(res.params, [pd_a]), shapes, ancillas))
+    return [cloning, attachment, _candidate(rho, theta_a, theta_b)]
 
 
 def broadcast_search(rho: DensityMatrix,
                      cfg: OptimizerConfig | None = None) -> BroadcastCandidate:
-    """Best local-broadcast candidate found by derivative-free search.
+    """Best local-broadcast candidate found: the one with the least sum of
+    marginal residuals.
 
     Structured candidates (basis cloning, marginal attachment) are always
-    evaluated; a Stinespring ansatz over both local channels is then
-    optimized for minimal marginal residuals.  For non-CC inputs the
-    residual is expected to stay bounded away from zero (a demonstration,
-    not a proof).
+    evaluated; a pair of Stinespring isometries, seeded with them, then
+    ascends a smooth surrogate of the residuals by Riemannian gradient
+    ascent.  For non-CC inputs the residual is expected to stay bounded
+    away from zero (a demonstration, not a proof).
     """
     def merit(c: BroadcastCandidate) -> float:
         return -(c.marginal_residuals[0] + c.marginal_residuals[1])

@@ -322,7 +322,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="outcome count for the general POVM family")
     parser.add_argument("--projective-only", action="store_true")
     parser.add_argument("--ancilla", type=_COUNT, default=None,
-                        help="Stinespring ancilla dimension for broadcast search")
+                        help="Stinespring ancilla dimension for broadcast "
+                             "search (default: the party's dimension d; below "
+                             "d, the search gets no cloning or attachment seeds)")
     parser.add_argument("--out", default=None, help="output file path")
 
 

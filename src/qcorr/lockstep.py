@@ -5,9 +5,11 @@ run is a generator that hands out the points it needs next and receives
 their values; every round gathers the points of all live runs into one
 objective call.  Two step rules run this way:
 
-- `_nelder_mead`, which takes scipy's Nelder-Mead steps exactly;
+- `_nelder_mead`, which takes scipy's Nelder-Mead steps exactly (no
+  qcorr search runs it: all of them descend on isometries);
 - `_stiefel_descent`, a monotone Riemannian gradient descent on products
-  of Stiefel manifolds.  Its points are real arrays that pack one complex
+  of Stiefel manifolds, which runs every measurement search and the
+  broadcast search.  Its points are real arrays that pack one complex
   n x d matrix per entry of `shapes`, as (re, im) pairs row by row (the
   packing of `optimize.isometry_from_params`); a matrix stands for its
   polar factor (Edelman, Arias and Smith, "The geometry of algorithms with

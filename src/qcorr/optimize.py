@@ -3,24 +3,31 @@
 `maximize` runs every restart of a search in lockstep, with one of two
 step rules:
 
-- Riemannian gradient ascent for every measurement search: the projective
-  and the general POVM phases of I_CQ and I_CC, and so the discord bound.
-  Their points are isometries W (`isometry_from_params`): the projective
-  family is the n = d case, a unitary W whose conjugated rows give the d
-  rank-1 projectors, and the general family has n > d rows.  Both I_CQ
-  and I_CC are smooth functions of W with closed-form gradients (the
-  spectral-function derivative of Tr B log B is defined wherever the
-  blocks B are, level crossings included).  Each restart steps along the
-  tangent gradient with a Barzilai-Borwein length, retracts with the polar
-  factor, and halves the step until the Armijo test passes, so every
-  accepted step rises.  It needs tens of evaluations where Nelder-Mead
-  uses hundreds.  The measurement searches give it a fixed number of
-  rounds (`rounds`): a restart that converges early hands its slot to a
-  new random start, so a search costs the same on every state.
-- Nelder-Mead (derivative-free) for the broadcast search.  Its points pass
-  through exp(iH) of a Hermitian generator (`unitary_from_params`), and
-  its residual is a trace norm, which is not smooth where its argument is
-  singular.  Each restart takes scipy's Nelder-Mead steps exactly.
+- Riemannian gradient ascent for every search qcorr runs.  The points
+  are isometries (`isometry_from_params`):
+  - the measurement searches (the projective and general POVM phases of
+    I_CQ and I_CC, and so the discord bound) take one W per party.  The
+    projective family is the n = d case, a unitary W whose conjugated
+    rows give the d rank-1 projectors, and the general family has n > d
+    rows.  Both I_CQ and I_CC are smooth functions of W with closed-form
+    gradients (the spectral-function derivative of Tr B log B is defined
+    wherever the blocks B are, level crossings included);
+  - the broadcast search takes one Stinespring isometry
+    V: C^d -> C^d (x) C^d (x) C^anc per party and climbs the smooth
+    surrogate -sum_c ||C_c - rho||_F^2 of its copy marginals C_c, which is
+    quadratic in each V.
+
+  Each restart steps along the tangent gradient with a Barzilai-Borwein
+  length, retracts with the polar factor, and halves the step until the
+  Armijo test passes, so every accepted step rises.  It needs tens of
+  evaluations where Nelder-Mead uses hundreds.  Every search gives it a
+  fixed number of rounds (`rounds`): a restart that converges early hands
+  its slot to a new random start, so a search costs the same on every
+  state of a given size.
+- Nelder-Mead (derivative-free) for an objective without gradients: each
+  restart takes scipy's Nelder-Mead steps exactly.  No qcorr search runs
+  it any more; neither does any search use `unitary_from_params`, exp(iH)
+  of a Hermitian generator, which stays in the API with `projective_povm`.
 
 Both step rules and the lockstep driver `minimize` live in `lockstep`.
 

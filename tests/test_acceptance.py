@@ -236,6 +236,16 @@ def test_criterion_6_broadcasting_suite():
     sep = separable_non_cq(2, 2, np.random.default_rng(9))
     sep_cand = broadcast_search(sep)
     assert max(sep_cand.marginal_residuals) > 1e-6
+    # The same beyond 2x2: the CC state is broadcast, the others are not.
+    for d_a, d_b in ((2, 3), (3, 3)):
+        for state in make_corpus(1, seed=1, d_a=d_a, d_b=d_b):
+            cand = broadcast_search(state.rho)
+            where = f"{d_a}x{d_b} {state.state_id}"
+            if state.label == "cc":
+                assert cand.valid, where
+                assert max(cand.marginal_residuals) <= 1e-8, where
+            else:
+                assert max(cand.marginal_residuals) > 1e-6, where
     _report("CRITERION 6 (broadcasting constructions and search): PASS")
 
 

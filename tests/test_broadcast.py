@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qcorr.broadcast as broadcast_mod
 from qcorr.broadcast import (
+    _channel_of_isometry,
     _residual_objective,
-    _stinespring_channel,
+    _seed_points,
     apply_local_broadcast,
     attachment_candidate,
     broadcast_marginals,
@@ -21,14 +24,18 @@ from qcorr.broadcast import (
 )
 from qcorr.corpus import (
     classically_correlated_bit,
+    make_corpus,
     product_state,
     random_cc,
+    random_cq,
+    random_pure_entangled,
     separable_non_cq,
 )
 from qcorr.correlations import Ensemble, holevo_chi, mutual_information
 from qcorr.channels import ChannelError
 from qcorr.classify import Kind, is_cq
-from qcorr.optimize import OptimizerConfig, random_density, unitary_from_params
+from qcorr.lockstep import _tangent
+from qcorr.optimize import OptimizerConfig, isometry_from_params, random_density
 from qcorr.qstate import ProbVector, StateError, bell_phi_plus, tensor
 
 TINY = OptimizerConfig(seed=0, restarts=2, max_evals=120)
@@ -176,6 +183,25 @@ class TestSearchAndDeltaB:
         assert abs(cand.mi_deficit) <= 1e-9
 
 
+def _isometries(rng, k, d, ancilla):
+    """k random Stinespring isometries (k, d*d*ancilla, d) of one side."""
+    n = d * d * ancilla
+    return isometry_from_params(rng.normal(size=(k, 2 * n * d)), n, d)
+
+
+def _channels(x, dims, ancillas):
+    """The two channels of a search point x."""
+    shapes = [(d * d * anc, d) for d, anc in zip(dims, ancillas)]
+    parts = np.split(x, [stinespring_param_dim(dims[0], ancillas[0])])
+    return tuple(_channel_of_isometry(isometry_from_params(part, n, d), d, anc)
+                 for part, (n, d), anc in zip(parts, shapes, ancillas))
+
+
+def _residual_sum(rho, theta_a, theta_b):
+    _, res = verify_broadcast(apply_local_broadcast(theta_a, theta_b, rho), rho)
+    return res[0] + res[1]
+
+
 class TestRawObjective:
     """The search objective on raw arrays against the validated composition."""
 
@@ -184,45 +210,157 @@ class TestRawObjective:
     def test_matches_verify_broadcast(self, rng, dims, ancilla_dim):
         d_a, d_b = dims
         anc_a, anc_b = ancilla_dim or d_a, ancilla_dim or d_b
-        pd_a = stinespring_param_dim(d_a, anc_a)
-        pd_b = stinespring_param_dim(d_b, anc_b)
         rho = random_density(dims, 3, rng)
         objective = _residual_objective(rho, anc_a, anc_b)
-        xs = rng.normal(scale=np.pi / 4, size=(3, pd_a + pd_b))
-        batched = objective(xs)
-        assert batched.shape == (3,)
-        for x, value in zip(xs, batched):
-            sigma = apply_local_broadcast(
-                _stinespring_channel(x[:pd_a], d_a, anc_a),
-                _stinespring_channel(x[pd_a:], d_b, anc_b), rho)
+        v_a = _isometries(rng, 3, d_a, anc_a)
+        v_b = _isometries(rng, 3, d_b, anc_b)
+        values, grads = objective(v_a, v_b)
+        assert values.shape == (3,)
+        assert grads.shape == (3, stinespring_param_dim(d_a, anc_a)
+                               + stinespring_param_dim(d_b, anc_b))
+        for a, b, value, grad in zip(v_a, v_b, values, grads):
+            theta_a = _channel_of_isometry(a, d_a, anc_a)
+            theta_b = _channel_of_isometry(b, d_b, anc_b)
+            sigma = apply_local_broadcast(theta_a, theta_b, rho)
+            frobenius = [np.linalg.norm(c.matrix - rho.matrix)
+                         for c in broadcast_marginals(sigma)]
+            assert value == pytest.approx(-sum(f * f for f in frobenius),
+                                          abs=1e-12)
+            single_value, single_grad = objective(a, b)
+            assert single_value == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(single_grad, grad, rtol=0, atol=1e-12)
+            # ||X||_F <= ||X||_1, twice the trace distance.
             _, res = verify_broadcast(sigma, rho)
-            assert objective(x) == pytest.approx(-(res[0] + res[1]), abs=1e-12)
-            assert value == pytest.approx(objective(x), abs=1e-12)
+            for f, r in zip(frobenius, res):
+                assert f <= 2 * r + 1e-12
 
-    def test_non_isometry_raises_channel_error(self, monkeypatch):
-        monkeypatch.setattr(broadcast_mod, "unitary_from_params",
-                            lambda p, d: 1.01 * unitary_from_params(p, d))
+    def test_non_isometry_raises_channel_error(self):
         objective = _residual_objective(bell_phi_plus(), 2, 2)
+        v = np.eye(8, 2, dtype=complex)
+        objective(v, v)
         with pytest.raises(ChannelError, match="isometry"):
-            objective(np.zeros(2 * stinespring_param_dim(2, 2)))
+            objective(1.01 * v, v)
+        with pytest.raises(ChannelError, match="isometry"):
+            objective(v, 1.01 * v)
 
     @pytest.mark.parametrize("bad_row", [0, 2])
-    def test_non_isometry_anywhere_in_a_batch_raises(self, monkeypatch, rng,
-                                                     bad_row):
-        def one_bad(p, d):
-            u = unitary_from_params(p, d)
-            u[bad_row] *= 1.01
-            return u
-
-        monkeypatch.setattr(broadcast_mod, "unitary_from_params", one_bad)
+    def test_non_isometry_anywhere_in_a_batch_raises(self, rng, bad_row):
         objective = _residual_objective(bell_phi_plus(), 2, 2)
-        xs = rng.normal(size=(3, 2 * stinespring_param_dim(2, 2)))
-        with pytest.raises(ChannelError, match="isometry"):
-            objective(xs)
+        v_a, v_b = _isometries(rng, 3, 2, 2), _isometries(rng, 3, 2, 2)
+        objective(v_a, v_b)
+        for side in (v_a, v_b):
+            side[bad_row] *= 1.01
+            with pytest.raises(ChannelError, match="isometry"):
+                objective(v_a, v_b)
+            side[bad_row] /= 1.01
 
     def test_search_result_is_the_validated_candidate(self):
         cand = broadcast_search(bell_phi_plus(), TINY)
         _, res = verify_broadcast(cand.sigma, bell_phi_plus())
+        assert cand.marginal_residuals == res
+
+
+def _recording_maximize(monkeypatch):
+    """Record each `maximize` call of the broadcast search: its parameter
+    count, seed points and the number of points of every objective call."""
+    real = broadcast_mod.maximize
+    calls = []
+
+    def recording(objective, param_dim, cfg, **kwargs):
+        sizes = []
+
+        def counted(*vs):
+            sizes.append(len(vs[0]))
+            return objective(*vs)
+        calls.append((param_dim, kwargs["seed_points"], sizes))
+        return real(counted, param_dim, cfg, **kwargs)
+
+    monkeypatch.setattr(broadcast_mod, "maximize", recording)
+    return calls
+
+
+class TestStinespringSearch:
+    """The gradient ascent on Stinespring isometries and its seeds."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("ancilla_dim", [None, 1])
+    def test_gradient_matches_central_differences(self, dims, ancilla_dim):
+        rng = np.random.default_rng(7600 + 10 * dims[0] + dims[1])
+        ancillas = tuple(ancilla_dim or d for d in dims)
+        shapes = tuple((d * d * anc, d) for d, anc in zip(dims, ancillas))
+        rho = random_density(dims, dims[0] * dims[1], rng)
+        objective = _residual_objective(rho, *ancillas)
+        split = stinespring_param_dim(dims[0], ancillas[0])
+
+        def with_grad(x):
+            return objective(*(isometry_from_params(part, n, d) for part, (n, d)
+                               in zip(np.split(x, [split], axis=-1), shapes)))
+
+        h = 1e-5
+        for _ in range(3):
+            x = np.concatenate(
+                [_isometries(rng, 1, d, anc).reshape(1, -1).view(float)
+                 for d, anc in zip(dims, ancillas)], axis=-1)
+            xi = _tangent(x, rng.normal(size=x.shape), shapes)
+            xi /= np.linalg.norm(xi)
+            slope = float(np.vdot(with_grad(x)[1], xi))
+            # The isometries are polar factors of the points, so x +- h xi
+            # lie on the retracted path.
+            fd = (with_grad(x + h * xi)[0][0]
+                  - with_grad(x - h * xi)[0][0]) / (2 * h)
+            assert abs(slope - fd) <= 1e-6 * abs(fd)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_seeds_reproduce_the_structured_residuals(self, dims, extra):
+        # Ancilla levels beyond d stay empty.
+        ancillas = tuple(d + extra for d in dims)
+        for state in make_corpus(1, seed=1, d_a=dims[0], d_b=dims[1]):
+            rho = state.rho
+            cloning, attachment = cloning_candidate(rho), attachment_candidate(rho)
+            want = [sum(cloning.marginal_residuals),
+                    sum(attachment.marginal_residuals),
+                    _residual_sum(rho, cloning.theta_A, attachment.theta_B),
+                    _residual_sum(rho, attachment.theta_A, cloning.theta_B)]
+            seeds = _seed_points(cloning, attachment, ancillas)
+            got = [_residual_sum(rho, *_channels(x, dims, ancillas))
+                   for x in seeds]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                       err_msg=state.state_id)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_search_calls_do_not_depend_on_the_state(self, monkeypatch, dims):
+        # 2x2 has 64 parameters (128 rounds), 2x3 has 194 (capped at 150).
+        cfg = OptimizerConfig(seed=0, restarts=6, max_evals=150)
+        calls = _recording_maximize(monkeypatch)
+        rng = np.random.default_rng(9300 + 10 * dims[0] + dims[1])
+        states = [random_cc(*dims, rng), random_cq(*dims, rng),
+                  random_pure_entangled(*dims, rng), product_state(*dims, rng),
+                  random_density(dims, dims[0] * dims[1], rng)]
+        param_dim = sum(stinespring_param_dim(d, d) for d in dims)
+        rounds = min(2 * param_dim, cfg.max_evals)
+        for rho in states:
+            calls.clear()
+            broadcast_search(rho, cfg)
+            (got_dim, seeds, sizes), = calls
+            assert got_dim == param_dim
+            assert len(seeds) == 4
+            # The seeds are scored, then each round takes one point per slot.
+            assert sizes == [len(seeds) + cfg.restarts] + [cfg.restarts] * (
+                rounds - 1)
+
+    def test_ancilla_one_runs_without_seeds(self, monkeypatch):
+        calls = _recording_maximize(monkeypatch)
+        rho = separable_non_cq(2, 2, np.random.default_rng(9))
+        cfg = dataclasses.replace(TINY, ancilla_dim=1)
+        cloning, attachment, search = broadcast_mod._broadcast_candidates(rho, cfg)
+        (_, seeds, _), = calls
+        assert seeds == []
+        assert len(search.theta_A.kraus) == len(search.theta_B.kraus) == 1
+        _, res = verify_broadcast(search.sigma, rho)
+        assert search.marginal_residuals == res
+        cand = broadcast_search(rho, cfg)
+        _, res = verify_broadcast(cand.sigma, rho)
         assert cand.marginal_residuals == res
 
 
