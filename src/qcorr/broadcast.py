@@ -38,7 +38,6 @@ from .qstate import (
     ket,
     partial_trace,
     permute_subsystems,
-    tensor,
     trace_distance,
 )
 
@@ -226,7 +225,9 @@ def _channel_of_isometry(v: np.ndarray, d: int, ancilla: int) -> KrausChannel:
 
 def _stinespring_channel(params: np.ndarray, d: int,
                          ancilla: int) -> KrausChannel:
-    """The channel of the first d columns of exp(iH) on C^(d*d*ancilla)."""
+    """The channel of the first d columns of exp(iH) on C^(d*d*ancilla).
+
+    Kept only for the benchmark's hooks until ROADMAP item 1 lands."""
     return _channel_of_isometry(
         unitary_from_params(params, d * d * ancilla)[:, :d], d, ancilla)
 
@@ -369,8 +370,8 @@ def _broadcast_candidates(rho: DensityMatrix,
     """Basis cloning, marginal attachment and the optimized Stinespring pair.
 
     The search is a lockstep Riemannian ascent of the surrogate of
-    `_residual_objective` on both sides' isometries, with a fixed number
-    of rounds as in `correlations._measure`.  Unless an ancilla is smaller
+    `_residual_objective` on both sides' isometries, with the fixed number
+    of rounds `maximize` gives every search.  Unless an ancilla is smaller
     than its side, the structured channels seed it: cloning and attachment
     on both sides and the two mixed pairs, taken from the two structured
     candidates, so their bases and marginal spectra are computed once.
@@ -383,14 +384,13 @@ def _broadcast_candidates(rho: DensityMatrix,
     ancillas = tuple(d if cfg.ancilla_dim is None else cfg.ancilla_dim
                      for d in dims)
     shapes = tuple((d * d * anc, d) for d, anc in zip(dims, ancillas))
-    pd_a, pd_b = (stinespring_param_dim(d, anc) for d, anc in zip(dims, ancillas))
+    pd_a = stinespring_param_dim(dims[0], ancillas[0])
 
     cloning, attachment = cloning_candidate(rho), attachment_candidate(rho)
     seeds = (_seed_points(cloning, attachment, ancillas)
              if all(anc >= d for d, anc in zip(dims, ancillas)) else [])
-    res = maximize(_residual_objective(rho, *ancillas), pd_a + pd_b, cfg,
-                   seed_points=seeds, isometries=shapes,
-                   rounds=min(2 * (pd_a + pd_b), cfg.max_evals))
+    res = maximize(_residual_objective(rho, *ancillas), shapes, cfg,
+                   seed_points=seeds)
     theta_a, theta_b = (
         _channel_of_isometry(isometry_from_params(x, n, d), d, anc)
         for x, (n, d), anc in zip(np.split(res.params, [pd_a]), shapes, ancillas))

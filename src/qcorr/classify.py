@@ -201,42 +201,41 @@ def classical_basis(rho: DensityMatrix, side: int) -> np.ndarray:
     return joint_diagonalize(fam)
 
 
-def is_cq(rho: DensityMatrix, tol: float = TAU_CLASS,
-          side: int = 0) -> ClassicalityVerdict:
-    """One-sided classicality test; kind is CQ for side 0, QC for side 1."""
+def _side_verdict(rho: DensityMatrix, tol: float, side: int):
+    """The one-sided verdict (CQ for side 0, QC for side 1) and the side's
+    classical basis, from one joint diagonalization."""
     basis = classical_basis(rho, side)
     residual = _block_residual(rho, basis, side)
     if residual <= tol:
-        kind = Kind.CQ if side == 0 else Kind.QC
-        if side == 0:
-            return ClassicalityVerdict(kind, basis, None, residual)
-        return ClassicalityVerdict(kind, None, basis, residual)
-    return ClassicalityVerdict(Kind.NEITHER, None, None, residual)
+        bases = (basis, None) if side == 0 else (None, basis)
+        return ClassicalityVerdict((Kind.CQ, Kind.QC)[side], *bases,
+                                   residual), basis
+    return ClassicalityVerdict(Kind.NEITHER, None, None, residual), basis
+
+
+def is_cq(rho: DensityMatrix, tol: float = TAU_CLASS,
+          side: int = 0) -> ClassicalityVerdict:
+    """One-sided classicality test; kind is CQ for side 0, QC for side 1."""
+    return _side_verdict(rho, tol, side)[0]
 
 
 def side_verdicts(rho: DensityMatrix, tol: float = TAU_CLASS):
     """The `is_cc`, side-0 `is_cq` and side-1 `is_cq` verdicts, in that
     order, from one classical basis and residual per side: two joint
     diagonalizations where the three separate calls make four."""
-    basis_a = classical_basis(rho, 0)
-    basis_b = classical_basis(rho, 1)
-    res_a = _block_residual(rho, basis_a, 0)
-    res_b = _block_residual(rho, basis_b, 1)
-    cq = (ClassicalityVerdict(Kind.CQ, basis_a, None, res_a) if res_a <= tol
-          else ClassicalityVerdict(Kind.NEITHER, None, None, res_a))
-    qc = (ClassicalityVerdict(Kind.QC, None, basis_b, res_b) if res_b <= tol
-          else ClassicalityVerdict(Kind.NEITHER, None, None, res_b))
-    if res_a <= tol and res_b <= tol:
+    cq, basis_a = _side_verdict(rho, tol, 0)
+    qc, basis_b = _side_verdict(rho, tol, 1)
+    if cq.kind is Kind.CQ and qc.kind is Kind.QC:
         residual = _product_residual(rho, basis_a, basis_b)
         if residual <= tol:
             cc = ClassicalityVerdict(Kind.CC, basis_a, basis_b, residual)
             return cc, cq, qc
-    if res_a <= tol:
+    if cq.kind is Kind.CQ:
         return cq, cq, qc
-    if res_b <= tol:
+    if qc.kind is Kind.QC:
         return qc, cq, qc
-    return (ClassicalityVerdict(Kind.NEITHER, None, None, min(res_a, res_b)),
-            cq, qc)
+    return (ClassicalityVerdict(Kind.NEITHER, None, None,
+                                min(cq.residual, qc.residual)), cq, qc)
 
 
 def is_cc(rho: DensityMatrix, tol: float = TAU_CLASS) -> ClassicalityVerdict:

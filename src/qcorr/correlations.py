@@ -293,12 +293,10 @@ def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
     then, so restarts run on until their steps gain `tol / 100`.
     """
     def search(counts, seeds):
-        shapes = tuple(zip(counts, dims))
-        param_dim = sum(param_dim_general_povm(d, n) for n, d in shapes)
-        return maximize(value_grad, param_dim, replace(cfg, tol=0.01 * cfg.tol),
+        return maximize(value_grad, tuple(zip(counts, dims)),
+                        replace(cfg, tol=0.01 * cfg.tol),
                         seed_points=[np.concatenate(x) for x in seeds],
-                        isometries=shapes, ascend_seeds=counts == dims,
-                        rounds=min(2 * param_dim, cfg.max_evals))
+                        ascend_seeds=counts == dims)
 
     def parts(x, counts):
         ends = np.cumsum([param_dim_general_povm(d, n)

@@ -1,32 +1,29 @@
-"""Lockstep minimization: the driver `minimize` and its two step rules.
+"""Lockstep minimization on isometries: the driver `minimize` and its
+step rule `_stiefel_descent`.
 
 `minimize` runs many minimizations of one batched objective at once.  Each
-run is a generator that hands out the points it needs next and receives
-their values; every round gathers the points of all live runs into one
-objective call.  Two step rules run this way:
+run is a generator that hands out the one point it needs next and receives
+its value; every round gathers the points of all live runs into one
+objective call.  Every run is a monotone Riemannian gradient descent on a
+product of Stiefel manifolds: its points are real arrays that pack one
+complex n x d matrix per entry of `shapes`, as (re, im) pairs row by row
+(the packing of `optimize.isometry_from_params`), and a matrix stands for
+its polar factor (Edelman, Arias and Smith, "The geometry of algorithms
+with orthogonality constraints", SIAM J. Matrix Anal. Appl. 20, 1998).
 
-- `_nelder_mead`, which takes scipy's Nelder-Mead steps exactly (no
-  qcorr search runs it: all of them descend on isometries);
-- `_stiefel_descent`, a monotone Riemannian gradient descent on products
-  of Stiefel manifolds, which runs every measurement search and the
-  broadcast search.  Its points are real arrays that pack one complex
-  n x d matrix per entry of `shapes`, as (re, im) pairs row by row (the
-  packing of `optimize.isometry_from_params`); a matrix stands for its
-  polar factor (Edelman, Arias and Smith, "The geometry of algorithms with
-  orthogonality constraints", SIAM J. Matrix Anal. Appl. 20, 1998).
-
-For the descent, the driver is the one place that turns points into
+The objective contract is the same for every search: it takes one
+(k, n, d) isometry array per party and returns the k values and their
+Euclidean gradients.  The driver is the one place that turns points into
 isometries: each round takes the polar factors of every waiting point,
-with one batched SVD per distinct matrix shape, hands the objective one
-(k, n, d) isometry array per party, and sends each run its polar factors
-along with its values and gradients.  The polar factor of a trial point is
-its retraction, so an accepted step costs no second SVD.
+with one batched SVD per distinct matrix shape, and sends each run its
+polar factors along with its values and gradients.  The polar factor of a
+trial point is its retraction, so an accepted step costs no second SVD.
 
 One round costs one `concatenate` of the waiting points, one objective
 call and one finiteness check, then per live run a comparison with its
-best value and one step of its rule.  With a fixed number of rounds,
-runs that stop early are replaced, so every round evaluates as many
-points as the first.
+best value and one step.  There is a fixed number of rounds, and runs
+that stop early are replaced, so every round evaluates as many points as
+the first.
 """
 
 from __future__ import annotations
@@ -35,95 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead
-
-
-def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
-    """One Nelder-Mead minimization from x0, as a generator.
-
-    Takes exactly the steps of scipy's `minimize(method="Nelder-Mead")`
-    with options maxfev, xatol and fatol: the same initial simplex (5 %
-    steps, 0.00025 for zero coordinates), coefficients 1, 2, 1/2, 1/2,
-    argsort reordering and stopping rules, so for the same values it
-    evaluates the same points.  Each `yield` hands out an (m, n) array of
-    points and receives their m values; the return value is the reason
-    it stopped: "converged" or "budget".
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    diag = np.arange(n)
-    sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full(n + 1, np.inf)
-    fcalls = min(n + 1, max_evals)
-    fsim[:fcalls] = yield sim[:fcalls]
-    if n == 0:
-        return "converged"
-    # scipy sorts twice before its first iteration; with tied values a
-    # second argsort need not be the identity.
-    for _ in range(2):
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind)
-
-    while fcalls < max_evals:
-        # Both tests must hold; the cheap one goes first.  fsim is sorted
-        # and rounding is monotone, so scipy's max|fsim[0] - fsim[1:]| is
-        # the last difference.
-        if (fsim[-1] - fsim[0] <= fatol
-                and np.abs(sim[1:] - sim[0]).max() <= xatol):
-            return "converged"
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        # scipy's coefficient products, with the exact factors rho = 1
-        # left out.
-        xr = (1 + rho) * xbar - sim[-1]
-        fxr, = yield xr[None]
-        fcalls += 1
-        if fxr < fsim[0]:
-            if fcalls >= max_evals:
-                return "budget"
-            xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe, = yield xe[None]
-            fcalls += 1
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fcalls >= max_evals:
-                return "budget"
-            if fxr < fsim[-1]:
-                xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc, = yield xc[None]
-                fcalls += 1
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc, = yield xcc[None]
-                fcalls += 1
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                # scipy evaluates the shrunk vertices one by one until the
-                # budget runs out; they do not depend on each other.
-                m = min(n, max_evals - fcalls)
-                if m == 0:
-                    return "budget"
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:m + 1] = yield sim[1:m + 1]
-                fcalls += m
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind)
-    return "budget"
-
 
 # ---------------------------------------------------------------------------
 # Riemannian gradient descent on isometries
@@ -245,7 +153,7 @@ class LockstepResult:
     `fun[i]` is the lowest value run i reached before it stopped (inf if
     none was finite) and `x[i]` the first point that reached it.  A run
     stopped by a non-finite value records that value in `non_finite[i]`
-    and counts it in `evals[i]`; its later points are not counted.
+    and counts it in `evals[i]`.
     """
 
     fun: np.ndarray
@@ -258,27 +166,26 @@ class LockstepResult:
     message: str
 
 
-def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
-             points: np.ndarray | None = None, isometries: tuple = (),
-             rounds: int | None = None, refill=None) -> LockstepResult:
-    """Lockstep minimization of a batched objective.
+def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
+             max_evals: int, tol: float, points: np.ndarray | None = None,
+             refill=None) -> LockstepResult:
+    """Lockstep minimization of a batched objective on isometries.
 
-    `fun` maps a (k, n) array to k values.  One Nelder-Mead run starts
-    from each row of `x0s` (budget `max_evals`, xatol = fatol = `tol`),
-    and each row of `points` is evaluated once.  With `isometries`, the
-    (rows, cols) shapes of the complex matrices a point packs, each run
-    is a `_stiefel_descent` instead: `fun` takes the polar factors of the
+    The points are (k, n) real arrays that pack one complex matrix per
+    (rows, cols) entry of `shapes`.  `fun` takes the polar factors of the
     k points, one (k, rows, cols) array per shape, and returns the k
     values and their (k, n) Euclidean gradients, packed as the points; a
-    point whose gradient is not finite counts as a non-finite value.
-    Every round gathers the points all live runs wait for into one `fun`
-    call.  A non-finite value stops only the run it belongs to.
+    point whose gradient is not finite counts as a non-finite value.  One
+    `_stiefel_descent` run (budget `max_evals`, tolerance `tol`) starts
+    from each row of `x0s`, and each row of `points` is evaluated once.
+    Every round gathers the one point each live run waits for into one
+    `fun` call.  A non-finite value stops only the run it belongs to.
 
-    With `rounds`, there are that many rounds (fewer only when no run is
-    left): a run that stops sooner hands its slot to a new run from the
-    point `refill()` returns, and the runs still live after the last
-    round stop as "rounds".  Each round then evaluates one point per row
-    of `x0s`, however soon the runs converge.
+    There are `rounds` rounds (fewer only when no run is left): a run that
+    stops sooner hands its slot to a new run from the point `refill()`
+    returns, so `refill` is needed unless `x0s` is empty or every run
+    lasts all the rounds, and the runs still live after the last round
+    stop as "rounds".
 
     `success` says every restart converged; `message` names the first
     reason one did not.
@@ -286,12 +193,11 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
     x0s = np.asarray(x0s, dtype=float)
     n = x0s.shape[1]
     points = np.empty((0, n)) if points is None else np.asarray(points, dtype=float)
-    if isometries and sum(2 * r * c for r, c in isometries) != n:
-        raise ValueError(f"isometry shapes {isometries} do not pack {n} parameters")
+    if sum(2 * r * c for r, c in shapes) != n:
+        raise ValueError(f"isometry shapes {shapes} do not pack {n} parameters")
 
     def start(x0):
-        return (_stiefel_descent(x0, isometries, max_evals, tol) if isometries
-                else _nelder_mead(x0, max_evals, tol, tol))
+        return _stiefel_descent(x0, shapes, max_evals, tol)
 
     runs = [_evaluate_once(p) for p in points] + [start(x0) for x0 in x0s]
     best_f = [np.inf] * len(runs)
@@ -305,7 +211,7 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
     def stop(i, reason):
         stops[i] = reason
         del pending[i]
-        if rounds is not None and i >= len(points) and done < rounds:
+        if i >= len(points) and done < rounds:
             runs.append(start(refill()))
             best_f.append(np.inf)
             best_x.append(np.zeros(n))
@@ -316,57 +222,37 @@ def minimize(fun, x0s: np.ndarray, max_evals: int, tol: float,
 
     while pending:
         batch = np.concatenate(list(pending.values()))
-        if isometries:
-            blocks = [_polar(b) for b in _party_blocks(batch, isometries)]
-            values, grads = fun(*(b[:, j] for b in blocks
-                                  for j in range(b.shape[1])))
-            polar = _packed(blocks)
-            values = np.asarray(values, dtype=float)
-            grads = np.ascontiguousarray(grads, dtype=float)
-            if grads.shape != batch.shape:
-                raise ValueError(f"objective returned gradients of shape "
-                                 f"{grads.shape} for points {batch.shape}")
-            values = np.where(np.isfinite(grads).all(axis=-1), values, np.nan)
-        else:
-            values = np.asarray(fun(batch), dtype=float)
+        blocks = [_polar(b) for b in _party_blocks(batch, shapes)]
+        values, grads = fun(*(b[:, j] for b in blocks
+                              for j in range(b.shape[1])))
+        polar = _packed(blocks)
+        values = np.asarray(values, dtype=float)
+        grads = np.ascontiguousarray(grads, dtype=float)
         if values.shape != (len(batch),):
             raise ValueError(
                 f"objective returned shape {values.shape} for {len(batch)} points")
+        if grads.shape != batch.shape:
+            raise ValueError(f"objective returned gradients of shape "
+                             f"{grads.shape} for points {batch.shape}")
+        values = np.where(np.isfinite(grads).all(axis=-1), values, np.nan)
         done += 1
-        all_finite = np.isfinite(values).all()
-        offset = 0
-        for i, pts in list(pending.items()):
-            m = len(pts)
-            vals = values[offset:offset + m]
-            sent = ((vals, grads[offset:offset + m], polar[offset:offset + m])
-                    if isometries else vals)
-            offset += m
-            if m == 1 and all_finite:
-                # The usual round: one finite trial point.
-                v = vals[0]
-                if v < best_f[i]:
-                    best_f[i] = v
-                    best_x[i] = pts[0].copy()
-            else:
-                bad = np.flatnonzero(~np.isfinite(vals))
-                good = int(bad[0]) if len(bad) else m  # values before a non-finite one
-                if good:
-                    j = int(vals[:good].argmin())
-                    if vals[j] < best_f[i]:
-                        best_f[i] = vals[j]
-                        best_x[i] = pts[j].copy()
-                if len(bad):
-                    evals[i] += good + 1
-                    non_finite[i] = float(vals[good])
-                    runs[i].close()
-                    stop(i, "non-finite")
-                    continue
-            evals[i] += m
+        for j, i in enumerate(list(pending)):
+            v = values[j]
+            evals[i] += 1
+            if not math.isfinite(v):
+                non_finite[i] = float(v)
+                runs[i].close()
+                stop(i, "non-finite")
+                continue
+            if v < best_f[i]:
+                best_f[i] = v
+                best_x[i] = batch[j].copy()
             try:
-                pending[i] = runs[i].send(sent)
+                pending[i] = runs[i].send(
+                    (values[j:j + 1], grads[j:j + 1], polar[j:j + 1]))
             except StopIteration as end:
                 stop(i, end.value)
-        if rounds is not None and done >= rounds:
+        if done >= rounds:
             for i in pending:
                 runs[i].close()
                 stops[i] = "rounds"

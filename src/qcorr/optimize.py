@@ -1,50 +1,41 @@
 """Randomness, POVM parameterizations, and multi-start maximization.
 
-`maximize` runs every restart of a search in lockstep, with one of two
-step rules:
+`maximize` runs every restart of a search in lockstep as a monotone
+Riemannian gradient ascent on isometries (`isometry_from_params`); the
+step rule and the driver `minimize` live in `lockstep`.
 
-- Riemannian gradient ascent for every search qcorr runs.  The points
-  are isometries (`isometry_from_params`):
-  - the measurement searches (the projective and general POVM phases of
-    I_CQ and I_CC, and so the discord bound) take one W per party.  The
-    projective family is the n = d case, a unitary W whose conjugated
-    rows give the d rank-1 projectors, and the general family has n > d
-    rows.  Both I_CQ and I_CC are smooth functions of W with closed-form
-    gradients (the spectral-function derivative of Tr B log B is defined
-    wherever the blocks B are, level crossings included);
-  - the broadcast search takes one Stinespring isometry
-    V: C^d -> C^d (x) C^d (x) C^anc per party and climbs the smooth
-    surrogate -sum_c ||C_c - rho||_F^2 of its copy marginals C_c, which is
-    quadratic in each V.
+- The measurement searches (the projective and general POVM phases of
+  I_CQ and I_CC, and so the discord bound) take one W per party.  The
+  projective family is the n = d case, a unitary W whose conjugated rows
+  give the d rank-1 projectors, and the general family has n > d rows.
+  Both I_CQ and I_CC are smooth functions of W with closed-form gradients
+  (the spectral-function derivative of Tr B log B is defined wherever the
+  blocks B are, level crossings included).
+- The broadcast search takes one Stinespring isometry
+  V: C^d -> C^d (x) C^d (x) C^anc per party and climbs the smooth
+  surrogate -sum_c ||C_c - rho||_F^2 of its copy marginals C_c, which is
+  quadratic in each V.
 
-  Each restart steps along the tangent gradient with a Barzilai-Borwein
-  length, retracts with the polar factor, and halves the step until the
-  Armijo test passes, so every accepted step rises.  It needs tens of
-  evaluations where Nelder-Mead uses hundreds.  Every search gives it a
-  fixed number of rounds (`rounds`): a restart that converges early hands
-  its slot to a new random start, so a search costs the same on every
-  state of a given size.
-- Nelder-Mead (derivative-free) for an objective without gradients: each
-  restart takes scipy's Nelder-Mead steps exactly.  No qcorr search runs
-  it any more; neither does any search use `unitary_from_params`, exp(iH)
-  of a Hermitian generator, which stays in the API with `projective_povm`.
-
-Both step rules and the lockstep driver `minimize` live in `lockstep`.
+Each restart steps along the tangent gradient with a Barzilai-Borwein
+length, retracts with the polar factor, and halves the step until the
+Armijo test passes, so every accepted step rises.  `maximize` gives every
+search the same number of rounds, two per real parameter but at most
+`max_evals`: a restart that converges early hands its slot to a new
+random start, so a search costs the same on every state of a given size.
 
 Runs are deterministic for a fixed seed: RNG streams are spawned per
 restart, and user-supplied seed points are always evaluated directly, so
 the returned value never falls below any seed.
 
-Objectives are batched.  A Nelder-Mead objective maps a (k, n) array of
-points to k values.  A gradient objective takes the points' isometries,
-one (k, n_p, d_p) array per party, and returns k values and a (k, n)
-array of gradients packed as the points; `lockstep.minimize` takes the
-polar factors, with one batched SVD per distinct party shape, so both
-I_CC parties share one when their shapes agree.  One objective call
-evaluates every point the live restarts need next: the seed points, then
-the whole initial simplex or the start point of each restart, then one
-trial point (or one shrunk simplex) per restart.  The parameterizations
-below accept the same leading batch axes.
+Objectives are batched, and there is one contract: an objective takes the
+points' isometries, one (k, n_p, d_p) array per party, and returns k
+values and a (k, n) array of gradients packed as the points.
+`lockstep.minimize` takes the polar factors, with one batched SVD per
+distinct party shape, so both I_CC parties share one when their shapes
+agree.  One objective call evaluates every point the live restarts need
+next: the seed points and the start point of each restart, then one
+trial point per restart.  The parameterizations below accept the same
+leading batch axes.
 """
 
 from __future__ import annotations
@@ -162,6 +153,8 @@ def random_density(layout, rank: int,
 def _generator_gather(d: int) -> np.ndarray:
     """Index map from [params, -params, 0] to the (re, im) parts of H.
 
+    Kept only for the benchmark's hooks until ROADMAP item 1 lands.
+
     The packing: the first d parameters are the diagonal of H; the rest
     fill the strict upper triangle row by row, pair (x, y) giving the
     generator entry A_ij = x + iy of A = iH, so H_ij = y - ix and
@@ -183,7 +176,9 @@ def _generator_gather(d: int) -> np.ndarray:
 
 def _hermitian_generator(params: np.ndarray, d: int) -> np.ndarray:
     """Pack (..., d^2) reals into Hermitian (..., d, d) generators H
-    (layout in `_generator_gather`) with one gather."""
+    (layout in `_generator_gather`) with one gather.
+
+    Kept only for the benchmark's hooks until ROADMAP item 1 lands."""
     batch = params.shape[:-1]
     src = np.concatenate((params, -params, np.zeros(batch + (1,))), axis=-1)
     return np.take(src, _generator_gather(d), axis=-1).view(complex).reshape(
@@ -191,7 +186,9 @@ def _hermitian_generator(params: np.ndarray, d: int) -> np.ndarray:
 
 
 def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    """exp(iH) of the generator packed in `params`: (..., d^2) -> (..., d, d)."""
+    """exp(iH) of the generator packed in `params`: (..., d^2) -> (..., d, d).
+
+    Kept only for the benchmark's hooks until ROADMAP item 1 lands."""
     params = np.atleast_1d(np.asarray(params, dtype=float))
     if params.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} parameters, got {params.shape[-1]}")
@@ -204,14 +201,18 @@ def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
 
 
 def projective_stack(params: np.ndarray, d: int) -> np.ndarray:
-    """Unvalidated (..., d, d, d) element stacks of `projective_povm`."""
+    """Unvalidated (..., d, d, d) element stacks of `projective_povm`.
+
+    Kept only for the benchmark's hooks until ROADMAP item 1 lands."""
     u = unitary_from_params(params, d)
     cols = u.swapaxes(-1, -2)  # cols[..., i, :] = i-th column of u
     return np.ascontiguousarray(cols[..., :, None] * cols.conj()[..., None, :])
 
 
 def projective_povm(params: np.ndarray, d: int) -> Povm:
-    """Rank-1 projectors onto the columns of exp(antiHermitian(params))."""
+    """Rank-1 projectors onto the columns of exp(antiHermitian(params)).
+
+    Kept only for the benchmark's hooks until ROADMAP item 1 lands."""
     return Povm(tuple(projective_stack(params, d)))
 
 
@@ -272,32 +273,36 @@ def embed_projective_in_general(params: np.ndarray, d: int,
     return np.concatenate((params, np.zeros(2 * n_outcomes * d - params.size)))
 
 
-def maximize(objective, param_dim: int, cfg: OptimizerConfig,
-             seed_points=(), isometries: tuple = (), rounds: int | None = None,
+def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
              ascend_seeds: bool = True) -> OptimizationResult:
-    """Multi-start lockstep ascent of a batched objective over R^param_dim.
+    """Multi-start lockstep Riemannian ascent of a batched objective.
 
-    `objective` maps a (k, param_dim) array to k values, and the restarts
-    are Nelder-Mead runs.  With `isometries`, the (n, d) shapes of the
-    complex matrices each point packs (as in `isometry_from_params`), the
-    restarts are monotone Riemannian gradient ascents on the isometries:
-    `objective(*ws)` takes the polar factors of the k points, one (k, n, d)
-    array per shape, and returns the k values and their (k, param_dim)
-    Euclidean gradients, packed as the points.  Seed points are
-    evaluated directly, so the result never undercuts any of them, and
-    take the first of the `cfg.restarts` restart slots; they start the
-    restarts in those slots unless `ascend_seeds` is False, which leaves
-    those slots empty.  The other slots start at random points.  A restart
-    whose objective goes non-finite is aborted and recorded; the others
-    run on.  Ties go to the earliest seed, then the earliest restart, as
-    if the restarts ran one after another.
+    `shapes` holds the (n, d) shapes of the complex matrices each point
+    packs (as in `isometry_from_params`), one per party (an empty
+    `shapes` raises ValueError); the points have `param_dim` = sum 2 n d
+    reals.  `objective(*ws)` takes the polar
+    factors of k points, one (k, n, d) array per shape, and returns the k
+    values and their (k, param_dim) Euclidean gradients, packed as the
+    points.  Seed points are evaluated directly, so the result never
+    undercuts any of them, and take the first of the `cfg.restarts`
+    restart slots; they start the restarts in those slots unless
+    `ascend_seeds` is False, which leaves those slots empty.  The other
+    slots start at random points.  A restart whose objective goes
+    non-finite is aborted and recorded; the others run on.  Ties go to the
+    earliest seed, then the earliest restart, as if the restarts ran one
+    after another.
 
-    With `rounds`, the search makes that many objective calls (one when
-    no slot runs a restart): a restart that stops sooner hands its slot
-    to a restart from a new random point (see `lockstep.minimize`), so
-    the cost is set by the slots and `rounds` alone, and the restarts
-    still running after the last call stop as "rounds".
+    The search makes min(2 param_dim, `cfg.max_evals`) objective calls
+    (one when no slot runs a restart): a restart that stops sooner hands
+    its slot to a restart from a new random point (see
+    `lockstep.minimize`), so the cost is set by the slots and the shapes
+    alone, and the restarts still running after the last call stop as
+    "rounds".
     """
+    shapes = tuple(shapes)
+    if not shapes:
+        raise ValueError("maximize needs at least one isometry shape")
+    param_dim = sum(2 * n * d for n, d in shapes)
     seed_points = [np.asarray(s, dtype=float).reshape(-1) for s in seed_points]
     for s in seed_points:
         if s.size != param_dim:
@@ -313,24 +318,17 @@ def maximize(objective, param_dim: int, cfg: OptimizerConfig,
     starts = list(seed_points) if ascend_seeds else []
     starts += [random_start(streams[i])
                for i in range(len(seed_points), cfg.restarts)]
-    if param_dim > 0:
-        starts = starts[:cfg.restarts]
-    else:
-        starts = [] if seed_points else [np.zeros(0)]
+    starts = starts[:cfg.restarts]
 
-    if isometries:
-        def negated(*ws):
-            values, grads = objective(*ws)
-            return (-np.asarray(values, dtype=float),
-                    -np.asarray(grads, dtype=float))
-    else:
-        def negated(x):
-            return -np.asarray(objective(x), dtype=float)
+    def negated(*ws):
+        values, grads = objective(*ws)
+        return (-np.asarray(values, dtype=float),
+                -np.asarray(grads, dtype=float))
 
     res = minimize(negated, np.reshape(starts, (len(starts), param_dim)),
-                   cfg.max_evals, cfg.tol,
+                   shapes, min(2 * param_dim, cfg.max_evals), cfg.max_evals,
+                   cfg.tol,
                    points=np.reshape(seed_points, (len(seed_points), param_dim)),
-                   isometries=tuple(isometries), rounds=rounds,
                    refill=lambda: random_start(ss.spawn(1)[0]))
 
     n_seeds = len(seed_points)

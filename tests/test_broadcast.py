@@ -266,14 +266,15 @@ def _recording_maximize(monkeypatch):
     real = broadcast_mod.maximize
     calls = []
 
-    def recording(objective, param_dim, cfg, **kwargs):
+    def recording(objective, shapes, cfg, **kwargs):
         sizes = []
 
         def counted(*vs):
             sizes.append(len(vs[0]))
             return objective(*vs)
-        calls.append((param_dim, kwargs["seed_points"], sizes))
-        return real(counted, param_dim, cfg, **kwargs)
+        calls.append((sum(2 * n * d for n, d in shapes),
+                      kwargs["seed_points"], sizes))
+        return real(counted, shapes, cfg, **kwargs)
 
     monkeypatch.setattr(broadcast_mod, "maximize", recording)
     return calls

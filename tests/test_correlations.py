@@ -329,10 +329,10 @@ class TestStackedPartyObjectives:
         searches = []
         real_maximize = corr_mod.maximize
 
-        def recording(objective, *args, **kwargs):
-            searches.append((objective, kwargs["isometries"]))
+        def recording(objective, shapes, *args, **kwargs):
+            searches.append((objective, shapes))
             return real_maximize(wrap(objective) if wrap else objective,
-                                 *args, **kwargs)
+                                 shapes, *args, **kwargs)
 
         monkeypatch.setattr(corr_mod, "maximize", recording)
         return searches, optimize_icc(rho, cfg, icq=optimize_icq(rho, cfg))
@@ -366,8 +366,8 @@ class TestStackedPartyObjectives:
                     return seen[-1][2]
 
                 # One round that evaluates each row of y once.
-                minimize(recording, np.empty((0, size)), 1, 1e-8, points=y,
-                         isometries=shapes)
+                minimize(recording, np.empty((0, size)), shapes, rounds=1,
+                         max_evals=1, tol=1e-8, points=y)
                 monkeypatch.undo()
                 (svds, (w_a, w_b), (got, grad)), = seen
                 assert svds == ["svd"] * svd_per_round
@@ -770,8 +770,8 @@ class TestSteadyCost:
 # Report invariants on random inputs at every supported local dimension
 # and rank, at a budget too small to matter: exactness comes from the seed
 # points, the chain from the report's construction.  At d = 4 the general
-# family has 128 parameters per side, so each restart's initial simplex
-# is cut off by the budget.
+# family has 128 parameters per side, so the 60-evaluation budget, not
+# the parameter count, sets the number of rounds.
 TINY = OptimizerConfig(seed=0, restarts=2, max_evals=60)
 DIMS = st.tuples(st.integers(2, 4), st.integers(2, 4))
 
