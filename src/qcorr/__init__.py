@@ -69,6 +69,7 @@ from .broadcast import (
     regroup,
 )
 from .optimize import (
+    ConfigRangeError,
     OptimizerConfig,
     OptimizationResult,
     haar_unitary,

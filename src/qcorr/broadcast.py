@@ -312,7 +312,9 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
     is smooth: df = -2 Re sum_c (<E_c (R S_B^T)^dag, dS_A> +
     <E_c^T conj(S_A R), dS_B>), carried onto each V by
     `_stinespring_gradient`.  The gradient is packed as (v_a, v_b) in
-    `isometry_from_params` order.
+    `isometry_from_params` order.  When the sides share d and the ancilla,
+    both go through one `_copy_superoperators` and one
+    `_stinespring_gradient` call on the stacked pair.
 
     The copy marginals get the Hermiticity, trace and PSD checks of
     `DensityMatrix`; one failing candidate fails the whole batch.
@@ -323,9 +325,16 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
     shuffled = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(
         d_a * d_a, d_b * d_b)  # [(i1, j1), (i2, j2)]
 
+    same = (d_a, anc_a) == (d_b, anc_b)
+
     def objective(v_a, v_b):
-        legs_a, s_a = _copy_superoperators(v_a, d_a, anc_a)
-        legs_b, s_b = _copy_superoperators(v_b, d_b, anc_b)
+        if same:  # both sides in one call: (..., side, copy, ...) arrays
+            legs, s = _copy_superoperators(np.stack((v_a, v_b), axis=-3),
+                                           d_a, anc_a)
+            s_a, s_b = s[..., 0, :, :, :], s[..., 1, :, :, :]
+        else:
+            legs_a, s_a = _copy_superoperators(v_a, d_a, anc_a)
+            legs_b, s_b = _copy_superoperators(v_b, d_b, anc_b)
         s_b_t = s_b.swapaxes(-1, -2)
         left = s_a @ shuffled  # S_A R
         copies = left @ s_b_t  # reshuffled copy marginals
@@ -344,6 +353,10 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
         value = -(err.real ** 2 + err.imag ** 2).sum(axis=(-3, -2, -1))
         g_a = err @ (shuffled @ s_b_t).conj().swapaxes(-1, -2)
         g_b = err.swapaxes(-1, -2) @ left.conj()
+        if same:
+            z = _stinespring_gradient(
+                legs, -2 * np.stack((g_a, g_b), axis=-4), d_a, anc_a)
+            return value, z.reshape(z.shape[:-2] + (-1,))
         return value, np.concatenate(
             (_stinespring_gradient(legs_a, -2 * g_a, d_a, anc_a),
              _stinespring_gradient(legs_b, -2 * g_b, d_b, anc_b)), axis=-1)

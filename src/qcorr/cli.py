@@ -4,8 +4,9 @@ Subcommands: measures, classify, broadcast, petz, suite, make-corpus.
 All reports are JSON (suite emits CSV) and embed a run manifest.  Reports
 are byte-reproducible for a fixed seed; wall time goes to stderr only.
 
-Exit codes: 0 success, 2 parse error (an unreadable input or an unwritable
-output), 3 invariant violation, 4 optimizer failure.
+Exit codes: 0 success, 2 parse error (an unreadable input, an option value
+out of range for the input, or an unwritable output), 3 invariant
+violation, 4 optimizer failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .channels import (ChannelError, ChannelParseError, KrausChannel,
 from .classify import ppt_label, side_verdicts
 from .correlations import correlation_report, mutual_information
 from .corpus import make_corpus
-from .optimize import OptimizerConfig
+from .optimize import ConfigRangeError, OptimizerConfig
 from .qstate import (
     DensityMatrix,
     StateError,
@@ -131,6 +132,9 @@ def cmd_measures(args) -> int:
     except StateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except ConfigRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (ValueError, FloatingPointError) as exc:
         print(f"error: optimizer failure: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
@@ -253,6 +257,9 @@ def cmd_suite(args) -> int:
         except StateError as exc:
             print(f"error: {state_id}: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
+        except ConfigRangeError as exc:
+            print(f"error: {state_id}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         except (ValueError, FloatingPointError) as exc:
             print(f"error: {state_id}: optimizer failure: {exc}", file=sys.stderr)
             return EXIT_OPTIMIZER

@@ -24,6 +24,7 @@ from .channels import (
 )
 from .classify import classical_basis
 from .optimize import (
+    ConfigRangeError,
     OptimizationResult,
     OptimizerConfig,
     embed_projective_in_general,
@@ -268,9 +269,21 @@ def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
             for u in (np.eye(d), eigvecs, classical_basis(rho, side))]
 
 
-def _outcomes(cfg: OptimizerConfig, d: int) -> int:
-    """Outcome count of the general POVM family on C^d."""
-    return d * d if cfg.outcome_count is None else cfg.outcome_count
+def _outcome_counts(cfg: OptimizerConfig, dims: tuple) -> tuple | None:
+    """Outcome counts of the general POVM family on parties of local
+    dimensions `dims` (None under `cfg.projective_only`).  Raises
+    `ConfigRangeError` when one is below its party's dimension: a complete
+    rank-1 POVM on C^d has at least d outcomes."""
+    if cfg.projective_only:
+        return None
+    counts = tuple(d * d if cfg.outcome_count is None else cfg.outcome_count
+                   for d in dims)
+    for n, d in zip(counts, dims):
+        if n < d:
+            raise ConfigRangeError(
+                f"outcome count {n} is below the measured party's dimension "
+                f"{d}: a complete rank-1 POVM needs at least {d} outcomes")
+    return counts
 
 
 def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
@@ -284,7 +297,8 @@ def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
     (`cfg.outcome_count` outcomes, default d^2) scores the seeds
     `general_seeds(x)`, x being the projective optimum, each embedded with
     zero rows appended; its value wins only if it beats the projective
-    one by more than `TAU_NUM`.
+    one by more than `TAU_NUM`.  An outcome count below a party's
+    dimension raises `ConfigRangeError` before any search.
 
     Each search makes a fixed number of objective calls, two per real
     parameter but at most `max_evals`: a restart that converges early
@@ -309,13 +323,13 @@ def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
         return dict(value=res.value, povm_a=povms[0],
                     povm_b=(*povms, None)[1], family=family, result=res)
 
+    counts = _outcome_counts(cfg, dims)
     proj_res = search(dims, proj_seeds)
     best = MeasurementOptimum(projective=proj_res,
                               **found(proj_res, dims, "projective"))
-    if cfg.projective_only:
+    if counts is None:
         return best
 
-    counts = tuple(_outcomes(cfg, d) for d in dims)
     gen_res = search(counts, [
         [embed_projective_in_general(x, d, n)
          for x, d, n in zip(seed, dims, counts)]
@@ -384,7 +398,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     def general_seeds(x):
         # The I_CQ optimum's point, unless it has more outcomes than fit.
         x_cq = icq.result.params
-        if x_cq.size > param_dim_general_povm(d_a, _outcomes(cfg, d_a)):
+        n_a = _outcome_counts(cfg, rho.dims)[0]
+        if x_cq.size > param_dim_general_povm(d_a, n_a):
             x_cq = x[0]
         return [*pairs, x, (x_cq, seeds_b[1])]
 
@@ -448,8 +463,11 @@ def _general_gain(opt: MeasurementOptimum) -> float | None:
 
 def correlation_report(rho: DensityMatrix,
                        cfg: OptimizerConfig) -> CorrelationReport:
-    """All correlation measures of a bipartite state, chain-consistent."""
+    """All correlation measures of a bipartite state, chain-consistent.
+    Raises `ConfigRangeError` before any search if `cfg.outcome_count` is
+    below a party's dimension and the general phase would run."""
     i = mutual_information(rho)
+    _outcome_counts(cfg, rho.dims)
     icq = optimize_icq(rho, cfg)
     icc = optimize_icc(rho, cfg, icq=icq)
 

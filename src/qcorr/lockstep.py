@@ -1,29 +1,27 @@
 """Lockstep minimization on isometries: the driver `minimize` and its
-step rule `_stiefel_descent`.
+step rule `_Descent`.
 
-`minimize` runs many minimizations of one batched objective at once.  Each
-run is a generator that hands out the one point it needs next and receives
-its value; every round gathers the points of all live runs into one
-objective call.  Every run is a monotone Riemannian gradient descent on a
-product of Stiefel manifolds: its points are real arrays that pack one
-complex n x d matrix per entry of `shapes`, as (re, im) pairs row by row
-(the packing of `optimize.isometry_from_params`), and a matrix stands for
-its polar factor (Edelman, Arias and Smith, "The geometry of algorithms
-with orthogonality constraints", SIAM J. Matrix Anal. Appl. 20, 1998).
+`minimize` runs many minimizations of one batched objective at once.
+Every run is a monotone Riemannian gradient descent on a product of
+Stiefel manifolds: its points are real arrays that pack one complex n x d
+matrix per entry of `shapes`, as (re, im) pairs row by row (the packing
+of `optimize.isometry_from_params`), and a matrix stands for its polar
+factor (Edelman, Arias and Smith, "The geometry of algorithms with
+orthogonality constraints", SIAM J. Matrix Anal. Appl. 20, 1998).
 
 The objective contract is the same for every search: it takes one
 (k, n, d) isometry array per party and returns the k values and their
 Euclidean gradients.  The driver is the one place that turns points into
-isometries: each round takes the polar factors of every waiting point,
-with one batched SVD per distinct matrix shape, and sends each run its
-polar factors along with its values and gradients.  The polar factor of a
-trial point is its retraction, so an accepted step costs no second SVD.
+isometries, with one batched SVD per distinct matrix shape.  The polar
+factor of a trial point is its retraction, so an accepted step costs no
+second SVD.
 
-One round costs one `concatenate` of the waiting points, one objective
-call and one finiteness check, then per live run a comparison with its
-best value and one step.  There is a fixed number of rounds, and runs
-that stop early are replaced, so every round evaluates as many points as
-the first.
+A round is array work on the rows of all live runs at once: the polar
+factors and the objective call, one tangent projection, the row dots the
+step rule needs, one masked update of the rows' points and gradients, and
+one trial step x - t g.  Only the step rule runs per row, on Python
+floats.  There is a fixed number of rounds, and runs that stop early are
+replaced, so every round evaluates as many points as the first.
 """
 
 from __future__ import annotations
@@ -83,8 +81,18 @@ def _tangent(x: np.ndarray, z: np.ndarray, shapes) -> np.ndarray:
     return _packed(parts)
 
 
-def _stiefel_descent(x0: np.ndarray, shapes, max_evals: int, tol: float):
-    """One monotone Riemannian gradient descent from x0, as a generator.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the rows of two real (k, P) arrays, as k matrix
+    products: each is bit for bit `np.vdot` of its two rows, which a
+    pairwise-summed reduction such as `(a * b).sum(-1)` need not be."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class _Descent:
+    """The step rule of one monotone Riemannian gradient descent, on Python
+    floats: the value f at the run's point, the trial step length t, the
+    long step t_long, gg = g.g of the tangent gradient g there, whether t
+    is a long step, and the count of accepted steps.
 
     The objective is taken at the polar factors W of each point.  Each step
     goes along minus the tangent gradient with a Barzilai-Borwein length
@@ -93,57 +101,57 @@ def _stiefel_descent(x0: np.ndarray, shapes, max_evals: int, tol: float):
     |s.y| / y.y in turn (Dai and Fletcher, Numer. Math. 100, 2005: the
     short steps spare the halvings a run of long ones costs), capped at
     `_MAX_STEP`, and is halved until the value falls by at least `_ARMIJO`
-    times the predicted decrease t |g|^2.  The point handed out is W - t g
+    times the predicted decrease t |g|^2.  The trial point is W - t g
     itself: the driver's polar factor of it is the retraction.
-
-    Each `yield` hands out a (1, P) array and receives its values, its
-    Euclidean gradients and its packed polar factors.  Stops as
-    "converged" when an accepted long step gains at most `tol` or the next
-    long step's predicted gain t |g|^2 is at most `tol` (a short step can
-    predict too little), and as "budget" after `max_evals` evaluations.
     """
-    f, z, x = yield x0[None]
-    evals = 1
-    g = _tangent(x, z, shapes)
-    gg = float(np.vdot(g, g))
-    t = t_long = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
-    long_step, accepted = True, 0
-    while evals < max_evals:
-        if t * gg <= tol:
-            if long_step:
-                return "converged"
-            t, long_step = t_long, True
-            continue
-        fy, zy, x_new = yield x - t * g
-        evals += 1
-        if fy[0] <= f[0] - _ARMIJO * t * gg:
-            gain = f[0] - fy[0]
-            g_new = _tangent(x_new, zy, shapes)
-            s, dg = x_new - x, g_new - g
-            x, f, g = x_new, fy, g_new
-            if gain <= tol and long_step:
-                return "converged"
-            gg = float(np.vdot(g, g))
-            sy = abs(float(np.vdot(s, dg)))
+
+    __slots__ = ("f", "t", "t_long", "gg", "long_step", "accepted")
+
+    def __init__(self):
+        self.f = None
+
+    def step(self, fy: float, dots, evals: int, max_evals: int,
+             tol: float) -> tuple[bool, str | None]:
+        """Take the value fy at the trial point, the start point first;
+        `dots` holds g.g, s.s, s.y and y.y of the tangent gradient g there,
+        the step s between the polar factors and the change y of the
+        gradient.  Returns whether the point is accepted and why the run
+        stops before its next trial, or None: "converged" when an accepted
+        long step gains at most `tol` or the next long step's predicted
+        gain t |g|^2 is at most `tol` (a short step can predict too
+        little), "budget" after `max_evals` evaluations."""
+        gg, ss, sy, yy = dots
+        accepted = True
+        if self.f is None:
+            self.f, self.gg, self.long_step, self.accepted = fy, gg, True, 0
+            self.t = self.t_long = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
+        elif fy <= self.f - _ARMIJO * self.t * self.gg:
+            gain, self.f = self.f - fy, fy
+            if gain <= tol and self.long_step:
+                return True, "converged"
+            self.gg, sy = gg, abs(sy)
             t_long = t_short = _MAX_STEP / math.sqrt(gg) if gg else 0.0
             if sy:
-                t_long = min(t_long, float(np.vdot(s, s)) / sy)
-                t_short = min(t_short, sy / float(np.vdot(dg, dg)))
-            accepted += 1
-            long_step = accepted % 2 == 1
-            t = t_long if long_step else t_short
+                t_long = min(t_long, ss / sy)
+                t_short = min(t_short, sy / yy)
+            self.t_long = t_long
+            self.accepted += 1
+            self.long_step = self.accepted % 2 == 1
+            self.t = t_long if self.long_step else t_short
         else:
-            t *= 0.5
-    return "budget"
+            self.t *= 0.5
+            accepted = False
+        while evals < max_evals:
+            if self.t * self.gg > tol:
+                return accepted, None
+            if self.long_step:
+                return accepted, "converged"
+            self.t, self.long_step = self.t_long, True
+        return accepted, "budget"
 
 
 # ---------------------------------------------------------------------------
 # The driver
-
-
-def _evaluate_once(x: np.ndarray):
-    yield x[None]
-    return "evaluated"
 
 
 @dataclass(frozen=True)
@@ -176,10 +184,11 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
     k points, one (k, rows, cols) array per shape, and returns the k
     values and their (k, n) Euclidean gradients, packed as the points; a
     point whose gradient is not finite counts as a non-finite value.  One
-    `_stiefel_descent` run (budget `max_evals`, tolerance `tol`) starts
-    from each row of `x0s`, and each row of `points` is evaluated once.
-    Every round gathers the one point each live run waits for into one
-    `fun` call.  A non-finite value stops only the run it belongs to.
+    descent run (the rule of `_Descent`, budget `max_evals`, tolerance
+    `tol`) starts from each row of `x0s`, and each row of `points` is
+    evaluated once.  Every round evaluates the one point each live run
+    waits for in one `fun` call.  A non-finite value stops only the run it
+    belongs to.
 
     There are `rounds` rounds (fewer only when no run is left): a run that
     stops sooner hands its slot to a new run from the point `refill()`
@@ -196,32 +205,19 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
     if sum(2 * r * c for r, c in shapes) != n:
         raise ValueError(f"isometry shapes {shapes} do not pack {n} parameters")
 
-    def start(x0):
-        return _stiefel_descent(x0, shapes, max_evals, tol)
-
-    runs = [_evaluate_once(p) for p in points] + [start(x0) for x0 in x0s]
-    best_f = [np.inf] * len(runs)
-    best_x = [np.zeros(n)] * len(runs)
-    evals = [0] * len(runs)
-    stops = [""] * len(runs)
-    non_finite: list[float | None] = [None] * len(runs)
-    pending = {i: next(run) for i, run in enumerate(runs)}
+    batch = np.concatenate((points, x0s))
+    ids = list(range(len(batch)))  # the run of each row of `batch`
+    descents = [None] * len(points) + [_Descent() for _ in x0s]
+    best_f = [np.inf] * len(batch)
+    best_x = [np.zeros(n)] * len(batch)
+    evals = [0] * len(batch)
+    stops = [""] * len(batch)
+    non_finite: list[float | None] = [None] * len(batch)
+    # Each row's point and tangent gradient, placeholders before a value.
+    x = g = batch
     done = 0  # rounds so far
 
-    def stop(i, reason):
-        stops[i] = reason
-        del pending[i]
-        if i >= len(points) and done < rounds:
-            runs.append(start(refill()))
-            best_f.append(np.inf)
-            best_x.append(np.zeros(n))
-            evals.append(0)
-            stops.append("")
-            non_finite.append(None)
-            pending[len(runs) - 1] = next(runs[-1])
-
-    while pending:
-        batch = np.concatenate(list(pending.values()))
+    while ids:
         blocks = [_polar(b) for b in _party_blocks(batch, shapes)]
         values, grads = fun(*(b[:, j] for b in blocks
                               for j in range(b.shape[1])))
@@ -234,29 +230,61 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
         if grads.shape != batch.shape:
             raise ValueError(f"objective returned gradients of shape "
                              f"{grads.shape} for points {batch.shape}")
-        values = np.where(np.isfinite(grads).all(axis=-1), values, np.nan)
+        finite = np.isfinite(grads).all(axis=-1)
+        if not finite.all():
+            # A non-finite value; zeros keep the row's unused work finite.
+            values = np.where(finite, values, np.nan)
+            grads = np.where(finite[:, None], grads, 0.0)
         done += 1
-        for j, i in enumerate(list(pending)):
-            v = values[j]
+        g_new = _tangent(polar, grads, shapes)
+        s, dg = polar - x, g_new - g
+        dots = zip(*(_row_dot(a, b).tolist() for a, b in (
+            (g_new, g_new), (s, s), (s, dg), (dg, dg))))
+        accepted = np.zeros(len(ids), dtype=bool)
+        steps = [0.0] * len(ids)
+        keep, starts = [], []
+        for j, (i, v, dot) in enumerate(zip(ids, values.tolist(), dots)):
             evals[i] += 1
+            run = descents[i]
             if not math.isfinite(v):
-                non_finite[i] = float(v)
-                runs[i].close()
-                stop(i, "non-finite")
+                non_finite[i] = v
+                stop = "non-finite"
+            else:
+                if v < best_f[i]:
+                    best_f[i], best_x[i] = v, batch[j].copy()
+                if run is None:
+                    stop = "evaluated"
+                else:
+                    accepted[j], stop = run.step(v, dot, evals[i], max_evals,
+                                                 tol)
+            if stop is None:
+                keep.append(j)
+                steps[j] = run.t
                 continue
-            if v < best_f[i]:
-                best_f[i] = v
-                best_x[i] = batch[j].copy()
-            try:
-                pending[i] = runs[i].send(
-                    (values[j:j + 1], grads[j:j + 1], polar[j:j + 1]))
-            except StopIteration as end:
-                stop(i, end.value)
+            stops[i] = stop
+            if i >= len(points) and done < rounds:
+                starts.append(refill())
         if done >= rounds:
-            for i in pending:
-                runs[i].close()
-                stops[i] = "rounds"
-            pending.clear()
+            for j in keep:
+                stops[ids[j]] = "rounds"
+            break
+
+        x = np.where(accepted[:, None], polar, x)
+        g = np.where(accepted[:, None], g_new, g)
+        batch = x - np.array(steps)[:, None] * g
+        if len(keep) < len(ids):
+            x, g, batch = x[keep], g[keep], batch[keep]
+        ids = [ids[j] for j in keep]
+        if starts:
+            new = np.reshape(starts, (len(starts), n))
+            ids += range(len(evals), len(evals) + len(new))
+            descents += [_Descent() for _ in new]
+            best_f += [np.inf] * len(new)
+            best_x += [np.zeros(n)] * len(new)
+            evals += [0] * len(new)
+            stops += [""] * len(new)
+            non_finite += [None] * len(new)
+            x, g, batch = (np.concatenate((a, new)) for a in (x, g, batch))
 
     restart_stops = stops[len(points):]
     if "rounds" in restart_stops:
@@ -268,7 +296,7 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
     else:
         message = "Optimization terminated successfully."
     return LockstepResult(
-        fun=np.array(best_f), x=np.reshape(best_x, (len(runs), n)),
+        fun=np.array(best_f), x=np.reshape(best_x, (len(evals), n)),
         evals=tuple(evals), stops=tuple(stops),
         non_finite=tuple(non_finite), nfev=sum(evals),
         success=all(s == "converged" for s in restart_stops), message=message)

@@ -57,6 +57,12 @@ def _int_at_least(value, low: int) -> bool:
             and value >= low)
 
 
+class ConfigRangeError(ValueError):
+    """An `OptimizerConfig` value valid on its own but out of range for the
+    state it is applied to, such as fewer POVM outcomes than a measured
+    party's dimension."""
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     seed: int = 0

@@ -2,7 +2,9 @@
 
 The oracles here are deliberately written as explicit index loops (no
 vectorized shortcuts shared with the library) so that library results are
-checked against a genuinely independent computation.
+checked against a genuinely independent computation.  The lockstep oracle
+is the exception: it shares the library's linear algebra and writes out
+only the step rule and the round bookkeeping, one run at a time.
 """
 
 from __future__ import annotations
@@ -163,6 +165,129 @@ def oracle_joint_diagonalize(ops, tol: float = 1e-14,
         if not changed:
             break
     return u
+
+
+def _oracle_stiefel_descent(x0, shapes, max_evals, tol):
+    """One descent run as a generator: each `yield` hands out one (1, P)
+    point and receives its values, Euclidean gradients and packed polar
+    factors."""
+    from qcorr.lockstep import (_ARMIJO, _FIRST_STEP, _MAX_STEP, _row_dot,
+                                _tangent)
+
+    def dot(a, b):
+        return float(_row_dot(a, b)[0])
+
+    f, z, x = yield x0[None]
+    evals = 1
+    g = _tangent(x, z, shapes)
+    gg = dot(g, g)
+    t = t_long = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
+    long_step, accepted = True, 0
+    while evals < max_evals:
+        if t * gg <= tol:
+            if long_step:
+                return "converged"
+            t, long_step = t_long, True
+            continue
+        fy, zy, x_new = yield x - t * g
+        evals += 1
+        if fy[0] <= f[0] - _ARMIJO * t * gg:
+            gain = f[0] - fy[0]
+            g_new = _tangent(x_new, zy, shapes)
+            s, dg = x_new - x, g_new - g
+            x, f, g = x_new, fy, g_new
+            if gain <= tol and long_step:
+                return "converged"
+            gg = dot(g, g)
+            sy = abs(dot(s, dg))
+            t_long = t_short = _MAX_STEP / math.sqrt(gg) if gg else 0.0
+            if sy:
+                t_long = min(t_long, dot(s, s) / sy)
+                t_short = min(t_short, sy / dot(dg, dg))
+            accepted += 1
+            long_step = accepted % 2 == 1
+            t = t_long if long_step else t_short
+        else:
+            t *= 0.5
+    return "budget"
+
+
+def oracle_lockstep_minimize(fun, x0s, shapes, rounds, max_evals, tol,
+                             points=None, refill=None):
+    """`lockstep.minimize` with every run a generator stepped one at a
+    time: the points of all live runs gather into one `fun` call per round,
+    and each run gets its own row back.  The step rule is written out
+    apart from `lockstep._Descent`; the polar factors, tangent projection
+    and row dots are the library's, so a comparison pins the step logic
+    and the round bookkeeping, not the linear algebra.  Returns the
+    `LockstepResult` fields (fun, x, evals, stops, non_finite)."""
+    from qcorr.lockstep import _packed, _party_blocks, _polar
+
+    x0s = np.asarray(x0s, dtype=float)
+    n = x0s.shape[1]
+    points = np.empty((0, n)) if points is None else np.asarray(points, dtype=float)
+
+    def evaluate_once(x):
+        yield x[None]
+        return "evaluated"
+
+    def start(x0):
+        return _oracle_stiefel_descent(x0, shapes, max_evals, tol)
+
+    runs = [evaluate_once(p) for p in points] + [start(x0) for x0 in x0s]
+    best_f = [np.inf] * len(runs)
+    best_x = [np.zeros(n)] * len(runs)
+    evals = [0] * len(runs)
+    stops = [""] * len(runs)
+    non_finite = [None] * len(runs)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    done = 0
+
+    def stop(i, reason):
+        stops[i] = reason
+        del pending[i]
+        if i >= len(points) and done < rounds:
+            runs.append(start(refill()))
+            best_f.append(np.inf)
+            best_x.append(np.zeros(n))
+            evals.append(0)
+            stops.append("")
+            non_finite.append(None)
+            pending[len(runs) - 1] = next(runs[-1])
+
+    while pending:
+        batch = np.concatenate(list(pending.values()))
+        blocks = [_polar(b) for b in _party_blocks(batch, shapes)]
+        values, grads = fun(*(b[:, j] for b in blocks
+                              for j in range(b.shape[1])))
+        polar = _packed(blocks)
+        values = np.asarray(values, dtype=float)
+        grads = np.ascontiguousarray(grads, dtype=float)
+        values = np.where(np.isfinite(grads).all(axis=-1), values, np.nan)
+        done += 1
+        for j, i in enumerate(list(pending)):
+            v = values[j]
+            evals[i] += 1
+            if not math.isfinite(v):
+                non_finite[i] = float(v)
+                runs[i].close()
+                stop(i, "non-finite")
+                continue
+            if v < best_f[i]:
+                best_f[i] = v
+                best_x[i] = batch[j].copy()
+            try:
+                pending[i] = runs[i].send(
+                    (values[j:j + 1], grads[j:j + 1], polar[j:j + 1]))
+            except StopIteration as end:
+                stop(i, end.value)
+        if done >= rounds:
+            for i in pending:
+                runs[i].close()
+                stops[i] = "rounds"
+            pending.clear()
+    return (np.array(best_f), np.reshape(best_x, (len(runs), n)),
+            tuple(evals), tuple(stops), tuple(non_finite))
 
 
 def oracle_conditional_family(rho: np.ndarray, dims, side: int):

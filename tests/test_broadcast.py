@@ -350,6 +350,34 @@ class TestStinespringSearch:
             assert sizes == [len(seeds) + cfg.restarts] + [cfg.restarts] * (
                 rounds - 1)
 
+    @pytest.mark.parametrize("dims, per_call", [((2, 2), 1), ((3, 3), 1),
+                                                ((2, 3), 2)])
+    def test_sides_of_one_shape_share_one_superoperator_call(
+            self, monkeypatch, dims, per_call):
+        real_copies, real_maximize = (broadcast_mod._copy_superoperators,
+                                      broadcast_mod.maximize)
+        copies, per_objective_call = [], []
+
+        def counted_copies(*args):
+            copies.append(args[0].shape)
+            return real_copies(*args)
+
+        def recording(objective, shapes, cfg, **kwargs):
+            def counted(*vs):
+                copies.clear()
+                out = objective(*vs)
+                per_objective_call.append(len(copies))
+                return out
+            return real_maximize(counted, shapes, cfg, **kwargs)
+
+        monkeypatch.setattr(broadcast_mod, "_copy_superoperators",
+                            counted_copies)
+        monkeypatch.setattr(broadcast_mod, "maximize", recording)
+        rho = random_density(dims, dims[0] * dims[1],
+                             np.random.default_rng(9400 + dims[1]))
+        broadcast_search(rho, OptimizerConfig(seed=0, restarts=2, max_evals=6))
+        assert per_objective_call == [per_call] * 6
+
     def test_ancilla_one_runs_without_seeds(self, monkeypatch):
         calls = _recording_maximize(monkeypatch)
         rho = separable_non_cq(2, 2, np.random.default_rng(9))

@@ -6,7 +6,7 @@ import pytest
 from qcorr.channels import depolarizing_channel, unitary_channel
 from qcorr.cli import main
 from qcorr.corpus import classically_correlated_bit, random_cq
-from qcorr.optimize import haar_unitary
+from qcorr.optimize import haar_unitary, random_density
 from qcorr.qstate import DensityMatrix, bell_phi_plus, pure_state
 
 
@@ -264,13 +264,51 @@ def test_suite_row_state_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_suite_optimizer_failure_exit_code(tmp_path, capsys):
-    # A general POVM family with fewer outcomes than the dimension.
+def test_suite_optimizer_failure_exit_code(tmp_path, capsys, monkeypatch):
+    import qcorr.cli as cli_mod
+
+    def failing(rho, cfg):
+        raise FloatingPointError("overflow in the search objective")
+
+    monkeypatch.setattr(cli_mod, "broadcast_search", failing)
     argv = _corpus_with(tmp_path, [{"state_id": "bell", "label": "ent"}],
                         [("bell", bell_phi_plus())])
-    assert main([*argv, "--outcomes", "1"]) == 4
+    assert main(argv) == 4
     assert "optimizer failure" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_outcomes_below_a_dimension_exit_code(tmp_path, capsys, monkeypatch,
+                                              dims):
+    # Fewer general-POVM outcomes than a party's dimension is an option
+    # out of range for the input: exit 2 before any search runs.
+    import qcorr.correlations as corr_mod
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(corr_mod, "maximize", no_search)
+    rho = random_density(dims, 2, np.random.default_rng(3))
+    path = tmp_path / "rho.json"
+    rho.save(path)
+    outcomes = str(min(dims) if dims[0] != dims[1] else 1)
+    assert main(["measures", str(path), "--outcomes", outcomes, *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "outcome count" in err and "optimizer failure" not in err
+    argv = _corpus_with(tmp_path, [{"state_id": "rho", "label": "sep"}])
+    assert main([*argv, "--outcomes", outcomes]) == 2
+    assert "rho: outcome count" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_projective_only_accepts_few_outcomes(tmp_path):
+    state = _write_bell(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["measures", state, "--outcomes", "1", "--projective-only",
+                 "--out", str(out), *FAST]) == 0
+    assert json.loads(out.read_text())["report"]["I_cc_lower"] == \
+        pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("matrix", [

@@ -40,6 +40,7 @@ from qcorr.correlations import (
 from qcorr.classify import classical_basis
 from qcorr.lockstep import _tangent, minimize
 from qcorr.optimize import (
+    ConfigRangeError,
     OptimizerConfig,
     embed_projective_in_general,
     general_stack,
@@ -702,6 +703,40 @@ class TestGeneralGain:
         assert meta["icq_general_gain"] is None
         assert meta["icc_general_gain"] is None
         assert meta["icq"]["winner"].startswith(("seed ", "restart "))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_too_few_outcomes_raise_before_any_search(dims, monkeypatch):
+    import qcorr.correlations as corr_mod
+
+    rho = random_density(dims, 2, np.random.default_rng(4))
+    searches = []
+    real_maximize = corr_mod.maximize
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return real_maximize(*args, **kwargs)
+
+    monkeypatch.setattr(corr_mod, "maximize", counted)
+    few = OptimizerConfig(seed=0, restarts=2, max_evals=20,
+                          outcome_count=min(dims) if dims[0] != dims[1] else 1)
+    with pytest.raises(ConfigRangeError, match="outcome count"):
+        correlation_report(rho, few)
+    # optimize_icq measures party A only, so it raises only when the
+    # count is below A's dimension.
+    if few.outcome_count < dims[0]:
+        with pytest.raises(ConfigRangeError):
+            optimize_icq(rho, few)
+    assert searches == []
+    icq = optimize_icq(rho, dataclasses.replace(few, projective_only=True))
+    searches.clear()
+    with pytest.raises(ConfigRangeError):
+        optimize_icc(rho, few, icq=icq)
+    assert searches == []
+    # Without a general phase the option is never used.
+    report = correlation_report(
+        rho, dataclasses.replace(few, projective_only=True))
+    assert report.optimizer_meta["icq_general_gain"] is None
 
 
 class TestSteadyCost:

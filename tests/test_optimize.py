@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_lockstep_minimize
 from qcorr.correlations import _cc_value_grad
 from qcorr.optimize import (
     OptimizerConfig,
@@ -466,6 +467,41 @@ class TestFixedRounds:
             assert len(res.restart_evals) > 3
             assert res.value == pytest.approx(best, abs=1e-8)
 
+    @pytest.mark.parametrize("shapes", [((4, 2),), ((4, 2), (4, 2)),
+                                        ((4, 2), (9, 3))])
+    @pytest.mark.parametrize("restarts", [1, 3, 16])
+    def test_one_tangent_and_one_svd_per_shape_per_round(
+            self, rng, monkeypatch, shapes, restarts):
+        import qcorr.lockstep as lockstep_mod
+
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes])
+        calls, between = [], []
+        real_svd, real_tangent = np.linalg.svd, lockstep_mod._tangent
+
+        def counted_svd(*args, **kwargs):
+            calls.append("svd")
+            return real_svd(*args, **kwargs)
+
+        def counted_tangent(*args):
+            calls.append("tangent")
+            return real_tangent(*args)
+
+        def counted(*ws):
+            between.append(list(calls))
+            calls.clear()
+            return objective(*ws)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(lockstep_mod, "_tangent", counted_tangent)
+        cfg = OptimizerConfig(seed=1, restarts=restarts, max_evals=20)
+        res = maximize(counted, shapes, cfg)
+        svds = ["svd"] * len(set(shapes))
+        # Each round: the polar factors, the objective, one projection.
+        assert between == [svds] + [["tangent"] + svds] * 19
+        assert calls == ["tangent"]
+        assert len(res.restart_evals) > restarts  # slots were refilled
+
     def test_refills_are_deterministic_and_distinct(self, rng):
         objective, shapes, _ = _linear_on_isometries(
             [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
@@ -497,6 +533,91 @@ class TestFixedRounds:
                              seed_points=seeds, ascend_seeds=False)
         assert none_left.restart_evals == ()
         assert none_left.n_evals == 2
+
+
+def _quadratic_on_isometries(shapes, seed):
+    """f(W_1, ...) = sum_p Re Tr(A_p^dag W_p) + Re Tr(W_p^dag H_p W_p) / 2
+    over isometries, H_p Hermitian, batched, with its gradient A_p + H_p W_p
+    packed as the points: unlike a linear objective, its steps get
+    rejected and halved."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for n, d in shapes:
+        a = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        terms.append((a, 2 * (h + h.conj().T)))
+
+    def objective(*ws):
+        values, grads = 0.0, []
+        for (a, h), w in zip(terms, ws):
+            hw = h @ w
+            values = values + np.real(np.sum(a.conj() * w + w.conj() * hw / 2,
+                                             axis=(-2, -1)))
+            grads.append((a + hw).reshape(len(w), -1).view(float))
+        return values, np.concatenate(grads, axis=-1)
+    return objective
+
+
+class TestLockstepMatchesOracle:
+    """`minimize` steps every run as the generator oracle in conftest does,
+    bit for bit: values, points, evaluations, stops and non-finite values."""
+
+    SHAPES = [((2, 2),), ((2, 2), (2, 2)), ((9, 3),), ((4, 2), (9, 3)),
+              ((8, 2), (8, 2))]
+    # (restarts, seed points, rounds, max_evals, tol, poisoned, the stop
+    # reasons the case must reach)
+    CASES = {
+        "seeds only": (0, 3, 5, 50, 1e-8, False, {"evaluated"}),
+        "refills": (3, 2, 40, 40, 1e-3, False, {"evaluated", "converged"}),
+        "cut rounds": (5, 0, 4, 50, 1e-12, False, {"rounds"}),
+        "max_evals 1": (4, 1, 6, 1, 1e-8, False, {"budget"}),
+        "max_evals 2": (2, 0, 7, 2, 1e-8, False, {"budget"}),
+        "max_evals 7": (16, 1, 20, 7, 1e-8, False, {"budget"}),
+        "poisoned": (6, 1, 30, 30, 1e-10, True, {"non-finite"}),
+        "one restart": (1, 0, 25, 100, 1e-6, False, set()),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("shapes", SHAPES)
+    def test_same_bits_as_the_generator_oracle(self, shapes, case):
+        restarts, n_points, rounds, max_evals, tol, poisoned, reached = \
+            self.CASES[case]
+        objective = _quadratic_on_isometries(shapes, 7)
+        size = sum(2 * n * d for n, d in shapes)
+        rng = np.random.default_rng([size, list(self.CASES).index(case)])
+        x0s = rng.normal(scale=np.pi / 4, size=(restarts, size))
+        points = rng.normal(scale=np.pi / 4, size=(n_points, size))
+        # A non-finite gradient wherever the value falls well below the
+        # starts', so poisoned runs stop on it part way down.
+        ends = np.cumsum([2 * n * d for n, d in shapes])[:-1]
+        floor = -np.inf
+        if poisoned:
+            floor = np.median(-objective(*(
+                isometry_from_params(part, n, d) for part, (n, d)
+                in zip(np.split(x0s, ends, axis=-1), shapes)))[0]) - 0.5
+
+        def fun(*ws):
+            values, grads = objective(*ws)
+            grads[-values < floor, 0] = np.nan
+            return -values, -grads
+
+        def refill_from(seed):
+            stream = np.random.default_rng(seed)
+            return lambda: stream.normal(scale=np.pi / 4, size=size)
+
+        args = (fun, x0s, shapes, rounds, max_evals, tol)
+        got = minimize(*args, points=points, refill=refill_from(1))
+        want = oracle_lockstep_minimize(*args, points=points,
+                                        refill=refill_from(1))
+        assert np.array_equal(got.fun, want[0])
+        assert np.array_equal(got.x, want[1])
+        assert got.evals == want[2]
+        assert got.stops == want[3]
+        assert repr(got.non_finite) == repr(want[4])
+        assert got.nfev == sum(want[2])
+        assert reached <= set(got.stops)
+        if case == "refills":
+            assert len(got.stops) > restarts + n_points
 
 
 class TestOptimizerConfigValidation:
