@@ -74,7 +74,6 @@ from .optimize import (
     OptimizationResult,
     haar_unitary,
     random_density,
-    projective_povm,
     general_povm,
     maximize,
 )

@@ -176,12 +176,20 @@ def local_broadcast_maps_from_petz(
     return theta_a, theta_b
 
 
-def _candidate(rho: DensityMatrix, theta_a: KrausChannel,
-               theta_b: KrausChannel) -> BroadcastCandidate:
-    sigma = apply_local_broadcast(theta_a, theta_b, rho)
+def _scored(rho: DensityMatrix, sigma: DensityMatrix,
+            theta_a: KrausChannel | None = None,
+            theta_b: KrausChannel | None = None) -> BroadcastCandidate:
+    """`sigma` as a candidate broadcast of rho: its marginal residuals and
+    validity (`verify_broadcast`) and its mutual-information deficit."""
     valid, res = verify_broadcast(sigma, rho)
     deficit = mutual_information(sigma, cut=(0, 1)) - mutual_information(rho)
     return BroadcastCandidate(sigma, theta_a, theta_b, res, deficit, valid)
+
+
+def _candidate(rho: DensityMatrix, theta_a: KrausChannel,
+               theta_b: KrausChannel) -> BroadcastCandidate:
+    return _scored(rho, apply_local_broadcast(theta_a, theta_b, rho),
+                   theta_a, theta_b)
 
 
 def cloning_candidate(rho: DensityMatrix) -> BroadcastCandidate:
@@ -433,12 +441,9 @@ def two_copy_candidate(rho: DensityMatrix) -> BroadcastCandidate:
     Always a broadcast state (both copy marginals equal rho), but not
     locally generated unless rho is a product state.
     """
-    sigma = regroup(DensityMatrix(
+    return _scored(rho, regroup(DensityMatrix(
         SubsystemLayout(rho.dims + rho.dims),
-        np.kron(rho.matrix, rho.matrix)))
-    valid, res = verify_broadcast(sigma, rho)
-    deficit = mutual_information(sigma, cut=(0, 1)) - mutual_information(rho)
-    return BroadcastCandidate(sigma, None, None, res, deficit, valid)
+        np.kron(rho.matrix, rho.matrix))))
 
 
 def delta_b_upper(rho: DensityMatrix, cfg: OptimizerConfig | None = None,

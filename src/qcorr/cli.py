@@ -322,7 +322,9 @@ _TOL = _checked(float, lambda v: 0.0 < v < float("inf"), "a positive finite numb
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_SEED, default=0)
     parser.add_argument("--restarts", type=_COUNT, default=16)
-    parser.add_argument("--max-evals", type=_COUNT, default=5000)
+    parser.add_argument("--max-evals", type=_COUNT, default=5000,
+                        help="cap on the rounds of each search: a search makes "
+                             "min(2*param_dim, max_evals) objective calls")
     parser.add_argument("--tol", type=_TOL, default=1e-8)
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
     parser.add_argument("--outcomes", type=_COUNT, default=None,

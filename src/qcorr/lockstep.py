@@ -110,16 +110,15 @@ class _Descent:
     def __init__(self):
         self.f = None
 
-    def step(self, fy: float, dots, evals: int, max_evals: int,
-             tol: float) -> tuple[bool, str | None]:
+    def step(self, fy: float, dots, tol: float) -> tuple[bool, str | None]:
         """Take the value fy at the trial point, the start point first;
         `dots` holds g.g, s.s, s.y and y.y of the tangent gradient g there,
         the step s between the polar factors and the change y of the
-        gradient.  Returns whether the point is accepted and why the run
-        stops before its next trial, or None: "converged" when an accepted
-        long step gains at most `tol` or the next long step's predicted
-        gain t |g|^2 is at most `tol` (a short step can predict too
-        little), "budget" after `max_evals` evaluations."""
+        gradient.  Returns whether the point is accepted, and "converged"
+        if the run stops before its next trial, else None: a run stops when
+        an accepted long step gains at most `tol` or the next long step's
+        predicted gain t |g|^2 is at most `tol` (a short step can predict
+        too little, so it gives way to the long one first)."""
         gg, ss, sy, yy = dots
         accepted = True
         if self.f is None:
@@ -141,13 +140,9 @@ class _Descent:
         else:
             self.t *= 0.5
             accepted = False
-        while evals < max_evals:
-            if self.t * self.gg > tol:
-                return accepted, None
-            if self.long_step:
-                return accepted, "converged"
+        if self.t * self.gg <= tol and not self.long_step:
             self.t, self.long_step = self.t_long, True
-        return accepted, "budget"
+        return accepted, None if self.t * self.gg > tol else "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +165,10 @@ class LockstepResult:
     stops: tuple[str, ...]
     non_finite: tuple[float | None, ...]
     nfev: int
-    success: bool
-    message: str
 
 
-def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
-             max_evals: int, tol: float, points: np.ndarray | None = None,
-             refill=None) -> LockstepResult:
+def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int, tol: float,
+             points: np.ndarray | None = None, refill=None) -> LockstepResult:
     """Lockstep minimization of a batched objective on isometries.
 
     The points are (k, n) real arrays that pack one complex matrix per
@@ -184,20 +176,16 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
     k points, one (k, rows, cols) array per shape, and returns the k
     values and their (k, n) Euclidean gradients, packed as the points; a
     point whose gradient is not finite counts as a non-finite value.  One
-    descent run (the rule of `_Descent`, budget `max_evals`, tolerance
-    `tol`) starts from each row of `x0s`, and each row of `points` is
-    evaluated once.  Every round evaluates the one point each live run
-    waits for in one `fun` call.  A non-finite value stops only the run it
-    belongs to.
+    descent run (the rule of `_Descent`, tolerance `tol`) starts from each
+    row of `x0s`, and each row of `points` is evaluated once.  Every round
+    evaluates the one point each live run waits for in one `fun` call.  A
+    non-finite value stops only the run it belongs to.
 
     There are `rounds` rounds (fewer only when no run is left): a run that
     stops sooner hands its slot to a new run from the point `refill()`
     returns, so `refill` is needed unless `x0s` is empty or every run
     lasts all the rounds, and the runs still live after the last round
     stop as "rounds".
-
-    `success` says every restart converged; `message` names the first
-    reason one did not.
     """
     x0s = np.asarray(x0s, dtype=float)
     n = x0s.shape[1]
@@ -255,8 +243,7 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
                 if run is None:
                     stop = "evaluated"
                 else:
-                    accepted[j], stop = run.step(v, dot, evals[i], max_evals,
-                                                 tol)
+                    accepted[j], stop = run.step(v, dot, tol)
             if stop is None:
                 keep.append(j)
                 steps[j] = run.t
@@ -286,17 +273,7 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int,
             non_finite += [None] * len(new)
             x, g, batch = (np.concatenate((a, new)) for a in (x, g, batch))
 
-    restart_stops = stops[len(points):]
-    if "rounds" in restart_stops:
-        message = "The rounds ran out before every restart converged."
-    elif "budget" in restart_stops:
-        message = "Maximum number of function evaluations has been exceeded."
-    elif "non-finite" in restart_stops:
-        message = "A restart stopped on a non-finite objective value."
-    else:
-        message = "Optimization terminated successfully."
     return LockstepResult(
         fun=np.array(best_f), x=np.reshape(best_x, (len(evals), n)),
         evals=tuple(evals), stops=tuple(stops),
-        non_finite=tuple(non_finite), nfev=sum(evals),
-        success=all(s == "converged" for s in restart_stops), message=message)
+        non_finite=tuple(non_finite), nfev=sum(evals))

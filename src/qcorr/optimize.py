@@ -111,7 +111,7 @@ class OptimizationResult:
     seed: int
     diagnostics: tuple[str, ...] = field(default=())
     # Per restart: evaluations used and why it stopped ("converged",
-    # "budget", "non-finite" or "rounds").
+    # "non-finite" or "rounds").
     restart_evals: tuple[int, ...] = field(default=())
     restart_stops: tuple[str, ...] = field(default=())
     # Which start gave `value`: "seed i" or "restart i" (None if no value
@@ -207,19 +207,15 @@ def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
 
 
 def projective_stack(params: np.ndarray, d: int) -> np.ndarray:
-    """Unvalidated (..., d, d, d) element stacks of `projective_povm`.
+    """Unvalidated (..., d, d, d) stacks of the rank-1 projectors onto the
+    columns of `unitary_from_params(params, d)`.
 
-    Kept only for the benchmark's hooks until ROADMAP item 1 lands."""
+    Kept only for the benchmark's hooks until ROADMAP item 1 lands.  The
+    same POVM, validated, is `general_povm(x, d, d)` with x the packed
+    U^dag of that unitary U."""
     u = unitary_from_params(params, d)
     cols = u.swapaxes(-1, -2)  # cols[..., i, :] = i-th column of u
     return np.ascontiguousarray(cols[..., :, None] * cols.conj()[..., None, :])
-
-
-def projective_povm(params: np.ndarray, d: int) -> Povm:
-    """Rank-1 projectors onto the columns of exp(antiHermitian(params)).
-
-    Kept only for the benchmark's hooks until ROADMAP item 1 lands."""
-    return Povm(tuple(projective_stack(params, d)))
 
 
 def isometry_from_params(params: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -332,8 +328,7 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
                 -np.asarray(grads, dtype=float))
 
     res = minimize(negated, np.reshape(starts, (len(starts), param_dim)),
-                   shapes, min(2 * param_dim, cfg.max_evals), cfg.max_evals,
-                   cfg.tol,
+                   shapes, min(2 * param_dim, cfg.max_evals), cfg.tol,
                    points=np.reshape(seed_points, (len(seed_points), param_dim)),
                    refill=lambda: random_start(ss.spawn(1)[0]))
 

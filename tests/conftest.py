@@ -167,7 +167,7 @@ def oracle_joint_diagonalize(ops, tol: float = 1e-14,
     return u
 
 
-def _oracle_stiefel_descent(x0, shapes, max_evals, tol):
+def _oracle_stiefel_descent(x0, shapes, tol):
     """One descent run as a generator: each `yield` hands out one (1, P)
     point and receives its values, Euclidean gradients and packed polar
     factors."""
@@ -178,19 +178,17 @@ def _oracle_stiefel_descent(x0, shapes, max_evals, tol):
         return float(_row_dot(a, b)[0])
 
     f, z, x = yield x0[None]
-    evals = 1
     g = _tangent(x, z, shapes)
     gg = dot(g, g)
     t = t_long = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
     long_step, accepted = True, 0
-    while evals < max_evals:
+    while True:
         if t * gg <= tol:
             if long_step:
                 return "converged"
             t, long_step = t_long, True
             continue
         fy, zy, x_new = yield x - t * g
-        evals += 1
         if fy[0] <= f[0] - _ARMIJO * t * gg:
             gain = f[0] - fy[0]
             g_new = _tangent(x_new, zy, shapes)
@@ -209,11 +207,10 @@ def _oracle_stiefel_descent(x0, shapes, max_evals, tol):
             t = t_long if long_step else t_short
         else:
             t *= 0.5
-    return "budget"
 
 
-def oracle_lockstep_minimize(fun, x0s, shapes, rounds, max_evals, tol,
-                             points=None, refill=None):
+def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=None,
+                             refill=None):
     """`lockstep.minimize` with every run a generator stepped one at a
     time: the points of all live runs gather into one `fun` call per round,
     and each run gets its own row back.  The step rule is written out
@@ -232,7 +229,7 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, max_evals, tol,
         return "evaluated"
 
     def start(x0):
-        return _oracle_stiefel_descent(x0, shapes, max_evals, tol)
+        return _oracle_stiefel_descent(x0, shapes, tol)
 
     runs = [evaluate_once(p) for p in points] + [start(x0) for x0 in x0s]
     best_f = [np.inf] * len(runs)

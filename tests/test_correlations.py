@@ -368,7 +368,7 @@ class TestStackedPartyObjectives:
 
                 # One round that evaluates each row of y once.
                 minimize(recording, np.empty((0, size)), shapes, rounds=1,
-                         max_evals=1, tol=1e-8, points=y)
+                         tol=1e-8, points=y)
                 monkeypatch.undo()
                 (svds, (w_a, w_b), (got, grad)), = seen
                 assert svds == ["svd"] * svd_per_round

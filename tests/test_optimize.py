@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_lockstep_minimize
+from qcorr.channels import Povm
 from qcorr.correlations import _cc_value_grad
 from qcorr.optimize import (
     OptimizerConfig,
@@ -16,7 +17,6 @@ from qcorr.optimize import (
     maximize,
     minimize,
     param_dim_general_povm,
-    projective_povm,
     projective_stack,
     random_density,
     unitary_from_params,
@@ -91,19 +91,24 @@ class TestIsometryParameterization:
 
 
 class TestPovmParameterizations:
-    def test_projective_povm_valid(self, rng):
+    def test_projective_stack_is_a_povm(self, rng):
         params = rng.normal(size=9)
-        povm = projective_povm(params, 3)
+        povm = Povm(tuple(projective_stack(params, 3)))
         total = sum(povm.elements)
         np.testing.assert_allclose(total, np.eye(3), atol=1e-12)
         for m in povm.elements:
             np.testing.assert_allclose(m @ m, m, atol=1e-12)
 
-    def test_projective_stack_matches_povm(self, rng):
-        params = rng.normal(size=4)
-        stack = projective_stack(params, 2)
-        povm = projective_povm(params, 2)
-        np.testing.assert_allclose(stack, povm.as_array(), atol=1e-14)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_projective_stack_matches_general_povm(self, rng, d):
+        # The projectors onto the columns of U are general_povm's elements
+        # for the packed isometry W = U^dag.
+        params = rng.normal(size=d * d)
+        u = unitary_from_params(params, d)
+        x = np.ascontiguousarray(u.conj().T).view(float).ravel()
+        np.testing.assert_allclose(projective_stack(params, d),
+                                   general_povm(x, d, d).as_array(),
+                                   atol=1e-12)
 
     def test_general_povm_valid(self, rng):
         d, n = 2, 4
@@ -288,11 +293,12 @@ class TestMaximize:
             [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))])
         cfg = OptimizerConfig(seed=0, restarts=2, max_evals=3)
         res = maximize(objective, shapes, cfg)
+        # max_evals caps the rounds: both restarts are live after the third.
         assert res.restart_evals == (3, 3)
-        assert res.restart_stops == ("budget", "budget")
+        assert res.restart_stops == ("rounds", "rounds")
         meta = res.to_dict()
         assert meta["restart_evals"] == [3, 3]
-        assert meta["restart_stops"] == ["budget", "budget"]
+        assert meta["restart_stops"] == ["rounds", "rounds"]
 
     def test_restart_stops_on_convergence(self, rng):
         objective, shapes, _ = _linear_on_isometries(
@@ -314,10 +320,9 @@ class TestMaximize:
             return -values, -grads
 
         res = minimize(fun, rng.normal(size=(2, 18)), shapes, rounds=5,
-                       max_evals=5, tol=1e-8)
-        assert res.stops == ("budget", "budget")
-        assert not res.success
-        assert "function evaluations" in res.message
+                       tol=1e-8)
+        assert res.stops == ("rounds", "rounds")
+        assert res.evals == (5, 5)
         assert res.nfev == 10
 
     def test_empty_shapes_raise(self, rng):
@@ -373,7 +378,7 @@ class TestRiemannianAscent:
         cfg = OptimizerConfig(seed=0, restarts=2, max_evals=3)
         res = maximize(objective, shapes, cfg)
         assert res.restart_evals == (3, 3)
-        assert res.restart_stops == ("budget", "budget")
+        assert res.restart_stops == ("rounds", "rounds")
         assert res.n_evals == 6
 
     def test_stationary_start_converges_at_once(self):
@@ -457,15 +462,28 @@ class TestFixedRounds:
         assert batches == [1 + 3] + [3] * (rounds - 1)
         assert res.n_evals == sum(batches) == 1 + sum(res.restart_evals)
         assert len(res.restart_values) == 1 + len(res.restart_evals)
-        # Only the three runs of the last round can stop as "rounds", or as
-        # "budget" when they started in the first.
-        stopped_late = [s for s in res.restart_stops if s != "converged"]
-        assert set(stopped_late) <= {"rounds", "budget"}
-        assert len(stopped_late) <= 3
+        # Only the three runs of the last round can stop as "rounds", and
+        # no run outlasts the rounds.
+        assert set(res.restart_stops) <= {"converged", "rounds"}
+        assert res.restart_stops.count("rounds") <= 3
+        assert max(res.restart_evals) <= rounds
         assert res.value == max(res.restart_values)
         if max_evals == 60:
             assert len(res.restart_evals) > 3
             assert res.value == pytest.approx(best, abs=1e-8)
+
+    @pytest.mark.parametrize("shapes", [((4, 2),), ((3, 2), (2, 2))])
+    def test_max_evals_only_sets_the_rounds(self, shapes):
+        # Past 2 param_dim, max_evals changes nothing: with a tol too small
+        # to reach, restarts from the first round run to the last.
+        objective = _quadratic_on_isometries(shapes, 3)
+        param_dim = sum(2 * n * d for n, d in shapes)
+        runs = [maximize(objective, shapes, OptimizerConfig(
+                    seed=6, restarts=3, max_evals=m * param_dim, tol=1e-14))
+                for m in (2, 20)]
+        assert runs[0].to_dict() == runs[1].to_dict()
+        assert runs[0].restart_stops[0] == "rounds"
+        assert runs[0].restart_evals[0] == 2 * param_dim
 
     @pytest.mark.parametrize("shapes", [((4, 2),), ((4, 2), (4, 2)),
                                         ((4, 2), (9, 3))])
@@ -564,24 +582,23 @@ class TestLockstepMatchesOracle:
 
     SHAPES = [((2, 2),), ((2, 2), (2, 2)), ((9, 3),), ((4, 2), (9, 3)),
               ((8, 2), (8, 2))]
-    # (restarts, seed points, rounds, max_evals, tol, poisoned, the stop
-    # reasons the case must reach)
+    # (restarts, seed points, rounds, tol, poisoned, the stop reasons the
+    # case must reach)
     CASES = {
-        "seeds only": (0, 3, 5, 50, 1e-8, False, {"evaluated"}),
-        "refills": (3, 2, 40, 40, 1e-3, False, {"evaluated", "converged"}),
-        "cut rounds": (5, 0, 4, 50, 1e-12, False, {"rounds"}),
-        "max_evals 1": (4, 1, 6, 1, 1e-8, False, {"budget"}),
-        "max_evals 2": (2, 0, 7, 2, 1e-8, False, {"budget"}),
-        "max_evals 7": (16, 1, 20, 7, 1e-8, False, {"budget"}),
-        "poisoned": (6, 1, 30, 30, 1e-10, True, {"non-finite"}),
-        "one restart": (1, 0, 25, 100, 1e-6, False, set()),
+        "seeds only": (0, 3, 5, 1e-8, False, {"evaluated"}),
+        "refills": (3, 2, 40, 1e-3, False, {"evaluated", "converged"}),
+        "cut rounds": (5, 0, 4, 1e-12, False, {"rounds"}),
+        "1 round": (4, 1, 1, 1e-8, False, {"evaluated", "rounds"}),
+        "2 rounds": (2, 0, 2, 1e-8, False, {"rounds"}),
+        "7 rounds": (16, 1, 7, 1e-8, False, {"rounds"}),
+        "poisoned": (6, 1, 30, 1e-10, True, {"non-finite"}),
+        "one restart": (1, 0, 25, 1e-6, False, set()),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("shapes", SHAPES)
     def test_same_bits_as_the_generator_oracle(self, shapes, case):
-        restarts, n_points, rounds, max_evals, tol, poisoned, reached = \
-            self.CASES[case]
+        restarts, n_points, rounds, tol, poisoned, reached = self.CASES[case]
         objective = _quadratic_on_isometries(shapes, 7)
         size = sum(2 * n * d for n, d in shapes)
         rng = np.random.default_rng([size, list(self.CASES).index(case)])
@@ -605,7 +622,7 @@ class TestLockstepMatchesOracle:
             stream = np.random.default_rng(seed)
             return lambda: stream.normal(scale=np.pi / 4, size=size)
 
-        args = (fun, x0s, shapes, rounds, max_evals, tol)
+        args = (fun, x0s, shapes, rounds, tol)
         got = minimize(*args, points=points, refill=refill_from(1))
         want = oracle_lockstep_minimize(*args, points=points,
                                         refill=refill_from(1))
@@ -682,16 +699,16 @@ def test_config_raises_value_error_or_runs(kwargs):
     res = maximize(objective, shapes, cfg)
     assert np.isfinite(res.value) and res.value <= best + 1e-12
     assert len(res.restart_stops) >= cfg.restarts
-    assert set(res.restart_stops) <= {"converged", "budget", "rounds"}
+    assert set(res.restart_stops) <= {"converged", "rounds"}
     assert all(n <= cfg.max_evals for n in res.restart_evals)
     assert res.n_evals == sum(res.restart_evals)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
-def test_projective_povm_valid_for_random_params(seed):
+def test_projective_stack_is_a_povm_for_random_params(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 4))
     params = 3.0 * rng.normal(size=d * d)
-    povm = projective_povm(params, d)
+    povm = Povm(tuple(projective_stack(params, d)))
     np.testing.assert_allclose(sum(povm.elements), np.eye(d), atol=1e-11)
