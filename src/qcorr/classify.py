@@ -12,11 +12,15 @@ state.
 The family is one (m, d, d) array throughout: it is gathered from the
 state's blocks by array indexing, each Jacobi rotation updates every
 member with one matmul, and a pair that is degenerate across the family
-(zero surrogate) is left alone.
+(zero surrogate) is left alone.  The few scalars of each rotation (its
+cosine and complex sine) are Python floats, computed with the bits that
+numpy's float64 scalar arithmetic gives, so the sweeps run faster and
+return the same bases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -79,6 +83,24 @@ def commute_residual(ops) -> float:
     return worst
 
 
+def _rotation_sine(y: float, z: float, scale: float) -> complex:
+    """(y - iz) / den for a positive den = 1 / scale, with the bits numpy
+    gives `(y - 1j * z) / den` on float64 scalars.
+
+    numpy divides a complex by a real by multiplying both parts by the
+    reciprocal (CPython's complex division does not, and differs in the
+    last bit), and its complex arithmetic fixes the signs of zero parts:
+    a zero z gives +0.0 for the sine's imaginary part, and a zero y gives
+    +0.0 for its real part unless y is -0.0 and z is positive.
+    """
+    re, im = y * scale, -z * scale
+    if z == 0.0:
+        im = 0.0
+    elif y == 0.0 and z < 0.0:
+        re = 0.0
+    return complex(re, im)
+
+
 def joint_diagonalize(ops, tol: float = 1e-14,
                       max_sweeps: int = 100) -> np.ndarray:
     """Unitary J approximately diagonalizing a family of Hermitian matrices.
@@ -88,8 +110,10 @@ def joint_diagonalize(ops, tol: float = 1e-14,
     update, specialized to Hermitian inputs).  The family is held as one
     (m, d, d) stack: a pair's (m, 3) surrogate rows come from array
     indexing, their outer products are summed over the members in order,
-    and one matmul rotates every member.  Sweeps stop when no rotation
-    exceeds `tol` or after `max_sweeps`.
+    and one matmul rotates every member.  The rotation's angle comes from
+    the surrogate's top eigenvector, read out as Python floats; its cosine
+    and sine are scalar arithmetic (`math.sqrt`, `_rotation_sine`).
+    Sweeps stop when no rotation exceeds `tol` or after `max_sweeps`.
     """
     ops = _family_stack(ops)
     m, d, _ = ops.shape
@@ -113,21 +137,20 @@ def joint_diagonalize(ops, tol: float = 1e-14,
                     # Degenerate across the family: every rotation of the
                     # pair is optimal, so none is taken.
                     continue
-                evals, evecs = np.linalg.eigh(g)
-                x, y, z = evecs[:, -1]
+                x, y, z = np.linalg.eigh(g)[1][:, -1].tolist()
                 if x < 0:
                     x, y, z = -x, -y, -z
-                r = np.sqrt(x * x + y * y + z * z)
+                r = math.sqrt(x * x + y * y + z * z)
                 if r <= 0 or y * y + z * z == 0.0:
                     continue
-                c = np.sqrt((x + r) / (2 * r))
-                s = (y - 1j * z) / np.sqrt(2 * r * (x + r))
+                c = math.sqrt((x + r) / (2 * r))
+                s = _rotation_sine(y, z, 1.0 / math.sqrt(2 * r * (x + r)))
                 if abs(s) <= tol:
                     continue
                 changed = True
                 rot = eye.copy()
                 rot[p, p] = c
-                rot[p, q] = -np.conj(s)
+                rot[p, q] = -s.conjugate()
                 rot[q, p] = s
                 rot[q, q] = c
                 ops = rot.conj().T @ ops @ rot

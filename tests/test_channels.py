@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcorr.broadcast import cc_broadcast_channels
 from qcorr.channels import (
     ChannelError,
     ChannelParseError,
@@ -14,11 +15,14 @@ from qcorr.channels import (
     computational_povm,
     depolarizing_channel,
     identity_channel,
+    isometry_channel,
     kraus_from_choi,
+    lift_local,
     measurement_channel,
     petz_recovery,
     projective_basis_povm,
     tensor_channels,
+    transpose_channel,
     unitary_channel,
 )
 from qcorr.optimize import haar_unitary, random_density
@@ -172,7 +176,63 @@ class TestMeasurementChannel:
         np.testing.assert_allclose(np.diag(out.matrix).real, probs, atol=1e-12)
 
 
+def _local_channel(kind: str, d: int, rng) -> KrausChannel:
+    """A d-dimensional channel of the given kind for the lift tests."""
+    if kind == "unitary":
+        return unitary_channel(haar_unitary(d, rng))
+    if kind == "depolarizing":
+        return depolarizing_channel(d)
+    if kind == "measurement":
+        return measurement_channel(projective_basis_povm(haar_unitary(d, rng)))
+    basis = haar_unitary(d, rng)
+    return cc_broadcast_channels(basis, basis)[0]  # out_dims (d, d)
+
+
+LIFT_CASES = [((2, 3, 2), position, kind)
+              for position in range(3)
+              for kind in ("unitary", "depolarizing", "measurement", "cloner")]
+LIFT_CASES += [((2, 2), 0, "cloner"), ((2, 2, 2), 2, "cloner")]
+
+
 class TestLocalLifts:
+    """`apply_local` against its reference, the Kronecker lift `lift_local`."""
+
+    @pytest.mark.parametrize("dims,position,kind", LIFT_CASES)
+    def test_apply_local_matches_lifted_channel(self, dims, position, kind):
+        rng = np.random.default_rng(sum(dims) + 10 * position + len(kind))
+        ch = _local_channel(kind, dims[position], rng)
+        rho = random_density(dims, int(np.prod(dims)), rng)
+        got = apply_local(ch, position, rho)
+        want = apply_channel(lift_local(ch, position, rho.layout), rho)
+        assert got.dims == want.dims
+        assert got.dims == dims[:position] + ch.out_dims + dims[position + 1:]
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_tp_map_warns_and_renormalizes(self, position, rng):
+        dims = (2, 3, 2)
+        d = dims[position]
+        damp = np.diag(np.linspace(1.0, 0.5, d)).astype(complex)
+        ch = KrausChannel((damp,), check_tp=False)
+        assert not ch.trace_preserving
+        rho = random_density(dims, 12, rng)
+        with pytest.warns(RuntimeWarning, match="renormalizing"):
+            got = apply_local(ch, position, rho)
+        assert abs(got.matrix.trace() - 1.0) <= 1e-13
+        big = lift_local(ch, position, rho.layout).kraus[0]
+        raw = big @ rho.matrix @ big.conj().T
+        np.testing.assert_allclose(got.matrix, raw / raw.trace().real,
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("position,d", [(-1, 2), (3, 2), (1, 2)])
+    def test_bad_position_or_dimension_raises(self, position, d, rng):
+        rho = random_density((2, 3, 2), 12, rng)
+        ch = unitary_channel(haar_unitary(d, rng))
+        with pytest.raises(ChannelError):
+            apply_local(ch, position, rho)
+        with pytest.raises(ChannelError):
+            lift_local(ch, position, rho.layout)
+
     def test_apply_local_matches_explicit_kron(self, rng):
         u = haar_unitary(2, rng)
         rho = random_density((2, 3), 4, rng)
@@ -203,6 +263,30 @@ class TestLocalLifts:
             apply_channel(unitary_channel(ub), b),
         )
         np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-13)
+
+
+class TestTransposeChannel:
+    @pytest.mark.parametrize("kind", ["depolarizing", "measurement"])
+    def test_adjoint_identity(self, kind, rng):
+        d = 3
+        if kind == "depolarizing":
+            ch = depolarizing_channel(d)
+        else:
+            ch = measurement_channel(projective_basis_povm(haar_unitary(d, rng)))
+        adj = transpose_channel(ch)
+        assert (adj.d_in, adj.d_out) == (ch.d_out, ch.d_in)
+        for _ in range(5):
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            y = (rng.normal(size=(ch.d_out, ch.d_out))
+                 + 1j * rng.normal(size=(ch.d_out, ch.d_out)))
+            lhs = np.trace(y @ ch.apply_matrix(x))
+            rhs = np.trace(adj.apply_matrix(y) @ x)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_trace_preservation_flag(self, rng):
+        assert transpose_channel(unitary_channel(haar_unitary(3, rng))).trace_preserving
+        v = haar_unitary(4, rng)[:, :2]
+        assert not transpose_channel(isometry_channel(v)).trace_preserving
 
 
 class TestChoi:

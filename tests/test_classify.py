@@ -11,6 +11,7 @@ from qcorr.classify import (
     _block_residual,
     _conditional_family,
     _product_residual,
+    _rotation_sine,
     classical_basis,
     commute_residual,
     is_cc,
@@ -127,6 +128,37 @@ class TestStackedMatchesLoopOracles:
         # A 101st sweep still rotates: the default 100 ran out.
         assert not np.array_equal(capped, joint_diagonalize(fam, max_sweeps=101))
         assert np.array_equal(capped, oracle_joint_diagonalize(fam))
+
+
+class TestRotationSine:
+    """The Jacobi sine on Python floats against numpy's float64 scalar
+    expression, bit for bit, signs of zero parts included."""
+
+    EDGES = (0.0, -0.0, 0.3, -0.7, 1e-300, -1e-300)
+
+    @staticmethod
+    def _bits(s) -> tuple:
+        s = complex(s)
+        return (np.float64(s.real).tobytes(), np.float64(s.imag).tobytes())
+
+    def _check(self, y, z, den):
+        want = (np.float64(y) - 1j * np.float64(z)) / np.float64(den)
+        got = _rotation_sine(y, z, 1.0 / den)
+        assert self._bits(got) == self._bits(want), (y, z, den, got, want)
+        assert abs(got) == abs(want)
+
+    def test_zero_and_tiny_parts(self):
+        for y in self.EDGES:
+            for z in self.EDGES:
+                if not (y or z):
+                    continue
+                for den in (0.5, 1.0, 3.7):
+                    self._check(y, z, den)
+
+    def test_random_draws(self, rng):
+        for y, z, den in zip(rng.normal(size=2000), rng.normal(size=2000),
+                             rng.uniform(0.1, 4.0, size=2000)):
+            self._check(float(y), float(z), float(den))
 
 
 class TestJointDiagonalize:
