@@ -176,38 +176,45 @@ def local_broadcast_maps_from_petz(
     return theta_a, theta_b
 
 
-def _scored(rho: DensityMatrix, sigma: DensityMatrix,
+def _scored(rho: DensityMatrix, sigma: DensityMatrix, mi_rho: float | None,
             theta_a: KrausChannel | None = None,
             theta_b: KrausChannel | None = None) -> BroadcastCandidate:
     """`sigma` as a candidate broadcast of rho: its marginal residuals and
-    validity (`verify_broadcast`) and its mutual-information deficit."""
+    validity (`verify_broadcast`) and its mutual-information deficit over
+    `mi_rho`, I(rho) (computed here if None)."""
     valid, res = verify_broadcast(sigma, rho)
-    deficit = mutual_information(sigma, cut=(0, 1)) - mutual_information(rho)
+    if mi_rho is None:
+        mi_rho = mutual_information(rho)
+    deficit = mutual_information(sigma, cut=(0, 1)) - mi_rho
     return BroadcastCandidate(sigma, theta_a, theta_b, res, deficit, valid)
 
 
 def _candidate(rho: DensityMatrix, theta_a: KrausChannel,
-               theta_b: KrausChannel) -> BroadcastCandidate:
-    return _scored(rho, apply_local_broadcast(theta_a, theta_b, rho),
+               theta_b: KrausChannel, mi_rho: float | None) -> BroadcastCandidate:
+    return _scored(rho, apply_local_broadcast(theta_a, theta_b, rho), mi_rho,
                    theta_a, theta_b)
 
 
-def cloning_candidate(rho: DensityMatrix) -> BroadcastCandidate:
+def cloning_candidate(rho: DensityMatrix,
+                      mi_rho: float | None = None) -> BroadcastCandidate:
     """Clone both classical bases found by the classifier.
 
     Exact for CC states (cloning their classical bases preserves the full
-    mutual information); a seed candidate otherwise.
+    mutual information); a seed candidate otherwise.  `mi_rho` is I(rho)
+    when the caller has it.
     """
     theta_a, theta_b = cc_broadcast_channels(
         classical_basis(rho, 0), classical_basis(rho, 1))
-    return _candidate(rho, theta_a, theta_b)
+    return _candidate(rho, theta_a, theta_b, mi_rho)
 
 
-def attachment_candidate(rho: DensityMatrix) -> BroadcastCandidate:
+def attachment_candidate(rho: DensityMatrix,
+                         mi_rho: float | None = None) -> BroadcastCandidate:
     """Locally attach the fixed marginal states: Theta_X[.] = . (x) rho_X.
 
     The AB copy is exact for every input; the A'B' copy equals
     rho_A (x) rho_B, so the candidate is exact precisely for product states.
+    `mi_rho` is I(rho) when the caller has it.
     """
     def attach(marginal: DensityMatrix) -> KrausChannel:
         d = marginal.dim
@@ -220,7 +227,7 @@ def attachment_candidate(rho: DensityMatrix) -> BroadcastCandidate:
         return KrausChannel(tuple(ops), out_dims=(d, d))
 
     return _candidate(rho, attach(partial_trace(rho, (0,))),
-                      attach(partial_trace(rho, (1,))))
+                      attach(partial_trace(rho, (1,))), mi_rho)
 
 
 def _channel_of_isometry(v: np.ndarray, d: int, ancilla: int) -> KrausChannel:
@@ -386,9 +393,10 @@ def _seed_points(cloning: BroadcastCandidate, attachment: BroadcastCandidate,
         clone, attach, (clone[0], attach[1]), (attach[0], clone[1]))]
 
 
-def _broadcast_candidates(rho: DensityMatrix,
-                          cfg: OptimizerConfig | None) -> list[BroadcastCandidate]:
-    """Basis cloning, marginal attachment and the optimized Stinespring pair.
+def _broadcast_candidates(rho: DensityMatrix, cfg: OptimizerConfig | None,
+                          mi_rho: float | None = None) -> list[BroadcastCandidate]:
+    """Basis cloning, marginal attachment and the optimized Stinespring pair,
+    scored against I(rho) (`mi_rho`, computed once here if None).
 
     The search is a lockstep Riemannian ascent of the surrogate of
     `_residual_objective` on both sides' isometries, with the fixed number
@@ -407,7 +415,10 @@ def _broadcast_candidates(rho: DensityMatrix,
     shapes = tuple((d * d * anc, d) for d, anc in zip(dims, ancillas))
     pd_a = stinespring_param_dim(dims[0], ancillas[0])
 
-    cloning, attachment = cloning_candidate(rho), attachment_candidate(rho)
+    if mi_rho is None:
+        mi_rho = mutual_information(rho)
+    cloning = cloning_candidate(rho, mi_rho)
+    attachment = attachment_candidate(rho, mi_rho)
     seeds = (_seed_points(cloning, attachment, ancillas)
              if all(anc >= d for d, anc in zip(dims, ancillas)) else [])
     res = maximize(_residual_objective(rho, *ancillas), shapes, cfg,
@@ -415,7 +426,7 @@ def _broadcast_candidates(rho: DensityMatrix,
     theta_a, theta_b = (
         _channel_of_isometry(isometry_from_params(x, n, d), d, anc)
         for x, (n, d), anc in zip(np.split(res.params, [pd_a]), shapes, ancillas))
-    return [cloning, attachment, _candidate(rho, theta_a, theta_b)]
+    return [cloning, attachment, _candidate(rho, theta_a, theta_b, mi_rho)]
 
 
 def broadcast_search(rho: DensityMatrix,
@@ -435,15 +446,17 @@ def broadcast_search(rho: DensityMatrix,
     return max(_broadcast_candidates(rho, cfg), key=merit)
 
 
-def two_copy_candidate(rho: DensityMatrix) -> BroadcastCandidate:
+def two_copy_candidate(rho: DensityMatrix,
+                       mi_rho: float | None = None) -> BroadcastCandidate:
     """sigma = rho (x) rho regrouped to [A, A', B, B'].
 
     Always a broadcast state (both copy marginals equal rho), but not
-    locally generated unless rho is a product state.
+    locally generated unless rho is a product state.  `mi_rho` is I(rho)
+    when the caller has it.
     """
     return _scored(rho, regroup(DensityMatrix(
         SubsystemLayout(rho.dims + rho.dims),
-        np.kron(rho.matrix, rho.matrix))))
+        np.kron(rho.matrix, rho.matrix))), mi_rho)
 
 
 def delta_b_upper(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
@@ -455,8 +468,9 @@ def delta_b_upper(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
     feasible candidates produced by the local search.  The sign of the raw
     value is not guaranteed by the bound direction and is reported as is.
     """
-    candidates = [two_copy_candidate(rho)] + [
-        cand for cand in _broadcast_candidates(rho, cfg)
+    mi_rho = mutual_information(rho)
+    candidates = [two_copy_candidate(rho, mi_rho)] + [
+        cand for cand in _broadcast_candidates(rho, cfg, mi_rho)
         if max(cand.marginal_residuals) <= feasibility_tol]
     return min(c.mi_deficit for c in candidates)
 

@@ -6,7 +6,8 @@ are byte-reproducible for a fixed seed; wall time goes to stderr only.
 
 Exit codes: 0 success, 2 parse error (an unreadable input, an option value
 out of range for the input, or an unwritable output), 3 invariant
-violation, 4 optimizer failure.
+violation, 4 optimizer or numerical failure.  Commands, loaders and
+writers only raise; `main` alone turns an error into its code (`_EXITS`).
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
+from typing import Iterator
 
 from . import __version__
 from .broadcast import broadcast_search
@@ -28,15 +30,8 @@ from .classify import ppt_label, side_verdicts
 from .correlations import correlation_report, mutual_information
 from .corpus import make_corpus
 from .optimize import ConfigRangeError, OptimizerConfig
-from .qstate import (
-    DensityMatrix,
-    StateError,
-    StateParseError,
-    bits_to_nats,
-    partial_trace,
-    tensor,
-    trace_distance,
-)
+from .qstate import (DensityMatrix, StateError, StateParseError, bits_to_nats,
+                     partial_trace, trace_distance)
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -53,22 +48,48 @@ def _manifest(command: str, inputs: list[str], cfg: OptimizerConfig) -> dict:
     }
 
 
-def _cannot_write(path, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-    return EXIT_PARSE
+class _Failed(Exception):
+    """The error in `__cause__`, raised at `step` ("read", "write" or "run")
+    on `subject`: the file read or written, or a suite row's prefix."""
+
+    def __init__(self, step: str, subject: str):
+        super().__init__(step, subject)
+        self.step, self.subject = step, subject
 
 
-def _write_report(payload: dict, out_path: str | None) -> int:
-    """Write the JSON report to `out_path` (stdout if None); the exit code."""
+@contextmanager
+def _at(step: str, subject) -> Iterator[None]:
+    """Tag an error raised in the block with what `main` reports it as."""
+    try:
+        yield
+    except (OSError, ValueError, FloatingPointError) as exc:
+        raise _Failed(step, str(subject)) from exc
+
+
+# How `main` reports an error that `_at` tagged (an untagged one is a "run"
+# error with no subject): the first row whose step and exception types match
+# gives the exit code and the message head, formatted with the subject.  A
+# ChannelError is an invalid input when read (3), and a failure of the
+# computation when run (4), as a LinAlgError is.
+_EXITS = (
+    ("read", (StateParseError, ChannelParseError), EXIT_PARSE, "cannot read {}: "),
+    ("read", (StateError, ChannelError), EXIT_INVARIANT, "invalid {}: "),
+    ("read", Exception, EXIT_PARSE, "cannot read {}: "),
+    ("write", Exception, EXIT_PARSE, "cannot write {}: "),
+    ("run", ConfigRangeError, EXIT_PARSE, "{}"),
+    ("run", StateError, EXIT_INVARIANT, "{}"),
+    ("run", Exception, EXIT_OPTIMIZER, "{}optimizer failure: "),
+)
+
+
+def _write_report(payload: dict, out_path: str | None) -> None:
+    """Write the JSON report to `out_path` (stdout if None)."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if not out_path:
         sys.stdout.write(text)
-        return 0
-    try:
+        return
+    with _at("write", out_path):
         Path(out_path).write_text(text)
-    except OSError as exc:
-        return _cannot_write(out_path, exc)
-    return 0
 
 
 def _convert_units(payload, units: str):
@@ -76,7 +97,7 @@ def _convert_units(payload, units: str):
     if units == "bits":
         return payload
     keys = {"I", "I_cq_lower", "I_cc_lower", "delta_cc_upper",
-            "discord_upper", "mi_deficit"}
+            "discord_upper", "mi_deficit", "I_before", "I_after"}
     if isinstance(payload, dict):
         return {
             k: (bits_to_nats(v) if k in keys and isinstance(v, (int, float))
@@ -88,219 +109,151 @@ def _convert_units(payload, units: str):
     return payload
 
 
-def _load_state(path: str) -> DensityMatrix:
-    try:
+def _load_state(path) -> DensityMatrix:
+    with _at("read", f"state file {path}"):
         return DensityMatrix.load(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            StateParseError) as exc:
-        print(f"error: cannot read state file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    except StateError as exc:
-        print(f"error: invalid state in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVARIANT)
 
 
-def _load_channel(path: str) -> KrausChannel:
-    try:
+def _load_channel(path) -> KrausChannel:
+    with _at("read", f"channel file {path}"):
         return KrausChannel.load(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            ChannelParseError) as exc:
-        print(f"error: cannot read channel file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    except ChannelError as exc:
-        print(f"error: invalid channel in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVARIANT)
+
+
+_CONFIG_FIELDS = {f.name for f in fields(OptimizerConfig)}
 
 
 def _cfg_from_args(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        max_evals=args.max_evals,
-        tol=args.tol,
-        outcome_count=args.outcomes,
-        projective_only=args.projective_only,
-        ancilla_dim=args.ancilla,
-    )
+    """The search settings among the subcommand's options; the settings it
+    has no option for keep their defaults."""
+    return OptimizerConfig(**{name: value for name, value in vars(args).items()
+                              if name in _CONFIG_FIELDS})
 
 
-def cmd_measures(args) -> int:
+def cmd_measures(args) -> None:
     rho = _load_state(args.state)
     cfg = _cfg_from_args(args)
-    try:
-        report = correlation_report(rho, cfg)
-    except StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ConfigRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, FloatingPointError) as exc:
-        print(f"error: optimizer failure: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
-    payload = {
+    report = correlation_report(rho, cfg)
+    _write_report({
         "manifest": _manifest("measures", [args.state], cfg),
         "units": args.units,
         "report": _convert_units(report.to_dict(), args.units),
-    }
-    return _write_report(payload, args.out)
+    }, args.out)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     rho = _load_state(args.state)
-    cfg = OptimizerConfig(seed=args.seed)
-    try:
-        cc, cq, qc = side_verdicts(rho, args.tol)
-        verdicts = {
-            "verdict": cc.to_dict(),
-            "cq_verdict": cq.to_dict(),
-            "qc_verdict": qc.to_dict(),
-            "ppt": ppt_label(rho),
-        }
-    except StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    payload = {
-        "manifest": _manifest("classify", [args.state], cfg),
+    cc, cq, qc = side_verdicts(rho, args.tol)
+    _write_report({
+        "manifest": _manifest("classify", [args.state],
+                              OptimizerConfig(seed=args.seed)),
         "tol": args.tol,
-        **verdicts,
-    }
-    return _write_report(payload, args.out)
+        "verdict": cc.to_dict(),
+        "cq_verdict": cq.to_dict(),
+        "qc_verdict": qc.to_dict(),
+        "ppt": ppt_label(rho),
+    }, args.out)
 
 
-def cmd_broadcast(args) -> int:
+def cmd_broadcast(args) -> None:
     rho = _load_state(args.state)
     cfg = _cfg_from_args(args)
-    try:
-        cand = broadcast_search(rho, cfg)
-    except StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (ValueError, FloatingPointError) as exc:
-        print(f"error: optimizer failure: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
-    payload = {
+    cand = broadcast_search(rho, cfg)
+    _write_report({
         "manifest": _manifest("broadcast", [args.state], cfg),
         "units": args.units,
         "candidate": _convert_units(cand.to_dict(), args.units),
-    }
-    return _write_report(payload, args.out)
+    }, args.out)
 
 
-def cmd_petz(args) -> int:
+def cmd_petz(args) -> None:
     rho = _load_state(args.state)
     ch = _load_channel(args.channel)
-    cfg = OptimizerConfig(seed=args.seed)
-    try:
-        if ch.d_in == rho.dim:
-            # Global channel: reference is the state itself.
-            recovery = petz_recovery(ch, rho)
-            degraded = apply_channel(ch, rho)
-            recovered = apply_channel(recovery, degraded)
-            mode = "global"
-            mi = {}
-        elif rho.layout.n_subsystems == 2 and ch.d_in == rho.dims[0]:
-            # Local channel on party A; reference is the marginal product.
-            rho_a = partial_trace(rho, (0,))
-            rho_b = partial_trace(rho, (1,))
-            rec_a = petz_recovery(ch, rho_a)
-            degraded = apply_local(ch, 0, rho)
-            recovered = apply_local(rec_a, 0, degraded)
-            mode = "local_A"
-            mi = {
-                "I_before": mutual_information(rho),
-                "I_after": mutual_information(degraded),
-            }
-        else:
-            print(
-                f"error: channel input {ch.d_in} matches neither the full "
-                f"state ({rho.dim}) nor party A ({rho.dims[0]})",
-                file=sys.stderr)
-            return EXIT_INVARIANT
-    except (StateError, ChannelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    payload = {
-        "manifest": _manifest("petz", [args.state, args.channel], cfg),
+    if ch.d_in == rho.dim:
+        # Global channel: reference is the state itself.
+        recovery = petz_recovery(ch, rho)
+        degraded = apply_channel(ch, rho)
+        recovered = apply_channel(recovery, degraded)
+        mode = "global"
+        mi = {}
+    elif rho.layout.n_subsystems == 2 and ch.d_in == rho.dims[0]:
+        # Local channel on party A; reference is the marginal product.
+        rho_a = partial_trace(rho, (0,))
+        rec_a = petz_recovery(ch, rho_a)
+        degraded = apply_local(ch, 0, rho)
+        recovered = apply_local(rec_a, 0, degraded)
+        mode = "local_A"
+        mi = {
+            "I_before": mutual_information(rho),
+            "I_after": mutual_information(degraded),
+        }
+    else:
+        raise StateError(
+            f"channel input {ch.d_in} matches neither the full "
+            f"state ({rho.dim}) nor party A ({rho.dims[0]})")
+    _write_report({
+        "manifest": _manifest("petz", [args.state, args.channel],
+                              OptimizerConfig(seed=args.seed)),
+        "units": args.units,
         "mode": mode,
         "recovery_trace_distance": trace_distance(recovered, rho),
-        **mi,
-    }
-    return _write_report(payload, args.out)
+        **_convert_units(mi, args.units),
+    }, args.out)
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args) -> None:
     cfg = _cfg_from_args(args)
     corpus_dir = Path(args.corpus)
     labels_path = corpus_dir / "labels.json"
-    try:
+    with _at("read", labels_path):
         labels = json.loads(labels_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {labels_path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if not isinstance(labels, list) or not labels:
-        print(f"error: {labels_path} lists no states", file=sys.stderr)
-        return EXIT_PARSE
-    for entry in labels:
-        if not (isinstance(entry, dict) and isinstance(entry.get("state_id"), str)
-                and "label" in entry):
-            print(f"error: {labels_path}: entry {entry!r} lacks a string "
-                  f"state_id or a label", file=sys.stderr)
-            return EXIT_PARSE
+        if not isinstance(labels, list) or not labels:
+            raise ValueError("lists no states")
+        for entry in labels:
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("state_id"), str)
+                    and "label" in entry):
+                raise ValueError(
+                    f"entry {entry!r} lacks a string state_id or a label")
     rows = []
     for entry in labels:
         state_id = entry["state_id"]
-        rho = _load_state(str(corpus_dir / f"{state_id}.json"))
-        try:
+        rho = _load_state(corpus_dir / f"{state_id}.json")
+        with _at("run", f"{state_id}: "):
             report = correlation_report(rho, cfg)
             cand = broadcast_search(rho, cfg)
-        except StateError as exc:
-            print(f"error: {state_id}: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        except ConfigRangeError as exc:
-            print(f"error: {state_id}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except (ValueError, FloatingPointError) as exc:
-            print(f"error: {state_id}: optimizer failure: {exc}", file=sys.stderr)
-            return EXIT_OPTIMIZER
         rows.append({
             "state_id": state_id,
             "kind_label": entry["label"],
-            "I": report.I,
-            "I_cq_lower": report.I_cq_lower,
-            "I_cc_lower": report.I_cc_lower,
-            "delta_cc_upper": report.delta_cc_upper,
-            "lb_residual": max(cand.marginal_residuals),
-            "mi_deficit": cand.mi_deficit,
+            **_convert_units({
+                "I": report.I,
+                "I_cq_lower": report.I_cq_lower,
+                "I_cc_lower": report.I_cc_lower,
+                "delta_cc_upper": report.delta_cc_upper,
+                "lb_residual": max(cand.marginal_residuals),
+                "mi_deficit": cand.mi_deficit,
+            }, args.units),
             "seed": cfg.seed,
         })
     out_path = args.out or "suite.csv"
-    try:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as exc:
-        return _cannot_write(out_path, exc)
+    with _at("write", out_path), open(out_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
-    return 0
 
 
-def cmd_make_corpus(args) -> int:
+def cmd_make_corpus(args) -> None:
     states = make_corpus(n_per_class=args.per_class, seed=args.seed)
     out_dir = Path(args.out or "corpus")
     labels = [{"state_id": entry.state_id, "label": entry.label}
               for entry in states]
-    try:
+    with _at("write", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         for entry in states:
             entry.rho.save(out_dir / f"{entry.state_id}.json")
         (out_dir / "labels.json").write_text(
             json.dumps(labels, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        return _cannot_write(out_dir, exc)
     print(f"wrote {len(states)} states to {out_dir}", file=sys.stderr)
-    return 0
 
 
 def _checked(kind, ok, what: str):
@@ -319,22 +272,31 @@ _COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
 _TOL = _checked(float, lambda v: 0.0 < v < float("inf"), "a positive finite number")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_SEED, default=0)
-    parser.add_argument("--restarts", type=_COUNT, default=16)
-    parser.add_argument("--max-evals", type=_COUNT, default=5000,
+# Every option, by flag; each subcommand registers the ones it reads.
+_OPTIONS = {
+    "--seed": dict(type=_SEED, default=0),
+    "--restarts": dict(type=_COUNT, default=16),
+    "--max-evals": dict(type=_COUNT, default=5000,
                         help="cap on the rounds of each search: a search makes "
-                             "min(2*param_dim, max_evals) objective calls")
-    parser.add_argument("--tol", type=_TOL, default=1e-8)
-    parser.add_argument("--units", choices=("bits", "nats"), default="bits")
-    parser.add_argument("--outcomes", type=_COUNT, default=None,
-                        help="outcome count for the general POVM family")
-    parser.add_argument("--projective-only", action="store_true")
-    parser.add_argument("--ancilla", type=_COUNT, default=None,
-                        help="Stinespring ancilla dimension for broadcast "
-                             "search (default: the party's dimension d; below "
-                             "d, the search gets no cloning or attachment seeds)")
-    parser.add_argument("--out", default=None, help="output file path")
+                             "min(2*param_dim, max_evals) objective calls"),
+    "--tol": dict(type=_TOL, default=1e-8),
+    "--units": dict(choices=("bits", "nats"), default="bits"),
+    "--outcomes": dict(type=_COUNT, default=None, dest="outcome_count",
+                       metavar="OUTCOMES", help="outcome count for the general POVM family"),
+    "--projective-only": dict(action="store_true"),
+    "--ancilla": dict(type=_COUNT, default=None, dest="ancilla_dim",
+                      metavar="ANCILLA", help="Stinespring ancilla dimension for broadcast "
+                           "search (default: the party's dimension d; below "
+                           "d, the search gets no cloning or attachment seeds)"),
+    "--per-class": dict(type=_COUNT, default=5),
+    "--out": dict(default=None, help="output file path"),
+}
+_SEARCH = "--seed --restarts --max-evals --tol --units"
+
+
+def _add_options(parser: argparse.ArgumentParser, flags: str) -> None:
+    for flag in flags.split():
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,44 +308,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="correlation report for a state file")
     p.add_argument("state")
-    _add_common(p)
+    _add_options(p, f"{_SEARCH} --outcomes --projective-only --out")
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("classify", help="CC/CQ structure verdict")
     p.add_argument("state")
-    _add_common(p)
+    _add_options(p, "--seed --tol --out")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("broadcast", help="local broadcast search")
     p.add_argument("state")
-    _add_common(p)
+    _add_options(p, f"{_SEARCH} --ancilla --out")
     p.set_defaults(func=cmd_broadcast)
 
     p = sub.add_parser("petz", help="Petz recovery diagnostics")
     p.add_argument("state")
     p.add_argument("channel")
-    _add_common(p)
+    _add_options(p, "--seed --units --out")
     p.set_defaults(func=cmd_petz)
 
     p = sub.add_parser("suite", help="run measures over a labeled corpus")
     p.add_argument("corpus", help="directory from make-corpus")
-    _add_common(p)
+    _add_options(p, f"{_SEARCH} --outcomes --projective-only --ancilla --out")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("make-corpus", help="write the bundled labeled corpus")
-    p.add_argument("--per-class", type=_COUNT, default=5)
-    _add_common(p)
+    _add_options(p, "--per-class --seed --out")
     p.set_defaults(func=cmd_make_corpus)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # argparse exits with 2 on bad usage, matching our parse-error code.
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
-    code = args.func(args)
+    code = 0
+    try:
+        with _at("run", ""):
+            args.func(args)
+    except _Failed as failed:
+        error = failed.__cause__
+        code, head = next((code, head) for step, types, code, head in _EXITS
+                          if step == failed.step and isinstance(error, types))
+        print(f"error: {head.format(failed.subject)}{error}", file=sys.stderr)
     print(f"wall time: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 

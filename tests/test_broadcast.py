@@ -397,9 +397,9 @@ def test_delta_b_builds_each_candidate_once(rng, monkeypatch):
     calls = {"cloning": 0, "attachment": 0}
 
     def counted(name, fn):
-        def wrapper(rho):
+        def wrapper(rho, *args):
             calls[name] += 1
-            return fn(rho)
+            return fn(rho, *args)
         return wrapper
 
     monkeypatch.setattr(broadcast_mod, "cloning_candidate",
@@ -408,3 +408,21 @@ def test_delta_b_builds_each_candidate_once(rng, monkeypatch):
                         counted("attachment", attachment_candidate))
     assert delta_b_upper(random_cc(2, 2, rng), TINY) <= 1e-6
     assert calls == {"cloning": 1, "attachment": 1}
+
+
+def test_input_mutual_information_computed_once(rng, monkeypatch):
+    # Every candidate's deficit is over the same I(rho): a search and the
+    # Delta_b bound each compute it once, not once per candidate.
+    rho = random_cc(2, 2, rng)
+    calls = []
+
+    def counted(state, cut=None):
+        calls.append(state is rho)
+        return mutual_information(state, cut)
+
+    monkeypatch.setattr(broadcast_mod, "mutual_information", counted)
+    broadcast_search(rho, TINY)
+    assert calls.count(True) == 1 and calls.count(False) == 3
+    calls.clear()
+    delta_b_upper(rho, TINY)
+    assert calls.count(True) == 1 and calls.count(False) == 4

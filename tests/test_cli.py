@@ -13,6 +13,16 @@ from qcorr.qstate import DensityMatrix, bell_phi_plus, pure_state
 FAST = ["--restarts", "2", "--max-evals", "150"]
 
 
+def _fails(argv, capsys, code, path):
+    """`main(argv)` returns `code` with an error naming `path` on stderr,
+    and no traceback; the stderr text."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "error: " in err and str(path) in err
+    assert "Traceback" not in err
+    return err
+
+
 def _write_bell(tmp_path):
     path = tmp_path / "bell.json"
     bell_phi_plus().save(path)
@@ -162,50 +172,43 @@ def test_measures_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_missing_state_file_exit_code(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["measures", str(tmp_path / "nope.json")])
-    assert exc.value.code == 2
+def test_missing_state_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    _fails(["measures", str(missing)], capsys, 2, missing)
 
 
-def test_malformed_state_exit_code(tmp_path):
+def test_malformed_state_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"dims\": [2]}")
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", str(bad)])
-    assert exc.value.code == 2
+    _fails(["classify", str(bad)], capsys, 2, bad)
 
 
 @pytest.mark.parametrize("record", ["[1, 2]", "7", "\"rho\"", "null"])
 def test_non_object_state_exit_code(tmp_path, capsys, record):
     bad = tmp_path / "bad.json"
     bad.write_text(record)
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", str(bad)])
-    assert exc.value.code == 2
-    assert "cannot read state file" in capsys.readouterr().err
+    assert "cannot read state file" in _fails(["classify", str(bad)], capsys,
+                                              2, bad)
 
 
 @pytest.mark.parametrize("record", ["[1, 2]", "7", '{"d_in": 2, "d_out": 2}'])
-def test_non_object_or_incomplete_channel_exit_code(tmp_path, record):
+def test_non_object_or_incomplete_channel_exit_code(tmp_path, capsys, record):
     state = _write_bell(tmp_path)
     chan_path = tmp_path / "chan.json"
     chan_path.write_text(record)
-    with pytest.raises(SystemExit) as exc:
-        main(["petz", state, str(chan_path)])
-    assert exc.value.code == 2
+    assert "cannot read channel file" in _fails(
+        ["petz", state, str(chan_path)], capsys, 2, chan_path)
 
 
-def test_invalid_state_matrix_exit_code(tmp_path):
+def test_invalid_state_matrix_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # trace two: violates the state invariant
     bad.write_text(json.dumps({
         "dims": [2],
         "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
     }))
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", str(bad)])
-    assert exc.value.code == 3
+    assert "invalid state file" in _fails(["classify", str(bad)], capsys,
+                                          3, bad)
 
 
 def test_suite_empty_labels_exit_code(tmp_path, capsys):
@@ -251,6 +254,16 @@ def test_suite_malformed_labels_exit_code(tmp_path, capsys, labels):
     rc = main(_corpus_with(tmp_path, labels, [("bell", bell_phi_plus())]))
     assert rc == 2
     assert "state_id" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_suite_state_id_naming_no_file_exit_code(tmp_path, capsys):
+    # A state_id with a NUL byte names no file: open() raises ValueError,
+    # not OSError, and the row is unreadable all the same.
+    rc = main(_corpus_with(tmp_path, [{"state_id": "a\0b", "label": "ent"}]))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot read state file" in err and "Traceback" not in err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -319,39 +332,31 @@ def test_projective_only_accepts_few_outcomes(tmp_path):
 def test_malformed_state_entries_exit_code(tmp_path, capsys, matrix):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dims": [2], "matrix": matrix}))
-    with pytest.raises(SystemExit) as exc:
-        main(["measures", str(bad), *FAST])
-    assert exc.value.code == 2
-    assert "cannot read state file" in capsys.readouterr().err
+    assert "cannot read state file" in _fails(["measures", str(bad), *FAST],
+                                              capsys, 2, bad)
 
 
 def test_non_finite_state_exit_code(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text('{"dims": [2], "matrix": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}')
-    with pytest.raises(SystemExit) as exc:
-        main(["measures", str(bad), *FAST])
-    assert exc.value.code == 3
-    assert "non-finite" in capsys.readouterr().err
+    assert "non-finite" in _fails(["measures", str(bad), *FAST], capsys, 3, bad)
 
 
-def test_malformed_channel_exit_code(tmp_path):
+def test_malformed_channel_exit_code(tmp_path, capsys):
     state = _write_bell(tmp_path)
     chan_path = tmp_path / "chan.json"
     chan_path.write_text(json.dumps(
         {"d_in": 2, "d_out": 2, "kraus": [[[1.0], [0.0], [0.0], [1.0]]]}))
-    with pytest.raises(SystemExit) as exc:
-        main(["petz", state, str(chan_path)])
-    assert exc.value.code == 2
+    _fails(["petz", state, str(chan_path)], capsys, 2, chan_path)
 
 
-def test_non_finite_channel_exit_code(tmp_path):
+def test_non_finite_channel_exit_code(tmp_path, capsys):
     state = _write_bell(tmp_path)
     chan_path = tmp_path / "chan.json"
     chan_path.write_text(
         '{"d_in": 2, "d_out": 2, "kraus": [[[Infinity, 0], [0, 0], [0, 0], [1, 0]]]}')
-    with pytest.raises(SystemExit) as exc:
-        main(["petz", state, str(chan_path)])
-    assert exc.value.code == 3
+    assert "invalid channel file" in _fails(["petz", state, str(chan_path)],
+                                            capsys, 3, chan_path)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -360,8 +365,9 @@ def test_non_finite_channel_exit_code(tmp_path):
 ])
 def test_invalid_option_value_exit_code(tmp_path, flag, value):
     state = _write_bell(tmp_path)
+    subcommand = "measures" if flag == "--outcomes" else "broadcast"
     with pytest.raises(SystemExit) as exc:
-        main(["broadcast", state, flag, value])
+        main([subcommand, state, flag, value])
     assert exc.value.code == 2
 
 
@@ -388,6 +394,8 @@ def _argv_for(subcommand, tmp_path):
                             [("bell", bell_phi_plus())])[:2] + FAST
     if subcommand == "make-corpus":
         return ["make-corpus", "--per-class", "1"]
+    if subcommand == "classify":
+        return ["classify", state]
     return [subcommand, state, *FAST]
 
 
@@ -403,3 +411,89 @@ def test_unwritable_out_exit_code(tmp_path, capsys, subcommand, where):
     err = capsys.readouterr().err
     assert f"cannot write {out}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand,target", [
+    ("classify", "side_verdicts"), ("petz", "petz_recovery")])
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch,
+                                     subcommand, target):
+    import qcorr.cli as cli_mod
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli_mod, target, failing)
+    argv = _argv_for(subcommand, tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 4
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+FLAGS = {"--seed": "1", "--restarts": "2", "--max-evals": "3", "--tol": "0.1",
+         "--units": "nats", "--outcomes": "4", "--projective-only": None,
+         "--ancilla": "2", "--per-class": "1", "--out": "x"}
+SEARCH = ("--seed", "--restarts", "--max-evals", "--tol", "--units")
+
+
+OPTION_SETS = {
+    "measures": SEARCH + ("--outcomes", "--projective-only", "--out"),
+    "broadcast": SEARCH + ("--ancilla", "--out"),
+    "suite": SEARCH + ("--outcomes", "--projective-only", "--ancilla", "--out"),
+    "classify": ("--seed", "--tol", "--out"),
+    "petz": ("--seed", "--units", "--out"),
+    "make-corpus": ("--per-class", "--seed", "--out"),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(OPTION_SETS))
+def test_subcommand_option_set(subcommand, capsys):
+    # Each subcommand takes exactly the options it reads; any other is a
+    # usage error (exit 2) at parsing, before anything runs.
+    from qcorr.cli import build_parser
+
+    positional = {"petz": ["s.json", "c.json"], "suite": ["corpus"],
+                  "make-corpus": []}.get(subcommand, ["s.json"])
+    for flag, value in FLAGS.items():
+        argv = [subcommand, *positional, flag, *([value] if value else [])]
+        if flag in OPTION_SETS[subcommand]:
+            build_parser().parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_suite_and_petz_nats_units(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["make-corpus", "--per-class", "1", "--seed", "2",
+                 "--out", str(corpus_dir)]) == 0
+    tables = {}
+    for units in ("bits", "nats"):
+        out = tmp_path / f"suite-{units}.csv"
+        assert main(["suite", str(corpus_dir), "--units", units,
+                     "--out", str(out), *FAST]) == 0
+        tables[units] = [line.split(",") for line in
+                         out.read_text().strip().splitlines()]
+    header = tables["bits"][0]
+    converted = {"I", "I_cq_lower", "I_cc_lower", "delta_cc_upper",
+                 "mi_deficit"}
+    for bits_row, nats_row in zip(tables["bits"][1:], tables["nats"][1:]):
+        for name, b, n in zip(header, bits_row, nats_row):
+            if name in converted:
+                assert float(n) == pytest.approx(float(b) * np.log(2.0),
+                                                 abs=1e-12), name
+            else:  # lb_residual is a trace distance
+                assert n == b, name
+
+    state = _write_bell(tmp_path)
+    chan_path = tmp_path / "chan.json"
+    unitary_channel(haar_unitary(2, np.random.default_rng(0))).save(chan_path)
+    out = tmp_path / "petz.json"
+    assert main(["petz", state, str(chan_path), "--units", "nats",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["units"] == "nats"
+    for key in ("I_before", "I_after"):
+        assert payload[key] == pytest.approx(2.0 * np.log(2.0), abs=1e-9)

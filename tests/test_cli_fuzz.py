@@ -104,19 +104,33 @@ OPTIONS = {
                          st.sampled_from(["0", "x"])),
     "--ancilla": COUNT,
 }
+# The optional flags each subcommand accepts (besides --out).
+SEARCH = ("--seed", "--restarts", "--max-evals", "--tol", "--units")
+ACCEPTS = {
+    "measures": SEARCH + ("--outcomes", "--projective-only"),
+    "broadcast": SEARCH + ("--ancilla",),
+    "suite": SEARCH + ("--outcomes", "--projective-only", "--ancilla"),
+    "classify": ("--seed", "--tol"),
+    "petz": ("--seed", "--units"),
+    "make-corpus": ("--per-class", "--seed"),
+}
 
 
 @st.composite
 def options(draw, subcommand):
-    """Tiny-budget options, each possibly absent or invalid."""
-    argv = ["--restarts", draw(COUNT), "--max-evals",
-            draw(mostly(st.integers(1, 20).map(str), st.just("0")))]
+    """Options the subcommand accepts, each possibly absent or invalid, at
+    tiny budgets: a search's rounds and a corpus's size are always set."""
+    accepts = ACCEPTS[subcommand]
+    argv = []
+    if "--restarts" in accepts:
+        argv += ["--restarts", draw(COUNT), "--max-evals",
+                 draw(mostly(st.integers(1, 20).map(str), st.just("0")))]
     for flag, values in OPTIONS.items():
-        if draw(st.booleans()):
+        if flag in accepts and draw(st.booleans()):
             argv += [flag, draw(values)]
-    if draw(st.booleans()):
+    if "--projective-only" in accepts and draw(st.booleans()):
         argv.append("--projective-only")
-    if subcommand == "make-corpus":
+    if "--per-class" in accepts:
         argv += ["--per-class", draw(COUNT)]
     return argv
 
