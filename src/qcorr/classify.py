@@ -7,7 +7,11 @@ diagonalizing that family with Jacobi sweeps (Cardoso and Souloumiac,
 "Jacobi angles for simultaneous diagonalization", SIAM J. Matrix Anal.
 Appl. 17, 1996); the common eigenbasis is the claimed classical basis and
 the verdict is judged by the residual off-diagonal mass of the rotated
-state.
+state.  The sweeps stop when no rotation exceeds the tolerance, or when a
+sweep lowers the family's off-diagonal mass by at most the fraction
+`_STALL` of itself: a commuting family converges quadratically and meets
+the first rule before the second, while a family with no common
+eigenbasis drifts toward a stationary point that the second rule ends.
 
 The family is one (m, d, d) array throughout: it is gathered from the
 state's blocks by array indexing, each Jacobi rotation updates every
@@ -30,6 +34,9 @@ import numpy as np
 from .qstate import TAU_PSD, DensityMatrix, StateError, partial_transpose
 
 TAU_CLASS = 1e-8
+# A Jacobi sweep that lowers the off-diagonal mass by at most this fraction
+# of itself ends the sweeps.
+_STALL = 1e-6
 
 
 class Kind(Enum):
@@ -113,7 +120,10 @@ def joint_diagonalize(ops, tol: float = 1e-14,
     and one matmul rotates every member.  The rotation's angle comes from
     the surrogate's top eigenvector, read out as Python floats; its cosine
     and sine are scalar arithmetic (`math.sqrt`, `_rotation_sine`).
-    Sweeps stop when no rotation exceeds `tol` or after `max_sweeps`.
+    Sweeps stop when no rotation exceeds `tol`, when a sweep after the
+    first lowers the off-diagonal mass (the exactly rounded sum of |A_pq|^2
+    over members and p != q) by at most `_STALL` of its previous value, or
+    after `max_sweeps`.
     """
     ops = _family_stack(ops)
     m, d, _ = ops.shape
@@ -122,6 +132,8 @@ def joint_diagonalize(ops, tol: float = 1e-14,
     if d == 1:
         return u
     h = np.empty((m, 3))
+    off_diag = ~np.eye(d, dtype=bool)
+    prev = None
     for _ in range(max_sweeps):
         changed = False
         for p in range(d):
@@ -157,6 +169,11 @@ def joint_diagonalize(ops, tol: float = 1e-14,
                 u = u @ rot
         if not changed:
             break
+        entries = ops[:, off_diag]
+        off = math.fsum((entries.real ** 2 + entries.imag ** 2).ravel().tolist())
+        if prev is not None and prev - off <= _STALL * prev:
+            break
+        prev = off
     return u
 
 
@@ -195,13 +212,20 @@ def _conditional_family(rho: DensityMatrix, side: int):
     return kinds[_family_index(d_reg)], d_cond
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.kron(a, b)` of square matrices, entry for entry, as one
+    broadcast product and a reshape."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 def _block_residual(rho: DensityMatrix, basis: np.ndarray, side: int) -> float:
     """Max coherence between distinct basis states of the measured side."""
     d_a, d_b = rho.dims
     if side == 0:
-        rot = np.kron(basis, np.eye(d_b, dtype=complex))
+        rot = _kron(basis, np.eye(d_b, dtype=complex))
     else:
-        rot = np.kron(np.eye(d_a, dtype=complex), basis)
+        rot = _kron(np.eye(d_a, dtype=complex), basis)
     m = rot.conj().T @ rho.matrix @ rot
     r = np.abs(m.reshape(d_a, d_b, d_a, d_b))
     # block_max[i, j]: largest entry of the (i, j) block of the measured side.
@@ -212,7 +236,7 @@ def _block_residual(rho: DensityMatrix, basis: np.ndarray, side: int) -> float:
 
 def _product_residual(rho: DensityMatrix, basis_a: np.ndarray,
                       basis_b: np.ndarray) -> float:
-    rot = np.kron(basis_a, basis_b)
+    rot = _kron(basis_a, basis_b)
     m = rot.conj().T @ rho.matrix @ rot
     off = m - np.diag(np.diag(m))
     return float(np.abs(off).max())

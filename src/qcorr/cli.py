@@ -177,6 +177,11 @@ def cmd_petz(args) -> None:
         mi = {}
     elif rho.layout.n_subsystems == 2 and ch.d_in == rho.dims[0]:
         # Local channel on party A; reference is the marginal product.
+        if len(ch.out_dims) != 1:
+            # The recovery maps party A's output back as one party.
+            raise StateError(
+                f"a channel on party A must keep it one party, but its "
+                f"out_dims are {list(ch.out_dims)}")
         rho_a = partial_trace(rho, (0,))
         rec_a = petz_recovery(ch, rho_a)
         degraded = apply_local(ch, 0, rho)

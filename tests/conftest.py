@@ -116,18 +116,24 @@ def oracle_anti_hermitian(params: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-def oracle_joint_diagonalize(ops, tol: float = 1e-14,
-                             max_sweeps: int = 100) -> np.ndarray:
+def oracle_joint_diagonalize(ops, tol: float = 1e-14, max_sweeps: int = 100,
+                             stop_on_stall: bool = True) -> np.ndarray:
     """Jacobi joint diagonalization one family member at a time: the
     surrogate g is summed with one outer product per member and every
     member is rotated by its own matmul.  Same sweeps, pair order,
-    rotation formulas and stopping rule as `classify.joint_diagonalize`;
-    a pair whose g is exactly zero is skipped."""
+    rotation formulas and stopping rules as `classify.joint_diagonalize`;
+    a pair whose g is exactly zero is skipped.  The off-diagonal mass is
+    summed entry by entry with `math.fsum`, exactly rounded whatever the
+    order.  `stop_on_stall=False` drops the rule that ends the sweeps once
+    that mass stalls, leaving the rotation tolerance and the sweep cap."""
+    from qcorr.classify import _STALL
+
     ops = [np.array(o, dtype=complex) for o in ops]
     d = ops[0].shape[0]
     u = np.eye(d, dtype=complex)
     if d == 1:
         return u
+    prev = None
     for _ in range(max_sweeps):
         changed = False
         for p in range(d):
@@ -164,6 +170,12 @@ def oracle_joint_diagonalize(ops, tol: float = 1e-14,
                 u = u @ rot
         if not changed:
             break
+        off = math.fsum(a[p, q].real * a[p, q].real + a[p, q].imag * a[p, q].imag
+                        for a in ops for p in range(d) for q in range(d)
+                        if p != q)
+        if stop_on_stall and prev is not None and prev - off <= _STALL * prev:
+            break
+        prev = off
     return u
 
 

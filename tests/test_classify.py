@@ -92,6 +92,19 @@ def _corpus_states(d_a, d_b, rng):
 CORPUS_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
 
 
+def _count_eigh(monkeypatch) -> list:
+    """Patch `np.linalg.eigh` to log each call; the log, one entry a call."""
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(1)
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 class TestStackedMatchesLoopOracles:
     """The stacked family, residual and Jacobi sweeps against member-by-
     member loops, bit for bit."""
@@ -121,13 +134,40 @@ class TestStackedMatchesLoopOracles:
             assert np.array_equal(joint_diagonalize(fam),
                                   oracle_joint_diagonalize(fam))
 
-    def test_family_that_stops_on_max_sweeps(self):
+    def test_drifting_family_stops_on_stall(self, monkeypatch):
         rho = random_pure_entangled(3, 3, np.random.default_rng(7))
         fam, _ = _conditional_family(rho, 1)
-        capped = joint_diagonalize(fam)
-        # A 101st sweep still rotates: the default 100 ran out.
-        assert not np.array_equal(capped, joint_diagonalize(fam, max_sweeps=101))
-        assert np.array_equal(capped, oracle_joint_diagonalize(fam))
+        # No common eigenbasis: without the stall rule a 101st sweep still
+        # rotates, so the sweeps run out at the 100-sweep cap.
+        drifted = oracle_joint_diagonalize(fam, stop_on_stall=False)
+        assert not np.array_equal(drifted, oracle_joint_diagonalize(
+            fam, max_sweeps=101, stop_on_stall=False))
+        calls = _count_eigh(monkeypatch)
+        basis = joint_diagonalize(fam)
+        monkeypatch.undo()
+        # One eigh per pair and sweep, three pairs at d = 3.
+        assert 3 < len(calls) <= 3 * 20
+        assert np.array_equal(basis, oracle_joint_diagonalize(fam))
+        assert not np.array_equal(basis, drifted)
+        # The sweep cap still applies, and stops the sweeps elsewhere.
+        capped = joint_diagonalize(fam, max_sweeps=2)
+        assert not np.array_equal(capped, basis)
+        assert np.array_equal(capped, oracle_joint_diagonalize(fam, max_sweeps=2))
+
+    @pytest.mark.parametrize("dims", CORPUS_DIMS)
+    def test_classical_families_ignore_the_stall_rule(self, dims):
+        # A commuting family meets the rotation tolerance before its
+        # off-diagonal mass stalls, so the stall rule leaves its basis as is.
+        rng = np.random.default_rng(7100 + 10 * dims[0] + dims[1])
+        for _ in range(4):
+            for label in ("cc", "cq"):
+                rho = (random_cc if label == "cc" else random_cq)(*dims, rng)
+                for side in (0, 1) if label == "cc" else (0,):
+                    fam, _ = _conditional_family(rho, side)
+                    basis = joint_diagonalize(fam)
+                    assert _block_residual(rho, basis, side) <= TAU_CLASS
+                    assert np.array_equal(basis, oracle_joint_diagonalize(
+                        fam, stop_on_stall=False)), (label, side)
 
 
 class TestRotationSine:
@@ -182,14 +222,7 @@ class TestJointDiagonalize:
         [np.diag([1.0, 1.0, 2.0, 2.0]), np.eye(4)],
     ], ids=["identity_3", "identities_2", "tied_3", "tied_pair_3", "tied_4"])
     def test_degenerate_family_stops_after_one_sweep(self, fam, monkeypatch):
-        calls = []
-        real_eigh = np.linalg.eigh
-
-        def counting_eigh(a):
-            calls.append(1)
-            return real_eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = _count_eigh(monkeypatch)
         d = fam[0].shape[0]
         assert np.array_equal(joint_diagonalize(fam), np.eye(d))
         # Pairs tied across the family skip the 3x3 eigh; the rest take

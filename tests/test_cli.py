@@ -127,6 +127,22 @@ def test_petz_global_depolarizing(tmp_path):
     assert payload["recovery_trace_distance"] <= 1e-10
 
 
+@pytest.mark.parametrize("out_dims", [[1, 2], [2, 1]])
+def test_petz_channel_splitting_party_a_exit_code(tmp_path, capsys, out_dims):
+    # A valid channel on party A whose output is several parties: the
+    # recovery cannot map it back as party A, an input mismatch (exit 3).
+    state = _write_bell(tmp_path)
+    chan_path = tmp_path / "split.json"
+    chan_path.write_text(json.dumps({
+        "d_in": 2, "d_out": 2, "out_dims": out_dims,
+        "kraus": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}))
+    out = tmp_path / "petz.json"
+    assert main(["petz", state, str(chan_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"out_dims are {out_dims}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_make_corpus_and_suite_roundtrip(tmp_path):
     corpus_dir = tmp_path / "corpus"
     rc = main(["make-corpus", "--per-class", "1", "--seed", "7",
