@@ -20,13 +20,7 @@ from .channels import (
 )
 from .classify import classical_basis
 from .correlations import Ensemble, mutual_information
-from .optimize import (
-    OptimizerConfig,
-    isometry_from_params,
-    maximize,
-    param_dim_general_povm,
-    unitary_from_params,
-)
+from .optimize import OptimizerConfig, maximize, unitary_from_params
 from .qstate import (
     TAU_HERM,
     TAU_NUM,
@@ -249,16 +243,11 @@ def _stinespring_channel(params: np.ndarray, d: int,
 
 def _channel_point(channel: KrausChannel, ancilla: int) -> np.ndarray:
     """A channel with at most `ancilla` Kraus operators as a search point:
-    its Stinespring isometry (the inverse of `_channel_of_isometry`, unused
-    ancilla levels zero) packed as in `isometry_from_params`."""
+    its (d*d*ancilla, d) Stinespring isometry, the inverse of
+    `_channel_of_isometry` with unused ancilla levels zero."""
     v = np.zeros((channel.d_out, ancilla, channel.d_in), dtype=complex)
     v[:, :len(channel.kraus)] = np.stack(channel.kraus, axis=1)
-    return v.reshape(-1).view(float)
-
-
-def stinespring_param_dim(d: int, ancilla: int) -> int:
-    """Real parameters of one side's (d*d*ancilla, d) Stinespring isometry."""
-    return param_dim_general_povm(d, d * d * ancilla)
+    return v.reshape(-1, channel.d_in)
 
 
 def _legs(w: np.ndarray) -> np.ndarray:
@@ -301,7 +290,7 @@ def _swap_middle(x: np.ndarray, d: int) -> np.ndarray:
 
 def _stinespring_gradient(legs: np.ndarray, g: np.ndarray, d: int,
                           ancilla: int) -> np.ndarray:
-    """Euclidean gradient, packed as parameters, of f with
+    """Euclidean gradient (..., d*d*ancilla, d) on V of f with
     df = Re sum_c <H_c, dS_c> (S_c the superoperators of
     `_copy_superoperators`, H_c = g[..., c]): through gram = L L^dag it is
     (H^ + H^^dag) L per copy, H^ being H with its middle indices swapped,
@@ -312,7 +301,7 @@ def _stinespring_gradient(legs: np.ndarray, g: np.ndarray, d: int,
     gamma = gamma.reshape(gamma.shape[:-2] + (d, d, d, ancilla)).swapaxes(
         -1, -2).swapaxes(-1, -3)
     z = gamma[..., 0, :, :, :, :] + gamma[..., 1, :, :, :, :].swapaxes(-4, -3)
-    return np.ascontiguousarray(z).reshape(z.shape[:-4] + (-1,)).view(float)
+    return z.reshape(z.shape[:-4] + (d * d * ancilla, d))
 
 
 def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
@@ -326,8 +315,8 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
     where the trace residuals of `verify_broadcast` do and, unlike them,
     is smooth: df = -2 Re sum_c (<E_c (R S_B^T)^dag, dS_A> +
     <E_c^T conj(S_A R), dS_B>), carried onto each V by
-    `_stinespring_gradient`.  The gradient is packed as (v_a, v_b) in
-    `isometry_from_params` order.  When the sides share d and the ancilla,
+    `_stinespring_gradient`.  The gradients are shaped as v_a and v_b.
+    When the sides share d and the ancilla,
     both go through one `_copy_superoperators` and one
     `_stinespring_gradient` call on the stacked pair.
 
@@ -343,10 +332,9 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
     same = (d_a, anc_a) == (d_b, anc_b)
 
     def objective(v_a, v_b):
-        if same:  # both sides in one call: (..., side, copy, ...) arrays
-            legs, s = _copy_superoperators(np.stack((v_a, v_b), axis=-3),
-                                           d_a, anc_a)
-            s_a, s_b = s[..., 0, :, :, :], s[..., 1, :, :, :]
+        if same:  # both sides in one call: (side, ..., copy, ...) arrays
+            legs, (s_a, s_b) = _copy_superoperators(np.stack((v_a, v_b)),
+                                                    d_a, anc_a)
         else:
             legs_a, s_a = _copy_superoperators(v_a, d_a, anc_a)
             legs_b, s_b = _copy_superoperators(v_b, d_b, anc_b)
@@ -369,28 +357,24 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
         g_a = err @ (shuffled @ s_b_t).conj().swapaxes(-1, -2)
         g_b = err.swapaxes(-1, -2) @ left.conj()
         if same:
-            z = _stinespring_gradient(
-                legs, -2 * np.stack((g_a, g_b), axis=-4), d_a, anc_a)
-            return value, z.reshape(z.shape[:-2] + (-1,))
-        return value, np.concatenate(
-            (_stinespring_gradient(legs_a, -2 * g_a, d_a, anc_a),
-             _stinespring_gradient(legs_b, -2 * g_b, d_b, anc_b)), axis=-1)
+            return value, tuple(_stinespring_gradient(
+                legs, -2 * np.stack((g_a, g_b)), d_a, anc_a))
+        return value, (_stinespring_gradient(legs_a, -2 * g_a, d_a, anc_a),
+                       _stinespring_gradient(legs_b, -2 * g_b, d_b, anc_b))
 
     return objective
 
 
 def _seed_points(cloning: BroadcastCandidate, attachment: BroadcastCandidate,
-                 ancillas: tuple[int, int]) -> list[np.ndarray]:
+                 ancillas: tuple[int, int]) -> list[tuple]:
     """Search points of the structured channel pairs: cloning on both
     sides, attachment on both sides, cloning on A with attachment on B,
     and the reverse.  Each side's ancilla must hold its channel's Kraus
     operators (d for cloning, the marginal's rank for attachment)."""
-    clone = [_channel_point(cloning.theta_A, ancillas[0]),
-             _channel_point(cloning.theta_B, ancillas[1])]
-    attach = [_channel_point(attachment.theta_A, ancillas[0]),
-              _channel_point(attachment.theta_B, ancillas[1])]
-    return [np.concatenate(pair) for pair in (
-        clone, attach, (clone[0], attach[1]), (attach[0], clone[1]))]
+    clone, attach = ((_channel_point(c.theta_A, ancillas[0]),
+                      _channel_point(c.theta_B, ancillas[1]))
+                     for c in (cloning, attachment))
+    return [clone, attach, (clone[0], attach[1]), (attach[0], clone[1])]
 
 
 def _broadcast_candidates(rho: DensityMatrix, cfg: OptimizerConfig | None,
@@ -413,7 +397,6 @@ def _broadcast_candidates(rho: DensityMatrix, cfg: OptimizerConfig | None,
     ancillas = tuple(d if cfg.ancilla_dim is None else cfg.ancilla_dim
                      for d in dims)
     shapes = tuple((d * d * anc, d) for d, anc in zip(dims, ancillas))
-    pd_a = stinespring_param_dim(dims[0], ancillas[0])
 
     if mi_rho is None:
         mi_rho = mutual_information(rho)
@@ -423,9 +406,8 @@ def _broadcast_candidates(rho: DensityMatrix, cfg: OptimizerConfig | None,
              if all(anc >= d for d, anc in zip(dims, ancillas)) else [])
     res = maximize(_residual_objective(rho, *ancillas), shapes, cfg,
                    seed_points=seeds)
-    theta_a, theta_b = (
-        _channel_of_isometry(isometry_from_params(x, n, d), d, anc)
-        for x, (n, d), anc in zip(np.split(res.params, [pd_a]), shapes, ancillas))
+    theta_a, theta_b = (_channel_of_isometry(v, d, anc)
+                        for v, d, anc in zip(res.isometries, dims, ancillas))
     return [cloning, attachment, _candidate(rho, theta_a, theta_b, mi_rho)]
 
 

@@ -128,6 +128,8 @@ class KrausChannel:
             out_dims = (d_out,)
         else:
             out_dims = tuple(int(d) for d in out_dims)
+            if any(d < 1 for d in out_dims):
+                raise ChannelError(f"out_dims {out_dims} must all be >= 1")
             if prod(out_dims) != d_out:
                 raise ChannelError(
                     f"out_dims {out_dims} do not multiply to d_out={d_out}")

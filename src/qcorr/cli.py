@@ -92,20 +92,24 @@ def _write_report(payload: dict, out_path: str | None) -> None:
         Path(out_path).write_text(text)
 
 
-def _convert_units(payload, units: str):
-    """Recursively convert *_bits-valued measure fields to nats."""
+_BITS_FIELDS = {"I", "I_cq_lower", "I_cc_lower", "delta_cc_upper",
+                "discord_upper", "mi_deficit", "I_before", "I_after",
+                "value", "restart_values", "icq_general_gain",
+                "icc_general_gain"}
+
+
+def _convert_units(payload, units: str, in_bits: bool = False):
+    """Recursively convert the values of the bit-valued fields to nats: the
+    measures, and the values the searches of `optimizer_meta` reached."""
     if units == "bits":
         return payload
-    keys = {"I", "I_cq_lower", "I_cc_lower", "delta_cc_upper",
-            "discord_upper", "mi_deficit", "I_before", "I_after"}
     if isinstance(payload, dict):
-        return {
-            k: (bits_to_nats(v) if k in keys and isinstance(v, (int, float))
-                else _convert_units(v, units))
-            for k, v in payload.items()
-        }
+        return {k: _convert_units(v, units, k in _BITS_FIELDS)
+                for k, v in payload.items()}
     if isinstance(payload, list):
-        return [_convert_units(v, units) for v in payload]
+        return [_convert_units(v, units, in_bits) for v in payload]
+    if in_bits and isinstance(payload, (int, float)):
+        return bits_to_nats(payload)
     return payload
 
 

@@ -27,11 +27,8 @@ from .optimize import (
     ConfigRangeError,
     OptimizationResult,
     OptimizerConfig,
-    embed_projective_in_general,
-    general_povm,
     isometry_stack,
     maximize,
-    param_dim_general_povm,
 )
 from .qstate import (
     TAU_NUM,
@@ -158,8 +155,8 @@ class MeasurementOptimum:
     # The projective-family search, run first whatever `family` won; for
     # I_CQ it is the search that defines the discord bound.
     projective: OptimizationResult
-    # Party A's projective seed points (`_local_bases_seeds(rho, 0)`) of a
-    # side-0 I_CQ search, kept so the I_CC search can reuse them.
+    # Party A's projective seed matrices (`_local_bases_seeds(rho, 0)`) of
+    # a side-0 I_CQ search, kept so the I_CC search can reuse them.
     seeds_a: tuple[np.ndarray, ...] = ()
     # The general-family search, run second; None under `projective_only`.
     general: OptimizationResult | None = None
@@ -204,17 +201,16 @@ def _log2_floor(x: np.ndarray) -> np.ndarray:
 
 
 def _isometry_gradient(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean gradient, packed as parameters, of sum_i Tr[M_i Q_i] (Q_i
-    fixed and Hermitian) over the isometries w whose conjugated rows a_i
-    give M_i = a_i a_i^dag: row i of the complex gradient is 2 w_i Q_i."""
-    z = 2 * (w[..., None, :] @ q)[..., 0, :]
-    return z.reshape(z.shape[:-2] + (-1,)).view(float)
+    """Euclidean gradient of sum_i Tr[M_i Q_i] (Q_i fixed and Hermitian)
+    over the isometries w whose conjugated rows a_i give M_i = a_i a_i^dag:
+    its row i is 2 w_i Q_i."""
+    return 2 * (w[..., None, :] @ q)[..., 0, :]
 
 
 def _cq_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray, s_b: float,
                    w: np.ndarray):
     """Values of `_cq_value` on the general POVMs of isometries w
-    (..., n, dA) and their gradients (..., 2 n dA).
+    (..., n, dA) and their gradients, one (..., n, dA) array in a tuple.
 
     One `eigh` of the blocks B_i gives both: the derivative of I in B_i is
     L_i = log2 B_i - log2 p_i (Lewis, "Derivatives of spectral functions",
@@ -227,14 +223,14 @@ def _cq_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray, s_b: float,
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
     log_ratio = _log2_floor(lam) - _log2_floor(probs)[..., None]
     l_b = (vecs * log_ratio[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return value, _isometry_gradient(w, cq_blocks(rho_swap, l_b))
+    return value, (_isometry_gradient(w, cq_blocks(rho_swap, l_b)),)
 
 
 def _cc_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray,
                    w_a: np.ndarray, w_b: np.ndarray):
     """Values of `_cc_value` on the general POVMs of isometries w_a
-    (..., nA, dA) and w_b (..., nB, dB), and their gradients
-    (..., 2 nA dA + 2 nB dB).
+    (..., nA, dA) and w_b (..., nB, dB), and their gradients, shaped as
+    w_a and w_b.
 
     The derivative of I in p_ij is g_ij = log2(p_ij / (p_i. p_.j)) (up to
     a constant that completeness cancels), so party A's direction for
@@ -254,18 +250,17 @@ def _cc_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray,
 
     q_a = direction(g, cq_blocks(rho_swap, ns))
     q_b = direction(g.swapaxes(-1, -2), cq_blocks(rho_mat, ms))
-    return value, np.concatenate(
-        (_isometry_gradient(w_a, q_a), _isometry_gradient(w_b, q_b)), axis=-1)
+    return value, (_isometry_gradient(w_a, q_a), _isometry_gradient(w_b, q_b))
 
 
 def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
-    """Projective seed points: the isometries W = U^dag, packed as in
-    `isometry_from_params`, of the bases U (as columns) of the computational
-    basis, the marginal's eigenbasis and the classical basis."""
+    """Projective seed matrices: the isometries W = U^dag of the bases U (as
+    columns) of the computational basis, the marginal's eigenbasis and the
+    classical basis."""
     d = rho.dims[side]
     marginal = partial_trace(rho, (side,))
     _, eigvecs = np.linalg.eigh(marginal.matrix)
-    return [np.ascontiguousarray(np.conj(u).T, dtype=complex).view(float).ravel()
+    return [np.conj(u).T
             for u in (np.eye(d), eigvecs, classical_basis(rho, side))]
 
 
@@ -292,11 +287,11 @@ def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
 
     `value_grad(*ws)` gives the values and gradients of the functional at
     one (k, n, d) isometry array per party.  A seed is a sequence of
-    per-party points.  The projective phase (n = d) ascends from
+    per-party matrices.  The projective phase (n = d) ascends from
     `proj_seeds`.  Unless `cfg.projective_only`, the general phase
     (`cfg.outcome_count` outcomes, default d^2) scores the seeds
-    `general_seeds(x)`, x being the projective optimum, each embedded with
-    zero rows appended; its value wins only if it beats the projective
+    `general_seeds(x)`, x being the projective optimum's matrices, each
+    padded with zero rows; its value wins only if it beats the projective
     one by more than `TAU_NUM`.  An outcome count below a party's
     dimension raises `ConfigRangeError` before any search.
 
@@ -309,34 +304,30 @@ def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
     def search(counts, seeds):
         return maximize(value_grad, tuple(zip(counts, dims)),
                         replace(cfg, tol=0.01 * cfg.tol),
-                        seed_points=[np.concatenate(x) for x in seeds],
-                        ascend_seeds=counts == dims)
+                        seed_points=seeds, ascend_seeds=counts == dims)
 
-    def parts(x, counts):
-        ends = np.cumsum([param_dim_general_povm(d, n)
-                          for n, d in zip(counts, dims)])
-        return np.split(x, ends[:-1])
-
-    def found(res, counts, family):
-        povms = [general_povm(x, d, n)
-                 for x, d, n in zip(parts(res.params, counts), dims, counts)]
+    def found(res, family):
+        povms = [Povm(tuple(isometry_stack(w))) for w in res.isometries]
         return dict(value=res.value, povm_a=povms[0],
                     povm_b=(*povms, None)[1], family=family, result=res)
 
     counts = _outcome_counts(cfg, dims)
     proj_res = search(dims, proj_seeds)
     best = MeasurementOptimum(projective=proj_res,
-                              **found(proj_res, dims, "projective"))
+                              **found(proj_res, "projective"))
     if counts is None:
         return best
 
+    # A matrix G with fewer rows (the projective optimum's, say) enters the
+    # general family as [G; 0]: its polar factor is that of G with the zero
+    # rows, so the POVM is the same, with zero elements for the new outcomes.
     gen_res = search(counts, [
-        [embed_projective_in_general(x, d, n)
-         for x, d, n in zip(seed, dims, counts)]
-        for seed in general_seeds(parts(proj_res.params, dims))])
+        [np.concatenate((g, np.zeros((n - len(g), g.shape[1]))))
+         for g, n in zip(seed, counts)]
+        for seed in general_seeds(proj_res.points)])
     best = replace(best, general=gen_res)
     if gen_res.value > best.value + TAU_NUM:
-        best = replace(best, **found(gen_res, counts, "general"))
+        best = replace(best, **found(gen_res, "general"))
     return best
 
 
@@ -349,10 +340,13 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     which makes the bound exact (I_CQ = I) on CQ-structured inputs.  Both
     families are isometries W searched by gradient ascent: the projective
     one is the d-outcome family (W unitary), the general one has
-    `cfg.outcome_count` outcomes (default d^2).
+    `cfg.outcome_count` outcomes (default d^2).  `side` is the measured
+    party, 0 or 1; any other raises `StateError`.
     """
     if rho.layout.n_subsystems != 2:
         raise StateError("optimize_icq requires a bipartite layout")
+    if side not in (0, 1):
+        raise StateError(f"side must be 0 or 1, got {side!r}")
     work = rho if side == 0 else permute_subsystems(rho, (1, 0))
     rho_mat = np.ascontiguousarray(work.matrix)
     s_b = von_neumann_entropy(partial_trace(work, (1,)))
@@ -379,7 +373,6 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     """
     if rho.layout.n_subsystems != 2:
         raise StateError("optimize_icc requires a bipartite layout")
-    d_a = rho.dims[0]
     rho_mat = np.ascontiguousarray(rho.matrix)
     if icq is None:
         icq = optimize_icq(rho, cfg)
@@ -393,13 +386,12 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     proj_seeds = [*pairs, (seeds_a[0], seeds_b[1])]
     if icq.family == "projective":
         # CQ optimum's POVM paired with the B eigenbasis.
-        proj_seeds.append((icq.result.params, seeds_b[1]))
+        proj_seeds.append((icq.result.points[0], seeds_b[1]))
 
     def general_seeds(x):
-        # The I_CQ optimum's point, unless it has more outcomes than fit.
-        x_cq = icq.result.params
-        n_a = _outcome_counts(cfg, rho.dims)[0]
-        if x_cq.size > param_dim_general_povm(d_a, n_a):
+        # The I_CQ optimum's matrix, unless it has more outcomes than fit.
+        x_cq = icq.result.points[0]
+        if len(x_cq) > _outcome_counts(cfg, rho.dims)[0]:
             x_cq = x[0]
         return [*pairs, x, (x_cq, seeds_b[1])]
 
@@ -410,8 +402,9 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig,
             side: int = 0) -> float:
-    """Gap I - I_CQ with the measured party restricted to complete
-    projective measurements; an upper bound on the true discord."""
+    """Gap I - I_CQ with the measured party `side` (0 or 1, as in
+    `optimize_icq`) restricted to complete projective measurements; an
+    upper bound on the true discord."""
     i = mutual_information(rho)
     icq = optimize_icq(rho, replace(cfg, projective_only=True), side=side)
     return max(i - min(icq.value, i), 0.0)

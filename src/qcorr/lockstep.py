@@ -3,18 +3,18 @@ step rule `_Descent`.
 
 `minimize` runs many minimizations of one batched objective at once.
 Every run is a monotone Riemannian gradient descent on a product of
-Stiefel manifolds: its points are real arrays that pack one complex n x d
-matrix per entry of `shapes`, as (re, im) pairs row by row (the packing
-of `optimize.isometry_from_params`), and a matrix stands for its polar
-factor (Edelman, Arias and Smith, "The geometry of algorithms with
-orthogonality constraints", SIAM J. Matrix Anal. Appl. 20, 1998).
+Stiefel manifolds: a point is one complex n x d matrix per entry of
+`shapes`, packed here alone into reals as (re, im) pairs row by row, party
+after party, and a matrix stands for its polar factor (Edelman, Arias and
+Smith, "The geometry of algorithms with orthogonality constraints", SIAM
+J. Matrix Anal. Appl. 20, 1998).
 
 The objective contract is the same for every search: it takes one
 (k, n, d) isometry array per party and returns the k values and their
-Euclidean gradients.  The driver is the one place that turns points into
-isometries, with one batched SVD per distinct matrix shape.  The polar
-factor of a trial point is its retraction, so an accepted step costs no
-second SVD.
+Euclidean gradients, one complex (k, n, d) array per party.  The driver
+is the one place that turns points into isometries, with one batched SVD
+per distinct matrix shape.  The polar factor of a trial point is its
+retraction, so an accepted step costs no second SVD.
 
 A round is array work on the rows of all live runs at once: the polar
 factors and the objective call, one tangent projection, the row dots the
@@ -58,15 +58,43 @@ def _party_blocks(x: np.ndarray, shapes) -> list:
 
 
 def _packed(parts: list) -> np.ndarray:
-    """Real (m, P) points from per-block complex (m, p, n, d) arrays."""
+    """Real (m, P) points from (m, ...) arrays, one per block or party, in
+    order (real entries count as complex)."""
     m = len(parts[0])
-    return np.concatenate([part.reshape(m, -1).view(float) for part in parts],
-                          axis=-1)
+    return np.concatenate([part.reshape(m, -1) for part in parts], axis=-1,
+                          dtype=complex).view(float)
+
+
+def _parties(blocks: list) -> list:
+    """The per-party (m, n, d) arrays of `_party_blocks`' blocks."""
+    return [b[:, j] for b in blocks for j in range(b.shape[1])]
+
+
+def _as_parties(arrays, shapes, lead: tuple, what: str) -> list:
+    """`arrays` as arrays of shapes lead + (n, d), one per (n, d) entry of
+    `shapes`; a ValueError names both otherwise."""
+    arrays = [np.asarray(a) for a in arrays]
+    want = [lead + tuple(shape) for shape in shapes]
+    if [a.shape for a in arrays] != want:
+        raise ValueError(f"{what} has shapes {[a.shape for a in arrays]}, "
+                         f"but isometry shapes {tuple(shapes)} need {want}")
+    return arrays
+
+
+def packed(point, shapes) -> np.ndarray:
+    """The real parameters of a point: its complex matrices, one per entry
+    of `shapes` (another shape raises ValueError), packed."""
+    return _packed([a[None] for a in _as_parties(point, shapes, (),
+                                                 "seed point")])[0]
+
+
+def unpacked(x: np.ndarray, shapes) -> tuple:
+    """The complex matrices of the real point x, as views: `packed` undone."""
+    return tuple(p[0] for p in _parties(_party_blocks(x[None], shapes)))
 
 
 def _polar(block: np.ndarray) -> np.ndarray:
-    """The polar factor U V^dag (thin SVD) of every matrix of a stack: the
-    computation of `optimize.isometry_from_params`."""
+    """The polar factor U V^dag (thin SVD) of every matrix of a stack."""
     u, _, vh = np.linalg.svd(block, full_matrices=False)
     return u @ vh
 
@@ -172,14 +200,15 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int, tol: float,
     """Lockstep minimization of a batched objective on isometries.
 
     The points are (k, n) real arrays that pack one complex matrix per
-    (rows, cols) entry of `shapes`.  `fun` takes the polar factors of the
-    k points, one (k, rows, cols) array per shape, and returns the k
-    values and their (k, n) Euclidean gradients, packed as the points; a
-    point whose gradient is not finite counts as a non-finite value.  One
-    descent run (the rule of `_Descent`, tolerance `tol`) starts from each
-    row of `x0s`, and each row of `points` is evaluated once.  Every round
-    evaluates the one point each live run waits for in one `fun` call.  A
-    non-finite value stops only the run it belongs to.
+    (rows, cols) entry of `shapes`, as `packed` does.  `fun` takes the
+    polar factors of the k points, one (k, rows, cols) array per shape, and
+    returns the k values and their Euclidean gradients, shaped as the
+    polar factors (or a ValueError is raised); a point whose gradient is
+    not finite counts as a non-finite value.  One descent run (the rule of
+    `_Descent`, tolerance `tol`) starts from each row of `x0s`, and each
+    row of `points` is evaluated once.  Every round evaluates the one point
+    each live run waits for in one `fun` call.  A non-finite value stops
+    only the run it belongs to.
 
     There are `rounds` rounds (fewer only when no run is left): a run that
     stops sooner hands its slot to a new run from the point `refill()`
@@ -207,17 +236,14 @@ def minimize(fun, x0s: np.ndarray, shapes: tuple, rounds: int, tol: float,
 
     while ids:
         blocks = [_polar(b) for b in _party_blocks(batch, shapes)]
-        values, grads = fun(*(b[:, j] for b in blocks
-                              for j in range(b.shape[1])))
+        values, grads = fun(*_parties(blocks))
         polar = _packed(blocks)
         values = np.asarray(values, dtype=float)
-        grads = np.ascontiguousarray(grads, dtype=float)
         if values.shape != (len(batch),):
             raise ValueError(
                 f"objective returned shape {values.shape} for {len(batch)} points")
-        if grads.shape != batch.shape:
-            raise ValueError(f"objective returned gradients of shape "
-                             f"{grads.shape} for points {batch.shape}")
+        grads = _packed(_as_parties(grads, shapes, (len(batch),),
+                                    "objective gradient"))
         finite = np.isfinite(grads).all(axis=-1)
         if not finite.all():
             # A non-finite value; zeros keep the row's unused work finite.

@@ -29,7 +29,9 @@ the returned value never falls below any seed.
 
 Objectives are batched, and there is one contract: an objective takes the
 points' isometries, one (k, n_p, d_p) array per party, and returns k
-values and a (k, n) array of gradients packed as the points.
+values and their Euclidean gradients, shaped as those isometries.  Seed
+points and the winner are per-party matrices too: only `lockstep` packs
+points into reals.
 `lockstep.minimize` takes the polar factors, with one batched SVD per
 distinct party shape, so both I_CC parties share one when their shapes
 agree.  One objective call evaluates every point the live restarts need
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Povm
-from .lockstep import minimize
+from .lockstep import _polar, minimize, packed, unpacked
 from .qstate import DensityMatrix, StateError, _as_layout
 
 
@@ -117,6 +119,16 @@ class OptimizationResult:
     # Which start gave `value`: "seed i" or "restart i" (None if no value
     # was finite).
     winner: str | None = None
+    # The winner's complex matrices, one per party, not serialized: views
+    # of `params`, fit to seed another search.
+    points: tuple[np.ndarray, ...] = field(default=(), repr=False,
+                                           compare=False)
+
+    @functools.cached_property
+    def isometries(self) -> tuple[np.ndarray, ...]:
+        """The polar factors of `points`, as `isometry_from_params` takes
+        them (not serialized)."""
+        return tuple(_polar(g) for g in self.points)
 
     def to_dict(self) -> dict:
         return {
@@ -230,9 +242,7 @@ def isometry_from_params(params: np.ndarray, n: int, d: int) -> np.ndarray:
     if params.shape[-1] != 2 * n * d:
         raise ValueError(
             f"expected {2 * n * d} parameters, got {params.shape[-1]}")
-    g = params.view(complex).reshape(params.shape[:-1] + (n, d))
-    u, _, vh = np.linalg.svd(g, full_matrices=False)
-    return u @ vh
+    return _polar(params.view(complex).reshape(params.shape[:-1] + (n, d)))
 
 
 def isometry_stack(w: np.ndarray) -> np.ndarray:
@@ -259,40 +269,25 @@ def general_povm(params: np.ndarray, d: int, n_outcomes: int) -> Povm:
     return Povm(tuple(general_stack(params, d, n_outcomes)))
 
 
-def param_dim_general_povm(d: int, n_outcomes: int) -> int:
-    return 2 * n_outcomes * d
-
-
-def embed_projective_in_general(params: np.ndarray, d: int,
-                                n_outcomes: int) -> np.ndarray:
-    """A point of a smaller isometry family on C^d (the projective one, say)
-    as a point of the `n_outcomes` family: the matrix G it packs with zero
-    rows appended.  The polar factor of [G; 0] is that of G with the zero
-    rows, so the POVM is the same, with zero elements for the new outcomes."""
-    params = np.asarray(params, dtype=float).reshape(-1)
-    if params.size > 2 * n_outcomes * d:
-        raise ValueError("general family has too few outcomes")
-    return np.concatenate((params, np.zeros(2 * n_outcomes * d - params.size)))
-
-
 def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
              ascend_seeds: bool = True) -> OptimizationResult:
     """Multi-start lockstep Riemannian ascent of a batched objective.
 
-    `shapes` holds the (n, d) shapes of the complex matrices each point
-    packs (as in `isometry_from_params`), one per party (an empty
-    `shapes` raises ValueError); the points have `param_dim` = sum 2 n d
-    reals.  `objective(*ws)` takes the polar
-    factors of k points, one (k, n, d) array per shape, and returns the k
-    values and their (k, param_dim) Euclidean gradients, packed as the
-    points.  Seed points are evaluated directly, so the result never
-    undercuts any of them, and take the first of the `cfg.restarts`
-    restart slots; they start the restarts in those slots unless
-    `ascend_seeds` is False, which leaves those slots empty.  The other
-    slots start at random points.  A restart whose objective goes
-    non-finite is aborted and recorded; the others run on.  Ties go to the
-    earliest seed, then the earliest restart, as if the restarts ran one
-    after another.
+    `shapes` holds the (n, d) shapes of the complex matrices of a point,
+    one per party (an empty `shapes` raises ValueError), and `param_dim` =
+    sum 2 n d.  `objective(*ws)` takes the polar factors of k points, one
+    (k, n, d) array per party, and returns the k values and their Euclidean
+    gradients, shaped as the ws.  A seed point is a sequence of complex
+    (n, d) matrices, one per party.  Another shape of a gradient or a seed
+    matrix raises ValueError.  Seed points are evaluated
+    directly, so the result never undercuts any of them, and take the
+    first of the `cfg.restarts` restart slots; they start the restarts in
+    those slots unless `ascend_seeds` is False, which leaves those slots
+    empty.  The other slots start at random points.  A restart whose
+    objective goes non-finite is aborted and recorded; the others run on.
+    Ties go to the earliest seed, then the earliest restart, as if the
+    restarts ran one after another.  The result carries the winner per
+    party: its matrices (`points`) and their polar factors (`isometries`).
 
     The search makes min(2 param_dim, `cfg.max_evals`) objective calls
     (one when no slot runs a restart): a restart that stops sooner hands
@@ -305,10 +300,7 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     if not shapes:
         raise ValueError("maximize needs at least one isometry shape")
     param_dim = sum(2 * n * d for n, d in shapes)
-    seed_points = [np.asarray(s, dtype=float).reshape(-1) for s in seed_points]
-    for s in seed_points:
-        if s.size != param_dim:
-            raise ValueError("seed point has wrong dimension")
+    seed_points = [packed(s, shapes) for s in seed_points]
 
     ss = np.random.SeedSequence(cfg.seed)
     streams = ss.spawn(cfg.restarts)
@@ -324,8 +316,7 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
 
     def negated(*ws):
         values, grads = objective(*ws)
-        return (-np.asarray(values, dtype=float),
-                -np.asarray(grads, dtype=float))
+        return -np.asarray(values, dtype=float), [-np.asarray(g) for g in grads]
 
     res = minimize(negated, np.reshape(starts, (len(starts), param_dim)),
                    shapes, min(2 * param_dim, cfg.max_evals), cfg.tol,
@@ -357,4 +348,5 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
         restart_evals=res.evals[n_seeds:],
         restart_stops=res.stops[n_seeds:],
         winner=winner,
+        points=unpacked(best_params, shapes),
     )

@@ -271,7 +271,7 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=None,
                               for j in range(b.shape[1])))
         polar = _packed(blocks)
         values = np.asarray(values, dtype=float)
-        grads = np.ascontiguousarray(grads, dtype=float)
+        grads = _packed(list(grads))
         values = np.where(np.isfinite(grads).all(axis=-1), values, np.nan)
         done += 1
         for j, i in enumerate(list(pending)):

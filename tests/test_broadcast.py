@@ -17,7 +17,6 @@ from qcorr.broadcast import (
     delta_b_upper,
     embed_ensemble,
     regroup,
-    stinespring_param_dim,
     theorem2_check,
     two_copy_candidate,
     verify_broadcast,
@@ -34,7 +33,7 @@ from qcorr.corpus import (
 from qcorr.correlations import Ensemble, holevo_chi, mutual_information
 from qcorr.channels import ChannelError
 from qcorr.classify import Kind, is_cq
-from qcorr.lockstep import _tangent
+from qcorr.lockstep import _packed, _parties, _party_blocks, _polar, _tangent
 from qcorr.optimize import OptimizerConfig, isometry_from_params, random_density
 from qcorr.qstate import ProbVector, StateError, bell_phi_plus, tensor
 
@@ -189,12 +188,11 @@ def _isometries(rng, k, d, ancilla):
     return isometry_from_params(rng.normal(size=(k, 2 * n * d)), n, d)
 
 
-def _channels(x, dims, ancillas):
-    """The two channels of a search point x."""
-    shapes = [(d * d * anc, d) for d, anc in zip(dims, ancillas)]
-    parts = np.split(x, [stinespring_param_dim(dims[0], ancillas[0])])
-    return tuple(_channel_of_isometry(isometry_from_params(part, n, d), d, anc)
-                 for part, (n, d), anc in zip(parts, shapes, ancillas))
+def _channels(point, dims, ancillas):
+    """The two channels of a search point: the polar factors of its two
+    matrices as Stinespring isometries."""
+    return tuple(_channel_of_isometry(_polar(v), d, anc)
+                 for v, d, anc in zip(point, dims, ancillas))
 
 
 def _residual_sum(rho, theta_a, theta_b):
@@ -216,9 +214,9 @@ class TestRawObjective:
         v_b = _isometries(rng, 3, d_b, anc_b)
         values, grads = objective(v_a, v_b)
         assert values.shape == (3,)
-        assert grads.shape == (3, stinespring_param_dim(d_a, anc_a)
-                               + stinespring_param_dim(d_b, anc_b))
-        for a, b, value, grad in zip(v_a, v_b, values, grads):
+        # One gradient per side, shaped as that side's isometries.
+        assert [g.shape for g in grads] == [v_a.shape, v_b.shape]
+        for a, b, value, *grad in zip(v_a, v_b, values, *grads):
             theta_a = _channel_of_isometry(a, d_a, anc_a)
             theta_b = _channel_of_isometry(b, d_b, anc_b)
             sigma = apply_local_broadcast(theta_a, theta_b, rho)
@@ -228,7 +226,8 @@ class TestRawObjective:
                                           abs=1e-12)
             single_value, single_grad = objective(a, b)
             assert single_value == pytest.approx(value, abs=1e-12)
-            np.testing.assert_allclose(single_grad, grad, rtol=0, atol=1e-12)
+            for got, want in zip(single_grad, grad):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             # ||X||_F <= ||X||_1, twice the trace distance.
             _, res = verify_broadcast(sigma, rho)
             for f, r in zip(frobenius, res):
@@ -291,17 +290,17 @@ class TestStinespringSearch:
         shapes = tuple((d * d * anc, d) for d, anc in zip(dims, ancillas))
         rho = random_density(dims, dims[0] * dims[1], rng)
         objective = _residual_objective(rho, *ancillas)
-        split = stinespring_param_dim(dims[0], ancillas[0])
 
         def with_grad(x):
-            return objective(*(isometry_from_params(part, n, d) for part, (n, d)
-                               in zip(np.split(x, [split], axis=-1), shapes)))
+            # The value and the gradient, packed as the point x.
+            values, grads = objective(
+                *(_polar(w) for w in _parties(_party_blocks(x, shapes))))
+            return values, _packed(list(grads))
 
         h = 1e-5
         for _ in range(3):
-            x = np.concatenate(
-                [_isometries(rng, 1, d, anc).reshape(1, -1).view(float)
-                 for d, anc in zip(dims, ancillas)], axis=-1)
+            x = _packed([_isometries(rng, 1, d, anc)
+                         for d, anc in zip(dims, ancillas)])
             xi = _tangent(x, rng.normal(size=x.shape), shapes)
             xi /= np.linalg.norm(xi)
             slope = float(np.vdot(with_grad(x)[1], xi))
@@ -338,7 +337,8 @@ class TestStinespringSearch:
         states = [random_cc(*dims, rng), random_cq(*dims, rng),
                   random_pure_entangled(*dims, rng), product_state(*dims, rng),
                   random_density(dims, dims[0] * dims[1], rng)]
-        param_dim = sum(stinespring_param_dim(d, d) for d in dims)
+        # One (d^3, d) Stinespring matrix per side.
+        param_dim = sum(2 * d ** 4 for d in dims)
         rounds = min(2 * param_dim, cfg.max_evals)
         for rho in states:
             calls.clear()

@@ -76,6 +76,13 @@ class TestKrausChannel:
         with pytest.raises(ChannelError, match="non-finite"):
             KrausChannel((k,), check_tp=False)
 
+    @pytest.mark.parametrize("out_dims", [(-2, -2), (-1, -4), (2, -1, -2),
+                                          (4, 0)])
+    def test_rejects_out_dims_below_one(self, out_dims):
+        # The first three multiply to d_out = 4 all the same.
+        with pytest.raises(ChannelError, match="out_dims"):
+            KrausChannel((np.eye(4),), out_dims=out_dims)
+
     def test_json_round_trip(self, rng):
         ch = KrausChannel((haar_unitary(4, rng),), out_dims=(2, 2))
         back = KrausChannel.from_json_dict(ch.to_json_dict())

@@ -49,6 +49,29 @@ def test_measures_nats_units(tmp_path):
     assert payload["report"]["I"] == pytest.approx(2.0 * np.log(2.0), abs=1e-9)
 
 
+def test_measures_nats_converts_the_search_values(tmp_path):
+    path = tmp_path / "rho.json"
+    random_density((2, 2), 4, np.random.default_rng(3)).save(path)
+    payloads = {}
+    for units in ("bits", "nats"):
+        out = tmp_path / f"{units}.json"
+        assert main(["measures", str(path), "--out", str(out),
+                     "--units", units, *FAST]) == 0
+        payloads[units] = json.loads(out.read_text())["report"]
+    bits, nats = (payloads[u].pop("optimizer_meta") for u in ("bits", "nats"))
+    ln2 = np.log(2.0)
+    for phase in ("icq", "icc", "icq_projective"):
+        b, n = bits.pop(phase), nats.pop(phase)
+        assert n.pop("value") == b.pop("value") * ln2
+        assert n.pop("restart_values") == [v * ln2
+                                           for v in b.pop("restart_values")]
+        assert n == b  # params, evaluations, stops and winner as they were
+    for gain in ("icq_general_gain", "icc_general_gain"):
+        assert nats.pop(gain) == bits.pop(gain) * ln2
+    assert nats == bits
+    assert payloads["nats"]["I"] == payloads["bits"]["I"] * ln2
+
+
 def test_classify_cc_state(tmp_path):
     path = tmp_path / "cc.json"
     classically_correlated_bit().save(path)

@@ -38,15 +38,15 @@ from qcorr.correlations import (
     optimize_icq,
 )
 from qcorr.classify import classical_basis
-from qcorr.lockstep import _tangent, minimize
+from qcorr.lockstep import (_packed, _parties, _party_blocks, _polar,
+                            _tangent, minimize)
 from qcorr.optimize import (
     ConfigRangeError,
     OptimizerConfig,
-    embed_projective_in_general,
     general_stack,
     haar_unitary,
     isometry_from_params,
-    param_dim_general_povm,
+    isometry_stack,
     projective_stack,
     random_density,
 )
@@ -54,6 +54,7 @@ from qcorr.qstate import (
     ClassicalJoint,
     DensityMatrix,
     ProbVector,
+    StateError,
     SubsystemLayout,
     bell_phi_plus,
     partial_trace,
@@ -63,6 +64,18 @@ from qcorr.qstate import (
 )
 
 SMALL = OptimizerConfig(seed=0, restarts=3, max_evals=300)
+
+
+@pytest.mark.parametrize("side", [2, -1, "a", None, 0.5])
+def test_optimize_icq_and_discord_reject_other_sides(side):
+    # On a 2x3 state, a side taken as party 1 would measure a qutrit.
+    rho = random_density((2, 3), 6, np.random.default_rng(11))
+    cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
+    with pytest.raises(StateError, match="side must be 0 or 1"):
+        optimize_icq(rho, cfg, side=side)
+    with pytest.raises(StateError, match="side must be 0 or 1"):
+        discord(rho, cfg, side=side)
+    assert optimize_icq(rho, cfg, side=1).povm_a.dim == 3
 
 
 class TestMutualInformation:
@@ -286,9 +299,7 @@ def test_batched_objectives_match_single_points(rng, dims, family):
     def stacks(d, k):
         if family == "projective":
             return projective_stack, rng.normal(size=(k, d * d)), (d,)
-        return (general_stack,
-                rng.normal(size=(k, param_dim_general_povm(d, d * d))),
-                (d, d * d))
+        return (general_stack, rng.normal(size=(k, 2 * d ** 3)), (d, d * d))
 
     stack_a, xa, args_a = stacks(d_a, 4)
     stack_b, xb, args_b = stacks(d_b, 4)
@@ -356,8 +367,8 @@ class TestStackedPartyObjectives:
         for (objective, shapes), (n_a, n_b) in zip(
                 searches, ((d_a, d_b), (d_a * d_a, d_b * d_b))):
             assert shapes == ((n_a, d_a), (n_b, d_b))
-            split = param_dim_general_povm(d_a, n_a)
-            size = split + param_dim_general_povm(d_b, n_b)
+            split = 2 * n_a * d_a
+            size = split + 2 * n_b * d_b
             for k in (1, 3, 30):
                 y = rng.normal(scale=np.pi / 4, size=(k, size))
                 calls, seen = self._counting_svd(monkeypatch), []
@@ -372,7 +383,7 @@ class TestStackedPartyObjectives:
                 monkeypatch.undo()
                 (svds, (w_a, w_b), (got, grad)), = seen
                 assert svds == ["svd"] * svd_per_round
-                assert grad.shape == y.shape
+                assert [g.shape for g in grad] == [w_a.shape, w_b.shape]
                 want_a = isometry_from_params(y[:, :split], n_a, d_a)
                 want_b = isometry_from_params(y[:, split:], n_b, d_b)
                 assert np.array_equal(w_a, want_a), (n_a, k)
@@ -384,7 +395,8 @@ class TestStackedPartyObjectives:
                 want, want_grad = _cc_value_grad(rho_mat, rho_swap,
                                                  want_a, want_b)
                 assert np.array_equal(got, want), (n_a, k)
-                assert np.array_equal(grad, want_grad), (n_a, k)
+                for g, want_g in zip(grad, want_grad):
+                    assert np.array_equal(g, want_g), (n_a, k)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
     def test_no_svd_per_accepted_step(self, dims, monkeypatch):
@@ -439,7 +451,7 @@ def _general_objectives(rho, kind, projective=False):
     """The search objective of `kind` ("cq" or "cc") on rho, with
     gradients, for the general (d^2-outcome) or the projective (d-outcome)
     family; the value-only composition it must agree with; and its isometry
-    shapes."""
+    shapes.  Both take one (..., n, d) isometry array per party."""
     d_a, d_b = rho.dims
     n_a, n_b = (d_a, d_b) if projective else (d_a * d_a, d_b * d_b)
     rho_mat = np.ascontiguousarray(rho.matrix)
@@ -447,33 +459,42 @@ def _general_objectives(rho, kind, projective=False):
         permute_subsystems(rho, (1, 0)).matrix)
     s_b = von_neumann_entropy(partial_trace(rho, (1,)))
     if kind == "cq":
-        def with_grad(x):
-            return _cq_value_grad(rho_mat, rho_swap, s_b,
-                                  isometry_from_params(x, n_a, d_a))
+        def with_grad(w):
+            return _cq_value_grad(rho_mat, rho_swap, s_b, w)
 
-        def value(x):
-            return _cq_value(rho_mat, s_b, general_stack(x, d_a, n_a))
+        def value(w):
+            return _cq_value(rho_mat, s_b, isometry_stack(w))
         return with_grad, value, ((n_a, d_a),)
-    split = param_dim_general_povm(d_a, n_a)
 
-    def with_grad(x):
-        return _cc_value_grad(rho_mat, rho_swap,
-                              isometry_from_params(x[..., :split], n_a, d_a),
-                              isometry_from_params(x[..., split:], n_b, d_b))
+    def with_grad(w_a, w_b):
+        return _cc_value_grad(rho_mat, rho_swap, w_a, w_b)
 
-    def value(x):
-        return _cc_value(rho_mat, general_stack(x[..., :split], d_a, n_a),
-                         general_stack(x[..., split:], d_b, n_b))
+    def value(w_a, w_b):
+        return _cc_value(rho_mat, isometry_stack(w_a), isometry_stack(w_b))
     return with_grad, value, ((n_a, d_a), (n_b, d_b))
+
+
+def _at_points(with_grad, shapes):
+    """`with_grad` at the polar factors of the matrices of real points x
+    (m, P), as the lockstep driver takes them, with the gradients packed
+    as x."""
+    def at(x):
+        values, grads = with_grad(
+            *(_polar(w) for w in _parties(_party_blocks(x, shapes))))
+        return values, _packed(list(grads))
+    return at
 
 
 def _polar_point(y, shapes):
     """The points (m, P) whose matrices are the polar factors of those of
     the points y, one per entry of `shapes`."""
-    ends = np.cumsum([2 * n * d for n, d in shapes])[:-1]
-    return np.concatenate(
-        [isometry_from_params(part, n, d).reshape(len(y), -1).view(float)
-         for part, (n, d) in zip(np.split(y, ends, axis=-1), shapes)], axis=-1)
+    return _packed([_polar(w) for w in _parties(_party_blocks(y, shapes))])
+
+
+def _random_isometries(rng, k, shapes):
+    """k random isometries per (n, d) entry of `shapes`."""
+    return [isometry_from_params(rng.normal(size=(k, 2 * n * d)), n, d)
+            for n, d in shapes]
 
 
 GRAD_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
@@ -485,7 +506,8 @@ class TestGeneralGradients:
 
     @staticmethod
     def _assert_central_differences(rng, rho, kind, projective):
-        with_grad, _, shapes = _general_objectives(rho, kind, projective)
+        objective, _, shapes = _general_objectives(rho, kind, projective)
+        with_grad = _at_points(objective, shapes)
         size = sum(2 * n * d for n, d in shapes)
         h = 1e-5
         for _ in range(3):
@@ -520,14 +542,16 @@ class TestGeneralGradients:
         rng = np.random.default_rng(7200 + 10 * dims[0] + dims[1])
         rho = random_density(dims, dims[0] * dims[1], rng)
         with_grad, _, shapes = _general_objectives(rho, kind)
-        x = rng.normal(size=(4, sum(2 * n * d for n, d in shapes)))
-        values, grads = with_grad(x)
-        assert values.shape == (4,) and grads.shape == x.shape
+        ws = _random_isometries(rng, 4, shapes)
+        values, grads = with_grad(*ws)
+        assert values.shape == (4,)
+        assert [g.shape for g in grads] == [w.shape for w in ws]
         for i in range(4):
-            value, grad = with_grad(x[i])
-            assert grad.shape == x[i].shape
+            value, grad = with_grad(*(w[i] for w in ws))
+            assert [g.shape for g in grad] == [w[i].shape for w in ws]
             assert value == pytest.approx(values[i], rel=0, abs=1e-12)
-            np.testing.assert_allclose(grad, grads[i], rtol=0, atol=1e-12)
+            for g, g_batch in zip(grad, grads):
+                np.testing.assert_allclose(g, g_batch[i], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["cq", "cc"])
     @pytest.mark.parametrize("dims", GRAD_DIMS)
@@ -535,8 +559,8 @@ class TestGeneralGradients:
         rng = np.random.default_rng(7300 + 10 * dims[0] + dims[1])
         rho = random_density(dims, 2, rng)
         with_grad, value, shapes = _general_objectives(rho, kind)
-        x = rng.normal(size=(5, sum(2 * n * d for n, d in shapes)))
-        got, want = with_grad(x)[0], value(x)
+        ws = _random_isometries(rng, 5, shapes)
+        got, want = with_grad(*ws)[0], value(*ws)
         if kind == "cc":
             assert np.array_equal(got, want)
         else:
@@ -558,15 +582,16 @@ class TestGeneralGradients:
         s_a = von_neumann_entropy(partial_trace(rho, (0,)))
         bases = [np.linalg.eigh(partial_trace(rho, (side,)).matrix)[1]
                  for side in (0, 1)]
-        x_a, x_b = (embed_projective_in_general(
-            np.ascontiguousarray(u.conj().T).view(float).ravel(), d, d * d)
-            for u, d in zip(bases, (d_a, d_b)))
-        for kind, x in (("cq", x_a), ("cc", np.concatenate([x_a, x_b]))):
-            with_grad, _, shapes = _general_objectives(rho, kind)
-            value, grad = with_grad(x[None])
+        # The Schmidt bases' unitaries W = U^dag, padded with zero rows.
+        g_a, g_b = (np.pad(u.conj().T, ((0, d * d - d), (0, 0)))[None]
+                    for u, d in zip(bases, (d_a, d_b)))
+        for kind, point in (("cq", [g_a]), ("cc", [g_a, g_b])):
+            objective, _, shapes = _general_objectives(rho, kind)
+            x = _packed(point)
+            value, grad = _at_points(objective, shapes)(x)
             assert value[0] == pytest.approx(s_a, abs=1e-12), kind
             assert np.isfinite(grad).all(), kind
-            assert np.linalg.norm(_tangent(x[None], grad, shapes)) <= 1e-9, kind
+            assert np.linalg.norm(_tangent(x, grad, shapes)) <= 1e-9, kind
         rep = correlation_report(rho, SMALL)
         assert rep.I_cq_lower == pytest.approx(s_a, abs=1e-9)
         assert rep.I_cc_lower == pytest.approx(s_a, abs=1e-9)

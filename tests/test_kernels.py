@@ -13,7 +13,6 @@ from qcorr import _kernels_py as kernels
 from qcorr.optimize import (
     _hermitian_generator,
     general_stack,
-    param_dim_general_povm,
     projective_stack,
     random_density,
 )
@@ -33,7 +32,7 @@ def _stack(family, d, rng):
     if family == "projective":
         return projective_stack(rng.normal(size=d * d), d)
     n = d * d
-    return general_stack(rng.normal(size=param_dim_general_povm(d, n)), d, n)
+    return general_stack(rng.normal(size=2 * n * d), d, n)
 
 
 def _state(d_a, d_b, rng):

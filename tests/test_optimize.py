@@ -7,16 +7,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import oracle_lockstep_minimize
 from qcorr.channels import Povm
 from qcorr.correlations import _cc_value_grad
+from qcorr.lockstep import packed, unpacked
 from qcorr.optimize import (
     OptimizerConfig,
-    embed_projective_in_general,
     general_povm,
     general_stack,
     haar_unitary,
     isometry_from_params,
     maximize,
     minimize,
-    param_dim_general_povm,
     projective_stack,
     random_density,
     unitary_from_params,
@@ -81,9 +80,26 @@ class TestIsometryParameterization:
         np.testing.assert_allclose(w, g, atol=1e-14)
 
     def test_param_dim_is_two_n_d(self):
-        assert param_dim_general_povm(2, 4) == 16
-        assert param_dim_general_povm(3, 9) == 54
-        assert param_dim_general_povm(4, 16) == 128
+        for n, d in ((4, 2), (9, 3), (16, 4)):
+            assert packed([np.zeros((n, d))], ((n, d),)).shape == (2 * n * d,)
+        assert packed([np.zeros((4, 2)), np.zeros((9, 3))],
+                      ((4, 2), (9, 3))).shape == (16 + 54,)
+
+    @pytest.mark.parametrize("shapes", [((4, 2),), ((4, 2), (9, 3)),
+                                        ((2, 2), (2, 2))])
+    def test_packing_round_trips(self, rng, shapes):
+        point = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        x = packed(point, shapes)
+        back = unpacked(x, shapes)
+        start = 0
+        for got, want, (n, d) in zip(back, point, shapes):
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, x)  # views of the parameters
+            # The party's slice is the matrix isometry_from_params reads.
+            u, _, vh = np.linalg.svd(want, full_matrices=False)
+            assert np.array_equal(
+                isometry_from_params(x[start:start + 2 * n * d], n, d), u @ vh)
+            start += 2 * n * d
 
     def test_wrong_param_count_raises(self):
         with pytest.raises(ValueError):
@@ -112,7 +128,7 @@ class TestPovmParameterizations:
 
     def test_general_povm_valid(self, rng):
         d, n = 2, 4
-        params = rng.normal(size=param_dim_general_povm(d, n))
+        params = rng.normal(size=2 * n * d)
         povm = general_povm(params, d, n)
         assert povm.outcome_count == n
         total = sum(povm.elements)
@@ -122,19 +138,18 @@ class TestPovmParameterizations:
 
     def test_general_stack_matches_povm(self, rng):
         d, n = 2, 4
-        params = rng.normal(size=param_dim_general_povm(d, n))
+        params = rng.normal(size=2 * n * d)
         np.testing.assert_allclose(
             general_stack(params, d, n),
             general_povm(params, d, n).as_array(),
             atol=1e-14,
         )
 
-    def test_embed_projective_reproduces_elements(self, rng):
+    def test_zero_rows_reproduce_elements(self, rng):
         d, n = 2, 4
         u = haar_unitary(d, rng)
-        # The projective point of basis u packs W = u^dag.
-        params = embed_projective_in_general(
-            np.ascontiguousarray(u.conj().T).view(float).ravel(), d, n)
+        # The projective point of basis u is W = u^dag; [W; 0] has n rows.
+        params = packed([np.pad(u.conj().T, ((0, n - d), (0, 0)))], ((n, d),))
         povm = general_povm(params, d, n)
         want = [np.outer(u[:, i], u[:, i].conj()) for i in range(d)]
         for i in range(d):
@@ -143,19 +158,28 @@ class TestPovmParameterizations:
             assert np.abs(povm.elements[i]).max() <= 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_embed_projective_packs_the_vectors(self, rng, d):
+    def test_zero_rows_keep_the_polar_factor(self, rng, d):
         from qcorr.channels import projective_basis_povm
         n = d * d
         u = haar_unitary(d, rng)
         povm = projective_basis_povm(u)
-        x = np.ascontiguousarray(u.conj().T).view(float).ravel()
         # The projective point of basis u packs W = u^dag.
+        x = packed([u.conj().T], ((d, d),))
         np.testing.assert_allclose(general_stack(x, d, d), povm.as_array(),
                                    atol=1e-14)
-        params = embed_projective_in_general(x, d, n)
-        assert params.shape == (param_dim_general_povm(d, n),)
+        # [G; 0] packs G's parameters, then zeros; its polar factor is
+        # G's with the zero rows, so the POVM gains only zero elements.
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        params = packed([np.pad(g, ((0, n - d), (0, 0)))], ((n, d),))
+        x = packed([g], ((d, d),))
+        assert params.shape == (2 * n * d,)
         assert np.array_equal(params[:x.size], x)
         assert not params[x.size:].any()
+        want = np.zeros((n, d), dtype=complex)
+        want[:d] = isometry_from_params(x, d, d)
+        np.testing.assert_allclose(isometry_from_params(params, n, d), want,
+                                   atol=1e-14)
+        params = packed([np.pad(u.conj().T, ((0, n - d), (0, 0)))], ((n, d),))
         want = np.zeros((n, d, d), dtype=complex)
         want[:d] = povm.as_array()
         np.testing.assert_allclose(general_stack(params, d, n), want,
@@ -167,12 +191,12 @@ def _linear_on_isometries(targets):
     with its gradient; its maximum is the sum of the A_p's singular values,
     at their polar factors."""
     shapes = tuple(a.shape for a in targets)
-    packed = np.concatenate([a.reshape(-1).view(float) for a in targets])
 
     def objective(*ws):
         values = sum(np.real(np.sum(a.conj() * w, axis=(-2, -1)))
                      for a, w in zip(targets, ws))
-        return values, np.tile(packed, (len(ws[0]), 1))
+        return values, [np.repeat(a[None], len(w), axis=0)
+                        for a, w in zip(targets, ws)]
 
     best = sum(np.linalg.svd(a, compute_uv=False).sum() for a in targets)
     return objective, shapes, best
@@ -195,19 +219,19 @@ def _cc_general_objective(dims, seed):
 
 def _distance_to(target):
     """f(W) = -||W - B||_F^2 over isometries W, batched, with its gradient;
-    its maximum 0 is at W = B when B is an isometry."""
-    packed = target.reshape(-1).view(float)
-
+    its maximum 0 is at W = B when B is an isometry.  Also returns the seed
+    point B."""
     def objective(w):
         diff = w - target
         values = -np.sum(np.abs(diff) ** 2, axis=(-2, -1))
-        return values, -2 * diff.reshape(len(w), -1).view(float)
-    return objective, (target.shape,), packed
+        return values, (-2 * diff,)
+    return objective, (target.shape,), (target,)
 
 
 class TestMaximize:
     """Objectives follow the one contract: they take (k, n, d) isometries
-    per party and return k values and their (k, param_dim) gradients."""
+    per party and return k values and their gradients, one complex
+    (k, n, d) array per party."""
 
     def test_recovers_quadratic_maximum(self, rng):
         target = haar_unitary(4, rng)[:, :2]
@@ -217,6 +241,29 @@ class TestMaximize:
         assert res.value == pytest.approx(0.0, abs=1e-8)
         np.testing.assert_allclose(isometry_from_params(res.params, 4, 2),
                                    target, atol=1e-4)
+
+    @pytest.mark.parametrize("shapes", [((4, 2),), ((4, 2), (9, 3)),
+                                        ((3, 3), (3, 3))])
+    def test_result_carries_the_winner_per_party(self, rng, shapes):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes])
+        res = maximize(objective, shapes,
+                       OptimizerConfig(seed=1, restarts=2, max_evals=20))
+        assert [p.shape for p in res.points] == list(shapes)
+        assert np.array_equal(packed(res.points, shapes), res.params)
+        start = 0
+        for p, w, (n, d) in zip(res.points, res.isometries, shapes):
+            assert np.shares_memory(p, res.params)
+            # Bit for bit the polar factor of the party's parameters.
+            assert np.array_equal(
+                w, isometry_from_params(res.params[start:start + 2 * n * d],
+                                        n, d))
+            start += 2 * n * d
+        # The winner's matrices seed a search as they are.
+        again = maximize(objective, shapes, OptimizerConfig(
+            seed=1, restarts=1, max_evals=1), seed_points=[res.points])
+        assert again.restart_values[0] == res.value
+        assert "points" not in res.to_dict()
 
     def test_seed_points_always_scored(self, rng):
         target = haar_unitary(3, rng)[:, :2]
@@ -268,8 +315,7 @@ class TestMaximize:
         objective, shapes, best = _linear_on_isometries([a])
         u, _, vh = np.linalg.svd(a, full_matrices=False)
         near = np.linalg.svd(u @ vh + 0.3 * np.eye(4, 2))[0][:, :2]
-        starts = [np.ascontiguousarray(near).view(float).ravel(),
-                  np.ascontiguousarray(-u @ vh).view(float).ravel()]
+        starts = [(near,), (-u @ vh,)]
         ceiling = objective(near[None])[0][0] + 1e-6
 
         def poisoned(w):
@@ -317,7 +363,7 @@ class TestMaximize:
 
         def fun(w):
             values, grads = objective(w)
-            return -values, -grads
+            return -values, [-g for g in grads]
 
         res = minimize(fun, rng.normal(size=(2, 18)), shapes, rounds=5,
                        tol=1e-8)
@@ -350,7 +396,8 @@ class TestRiemannianAscent:
     def test_lockstep_matches_restarts_one_at_a_time(self, dims):
         objective, shapes, rng = _cc_general_objective(dims, 40 + dims[1])
         param_dim = sum(2 * n * d for n, d in shapes)
-        starts = list(rng.normal(scale=np.pi / 4, size=(3, param_dim)))
+        starts = [unpacked(x, shapes)
+                  for x in rng.normal(scale=np.pi / 4, size=(3, param_dim))]
         cfg = OptimizerConfig(seed=0, restarts=3, max_evals=150)
         together = maximize(objective, shapes, cfg, seed_points=starts)
         one = dataclasses.replace(cfg, restarts=1)
@@ -364,7 +411,8 @@ class TestRiemannianAscent:
     def test_no_restart_ends_below_its_start(self, dims):
         objective, shapes, rng = _cc_general_objective(dims, 50 + dims[1])
         param_dim = sum(2 * n * d for n, d in shapes)
-        starts = list(rng.normal(scale=np.pi / 4, size=(4, param_dim)))
+        starts = [unpacked(x, shapes)
+                  for x in rng.normal(scale=np.pi / 4, size=(4, param_dim))]
         for max_evals in (2, 7, 40):
             cfg = OptimizerConfig(seed=0, restarts=4, max_evals=max_evals)
             res = maximize(objective, shapes, cfg, seed_points=starts)
@@ -386,8 +434,7 @@ class TestRiemannianAscent:
         a = np.eye(3, 2, dtype=complex)
         objective, shapes, best = _linear_on_isometries([a])
         cfg = OptimizerConfig(seed=0, restarts=1, max_evals=50)
-        res = maximize(objective, shapes, cfg,
-                       seed_points=[a.view(float).ravel()])
+        res = maximize(objective, shapes, cfg, seed_points=[(a,)])
         assert res.restart_stops[0] == "converged"
         assert res.restart_evals[0] == 1
         assert res.value == best == 2.0
@@ -399,12 +446,12 @@ class TestRiemannianAscent:
         poison = np.eye(4, 2, dtype=complex)
 
         def poisoned(w):
-            values, grads = objective(w)
-            grads[np.abs(w - poison).max(axis=(-2, -1)) < 1e-12] = np.nan
-            return values, grads
+            values, (grad,) = objective(w)
+            grad[np.abs(w - poison).max(axis=(-2, -1)) < 1e-12] = np.nan
+            return values, (grad,)
 
         # The first start is the poisoned isometry itself.
-        starts = [poison.view(float).ravel(), np.full(16, 0.1)]
+        starts = [(poison,), (np.full((4, 2), 0.1 + 0.1j),)]
         cfg = OptimizerConfig(seed=0, restarts=2, max_evals=200)
         res = maximize(poisoned, shapes, cfg, seed_points=starts)
         assert res.restart_stops[0] == "non-finite"
@@ -420,10 +467,10 @@ class TestRiemannianAscent:
             [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
         cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
         with pytest.raises(ValueError):
-            maximize(objective, shapes, cfg, seed_points=[np.zeros(12)])
+            maximize(objective, shapes, cfg, seed_points=[(np.zeros((3, 2)),)])
 
         def wrong_gradients(w):
-            return objective(w)[0], np.zeros((len(w), 3))
+            return objective(w)[0], (np.zeros((len(w), 3)),)
 
         with pytest.raises(ValueError):
             maximize(wrong_gradients, shapes, cfg)
@@ -433,6 +480,37 @@ class TestRiemannianAscent:
 
         with pytest.raises(ValueError):
             maximize(wrong_values, shapes, dataclasses.replace(cfg, restarts=2))
+
+    @pytest.mark.parametrize("shapes", [((4, 2),), ((4, 2), (9, 3))])
+    def test_wrong_party_shapes_raise_naming_both(self, rng, shapes):
+        objective, shapes, _ = _linear_on_isometries(
+            [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes])
+        cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
+
+        def transposed(*ws):
+            values, grads = objective(*ws)
+            return values, [grads[0].swapaxes(-1, -2), *grads[1:]]
+
+        # A (k, d, n) gradient has the right size but not the right shape.
+        with pytest.raises(ValueError, match=r"shapes \[\(1, 2, 4\).*"
+                                             r"isometry shapes \(\(4, 2\)"):
+            maximize(transposed, shapes, cfg)
+
+        def one_short(*ws):
+            values, grads = objective(*ws)
+            return values, list(grads)[:-1]
+
+        with pytest.raises(ValueError, match="isometry shapes"):
+            maximize(one_short, shapes, cfg)
+
+        point = [rng.normal(size=s) + 0j for s in shapes]
+        maximize(objective, shapes, cfg, seed_points=[point])
+        with pytest.raises(ValueError, match=r"shapes \[\(2, 4\).*"
+                                             r"isometry shapes \(\(4, 2\)"):
+            maximize(objective, shapes, cfg,
+                     seed_points=[[point[0].T, *point[1:]]])
+        with pytest.raises(ValueError, match="isometry shapes"):
+            maximize(objective, shapes, cfg, seed_points=[point + point])
 
 
 class TestFixedRounds:
@@ -455,7 +533,7 @@ class TestFixedRounds:
         objective, shapes, best = _linear_on_isometries(
             [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
         counted, batches = self._counting(objective)
-        seeds = [rng.normal(size=16)]
+        seeds = [unpacked(rng.normal(size=16), shapes)]
         cfg = OptimizerConfig(seed=3, restarts=3, max_evals=max_evals)
         res = maximize(counted, shapes, cfg, seed_points=seeds)
         rounds = min(32, max_evals)
@@ -533,7 +611,7 @@ class TestFixedRounds:
     def test_seeds_left_unascended_keep_their_slots(self, rng):
         objective, shapes, _ = _linear_on_isometries(
             [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
-        seeds = list(rng.normal(size=(2, 16)))
+        seeds = [unpacked(x, shapes) for x in rng.normal(size=(2, 16))]
         cfg = OptimizerConfig(seed=4, restarts=3, max_evals=50)
         res = maximize(objective, shapes, cfg, seed_points=seeds,
                        ascend_seeds=False)
@@ -556,8 +634,8 @@ class TestFixedRounds:
 def _quadratic_on_isometries(shapes, seed):
     """f(W_1, ...) = sum_p Re Tr(A_p^dag W_p) + Re Tr(W_p^dag H_p W_p) / 2
     over isometries, H_p Hermitian, batched, with its gradient A_p + H_p W_p
-    packed as the points: unlike a linear objective, its steps get
-    rejected and halved."""
+    per party: unlike a linear objective, its steps get rejected and
+    halved."""
     rng = np.random.default_rng(seed)
     terms = []
     for n, d in shapes:
@@ -571,8 +649,8 @@ def _quadratic_on_isometries(shapes, seed):
             hw = h @ w
             values = values + np.real(np.sum(a.conj() * w + w.conj() * hw / 2,
                                              axis=(-2, -1)))
-            grads.append((a + hw).reshape(len(w), -1).view(float))
-        return values, np.concatenate(grads, axis=-1)
+            grads.append(a + hw)
+        return values, grads
     return objective
 
 
@@ -615,8 +693,8 @@ class TestLockstepMatchesOracle:
 
         def fun(*ws):
             values, grads = objective(*ws)
-            grads[-values < floor, 0] = np.nan
-            return -values, -grads
+            grads[0][-values < floor, 0, 0] = np.nan
+            return -values, [-g for g in grads]
 
         def refill_from(seed):
             stream = np.random.default_rng(seed)
