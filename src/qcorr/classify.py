@@ -2,16 +2,25 @@
 
 A bipartite state is classical on side A exactly when its A-conditional
 operators (the Hermitian combinations of the blocks <m|_B rho |n>_B) form a
-commuting family.  Degenerate marginals are handled uniformly by jointly
-diagonalizing that family with Jacobi sweeps (Cardoso and Souloumiac,
-"Jacobi angles for simultaneous diagonalization", SIAM J. Matrix Anal.
-Appl. 17, 1996); the common eigenbasis is the claimed classical basis and
-the verdict is judged by the residual off-diagonal mass of the rotated
-state.  The sweeps stop when no rotation exceeds the tolerance, or when a
-sweep lowers the family's off-diagonal mass by at most the fraction
-`_STALL` of itself: a commuting family converges quadratically and meets
-the first rule before the second, while a family with no common
-eigenbasis drifts toward a stationary point that the second rule ends.
+commuting family (the zero-discord condition of Dakic, Vedral and Brukner,
+PRL 105, 190502, 2010).  Each side's verdict has two exits.  The first is
+the family's commutator residual, the largest Frobenius norm of [X, Y]
+over member pairs: above theta(tol, d) = 16 d tol + 8 d^2 tol^2 (with a
+margin for rounding; derived in `_commutator_bound`) no basis can be
+classical within tol, so the side is NEITHER without further work, and
+that residual is reported.  Otherwise degenerate marginals are handled
+uniformly by jointly diagonalizing the family with Jacobi sweeps (Cardoso
+and Souloumiac, "Jacobi angles for simultaneous diagonalization", SIAM J.
+Matrix Anal. Appl. 17, 1996); the common eigenbasis is the claimed
+classical basis and the verdict is judged by the block residual of the
+rotated state, reported for CQ/QC; a side the sweeps reject is NEITHER
+with its commutator residual too, so a NEITHER residual is a property of
+the state and not of where the sweeps stop.  The sweeps stop when no
+rotation exceeds the tolerance, or when a sweep lowers the family's
+off-diagonal mass by at most the fraction `_STALL` of itself: a commuting
+family converges quadratically and meets the first rule before the
+second, while a family with no common eigenbasis drifts toward a
+stationary point that the second rule ends.
 
 The family is one (m, d, d) array throughout: it is gathered from the
 state's blocks by array indexing, each Jacobi rotation updates every
@@ -37,6 +46,10 @@ TAU_CLASS = 1e-8
 # A Jacobi sweep that lowers the off-diagonal mass by at most this fraction
 # of itself ends the sweeps.
 _STALL = 1e-6
+# Slacks of the commutator exit (see `_commutator_bound`): rounding, added
+# to the block residual, and the state's norm above 1, as a factor.
+_ROUND_SLACK = 1e-12
+_NORM_SLACK = 1e-6
 
 
 class Kind(Enum):
@@ -80,14 +93,48 @@ def _family_stack(ops) -> np.ndarray:
 
 
 def commute_residual(ops) -> float:
-    """Max Frobenius norm of pairwise commutators."""
+    """Max Frobenius norm of pairwise commutators.
+
+    One matrix product of the stacked family gives every pairwise product:
+    rows (i, a) of the members times columns (j, c) hold (X_i X_j)_ac.
+    """
     ops = _family_stack(ops)
-    worst = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            c = ops[i] @ ops[j] - ops[j] @ ops[i]
-            worst = max(worst, float(np.linalg.norm(c)))
-    return worst
+    m, d, _ = ops.shape
+    prods = ops.reshape(m * d, d) @ ops.transpose(1, 0, 2).reshape(d, m * d)
+    prods = prods.reshape(m, d, m, d)
+    comm = prods - prods.transpose(2, 1, 0, 3)  # [i, :, j, :] = [X_i, X_j]
+    sq = (comm.real ** 2 + comm.imag ** 2).sum(axis=(1, 3))
+    return math.sqrt(float(sq.max()))
+
+
+def _commutator_bound(tol: float, d: int) -> float:
+    """theta(tol, d): the largest commutator residual a side of dimension d
+    can have when some basis brings its block residual to at most tol.
+
+    Let a unitary U bring every off-diagonal entry of every rotated block
+    U^dag <m|rho|n> U to at most r (that is, `_block_residual` <= r).  In
+    that basis a member is X = D + E with D diagonal and E off-diagonal.
+    A member is a block or, up to the factor i, t +- t^dag, so each entry
+    of E is at most the sum of two block entries, |E_ij| <= 2r, and
+    ||E||_2 <= ||E||_F <= 2r sqrt(d(d - 1)) < 2rd.  D holds diagonal
+    entries of X, so ||D||_2 <= ||X||_2 <= 2: a block of rho has spectral
+    norm at most ||rho||_2 <= 1, and t +- t^dag at most twice that.
+    Diagonal matrices commute, so [X, Y] = [D_X, E_Y] + [E_X, D_Y] +
+    [E_X, E_Y], and ||[A, B]||_F <= 2 ||A||_2 ||B||_F bounds the three
+    terms by 8dr, 8dr and 8d^2 r^2.  The Frobenius norm of a commutator is
+    unitarily invariant, so in the state's own basis too
+
+        ||[X, Y]||_F <= 16 d r + 8 d^2 r^2.
+
+    The bound grows with r, so a basis the sweeps accept (r <= tol) implies
+    a commutator residual at most its value at r = tol.  Two slacks keep it
+    a bound in floating point: `_ROUND_SLACK` added to r covers rounding in
+    the rotated state, the basis's unitarity and the products (each of
+    order d * eps), and the factor 1 + `_NORM_SLACK` covers ||rho||_2
+    exceeding 1 by the state's validation tolerances.
+    """
+    r = tol + _ROUND_SLACK
+    return (1.0 + _NORM_SLACK) * (16.0 * d * r + 8.0 * d * d * r * r)
 
 
 def _rotation_sine(y: float, z: float, scale: float) -> complex:
@@ -248,34 +295,50 @@ def classical_basis(rho: DensityMatrix, side: int) -> np.ndarray:
     return joint_diagonalize(fam)
 
 
-def _side_verdict(rho: DensityMatrix, tol: float, side: int):
-    """The one-sided verdict (CQ for side 0, QC for side 1) and the side's
-    classical basis, from one joint diagonalization."""
-    basis = classical_basis(rho, side)
-    residual = _block_residual(rho, basis, side)
-    if residual <= tol:
-        bases = (basis, None) if side == 0 else (None, basis)
-        return ClassicalityVerdict((Kind.CQ, Kind.QC)[side], *bases,
-                                   residual), basis
-    return ClassicalityVerdict(Kind.NEITHER, None, None, residual), basis
-
-
 def is_cq(rho: DensityMatrix, tol: float = TAU_CLASS,
           side: int = 0) -> ClassicalityVerdict:
-    """One-sided classicality test; kind is CQ for side 0, QC for side 1."""
-    return _side_verdict(rho, tol, side)[0]
+    """One-sided classicality test; kind is CQ for side 0, QC for side 1.
+
+    Two exits.  When the side's conditional family has a commutator
+    residual (`commute_residual`) above theta(tol, d) (`_commutator_bound`),
+    no basis can be classical within tol, and the verdict is NEITHER with
+    no Jacobi sweeps.  Otherwise the sweeps give the side's classical basis
+    and its block residual (the largest coherence between distinct basis
+    states of the measured side); the verdict is CQ/QC with that basis and
+    residual when the residual is at most tol, and NEITHER when it is not.
+    The residual of a NEITHER verdict is the commutator residual on either
+    exit: a property of the state, unchanged by a unitary on the side.
+    """
+    fam, d = _conditional_family(rho, side)
+    comm = commute_residual(fam)
+    if comm <= _commutator_bound(tol, d):
+        # Through `classical_basis`, the layer perfbench traces as the sweeps.
+        basis = classical_basis(rho, side)
+        residual = _block_residual(rho, basis, side)
+        if residual <= tol:
+            bases = (basis, None) if side == 0 else (None, basis)
+            return ClassicalityVerdict((Kind.CQ, Kind.QC)[side], *bases,
+                                       residual)
+    return ClassicalityVerdict(Kind.NEITHER, None, None, comm)
 
 
 def side_verdicts(rho: DensityMatrix, tol: float = TAU_CLASS):
     """The `is_cc`, side-0 `is_cq` and side-1 `is_cq` verdicts, in that
-    order, from one classical basis and residual per side: two joint
-    diagonalizations where the three separate calls make four."""
-    cq, basis_a = _side_verdict(rho, tol, 0)
-    qc, basis_b = _side_verdict(rho, tol, 1)
+    order, from one `is_cq` per side: at most two joint diagonalizations
+    where the three separate calls make up to four, and none on a side
+    that the commutator exit calls NEITHER.
+
+    The CC verdict's residual is the largest off-diagonal entry of the
+    state rotated into the product of the two classical bases; a CQ or QC
+    verdict is that side's; a NEITHER verdict's residual is the smaller of
+    the two sides' commutator residuals.
+    """
+    cq = is_cq(rho, tol, 0)
+    qc = is_cq(rho, tol, 1)
     if cq.kind is Kind.CQ and qc.kind is Kind.QC:
-        residual = _product_residual(rho, basis_a, basis_b)
+        residual = _product_residual(rho, cq.basis_A, qc.basis_B)
         if residual <= tol:
-            cc = ClassicalityVerdict(Kind.CC, basis_a, basis_b, residual)
+            cc = ClassicalityVerdict(Kind.CC, cq.basis_A, qc.basis_B, residual)
             return cc, cq, qc
     if cq.kind is Kind.CQ:
         return cq, cq, qc
@@ -288,9 +351,12 @@ def side_verdicts(rho: DensityMatrix, tol: float = TAU_CLASS):
 def is_cc(rho: DensityMatrix, tol: float = TAU_CLASS) -> ClassicalityVerdict:
     """Two-sided classicality test.
 
-    kind is CC when both sides diagonalize, CQ/QC when only one does, and
-    neither otherwise.  For CC the residual is the max off-diagonal of the
-    state rotated into the claimed product basis.
+    kind is CC when both sides are classical and so is the product of
+    their bases, CQ (QC) when side 0 (side 1) is classical and CC fails,
+    and NEITHER otherwise.  For CC the residual is the max off-diagonal of
+    the state rotated into the claimed product basis, for CQ/QC the side's
+    block residual, and for NEITHER the smaller of the two sides'
+    commutator residuals.  Each side takes the two exits of `is_cq`.
     """
     return side_verdicts(rho, tol)[0]
 

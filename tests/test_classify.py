@@ -9,6 +9,7 @@ from qcorr.classify import (
     ClassicalityVerdict,
     Kind,
     _block_residual,
+    _commutator_bound,
     _conditional_family,
     _product_residual,
     _rotation_sine,
@@ -20,8 +21,10 @@ from qcorr.classify import (
     ppt_label,
     side_verdicts,
 )
+from qcorr.channels import apply_local, unitary_channel
 from qcorr.corpus import (
     classically_correlated_bit,
+    make_corpus,
     random_cc,
     random_cq,
     random_pure_entangled,
@@ -30,6 +33,7 @@ from qcorr.corpus import (
 )
 from qcorr.optimize import haar_unitary, random_density
 from qcorr.qstate import (
+    DensityMatrix,
     StateError,
     bell_phi_plus,
     maximally_mixed,
@@ -102,6 +106,21 @@ def _count_eigh(monkeypatch) -> list:
         return real_eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def _count_joint_diagonalize(monkeypatch) -> list:
+    """Patch the classifier's `joint_diagonalize` to log each call."""
+    import qcorr.classify as classify_mod
+
+    calls = []
+    real = classify_mod.joint_diagonalize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "joint_diagonalize", counting)
     return calls
 
 
@@ -300,7 +319,8 @@ class TestVerdicts:
 
 
 def separate_cc_verdict(rho, tol):
-    """`is_cc` as two bases and three residuals computed on their own."""
+    """`is_cc` as two bases and three residuals computed on their own, and
+    for NEITHER the smaller of the two sides' commutator residuals."""
     basis_a, basis_b = classical_basis(rho, 0), classical_basis(rho, 1)
     res_a = _block_residual(rho, basis_a, 0)
     res_b = _block_residual(rho, basis_b, 1)
@@ -312,7 +332,8 @@ def separate_cc_verdict(rho, tol):
         return ClassicalityVerdict(Kind.CQ, basis_a, None, res_a)
     if res_b <= tol:
         return ClassicalityVerdict(Kind.QC, None, basis_b, res_b)
-    return ClassicalityVerdict(Kind.NEITHER, None, None, min(res_a, res_b))
+    return ClassicalityVerdict(Kind.NEITHER, None, None, min(
+        commute_residual(_conditional_family(rho, s)[0]) for s in (0, 1)))
 
 
 def max_entangled(d_a, d_b):
@@ -356,18 +377,10 @@ class TestSideVerdicts:
             is_cq(rho, side=1))
 
     def test_one_basis_per_side(self, rng, monkeypatch):
-        import qcorr.classify as classify_mod
-
-        calls = []
-        real = classify_mod.joint_diagonalize
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(classify_mod, "joint_diagonalize", counting)
+        calls = _count_joint_diagonalize(monkeypatch)
         cc, cq, qc = side_verdicts(random_cq(3, 3, rng), TAU_CLASS)
-        assert len(calls) == 2
+        # Side 0 takes the sweeps; side 1 takes the commutator exit.
+        assert len(calls) == 1
         assert (cc.kind, cq.kind, qc.kind) == (Kind.CQ, Kind.CQ, Kind.NEITHER)
 
     def test_rejects_non_bipartite(self):
@@ -381,6 +394,106 @@ class TestSideVerdicts:
         rho = random_cq(2, 3, rng)
         assert (_verdict_json(*side_verdicts(rho))
                 == _verdict_json(*side_verdicts(rho, TAU_CLASS)))
+
+
+def _perturbed(rho, eps, rng):
+    """rho + eps * H with H = sigma - rho for a random full-rank sigma."""
+    sigma = random_density(rho.dims, rho.dim, rng)
+    return DensityMatrix(rho.layout,
+                         rho.matrix + eps * (sigma.matrix - rho.matrix))
+
+
+class TestCommutatorExit:
+    """The commutator exit leaves every verdict, and every classical basis
+    and residual, as the sweeps alone give them."""
+
+    @pytest.mark.parametrize("dims", CORPUS_DIMS)
+    @pytest.mark.parametrize("tol", [TAU_CLASS, 1e-2])
+    def test_verdicts_match_the_sweeps(self, dims, tol):
+        rng = np.random.default_rng(9000 + 10 * dims[0] + dims[1])
+        kinds = set()
+        for _ in range(3):
+            for label, rho in _corpus_states(*dims, rng).items():
+                for side in (0, 1):
+                    basis = classical_basis(rho, side)
+                    residual = _block_residual(rho, basis, side)
+                    got = is_cq(rho, tol=tol, side=side)
+                    kinds.add(got.kind)
+                    if residual > tol:
+                        assert got.kind is Kind.NEITHER, (label, side)
+                        continue
+                    assert got.kind is (Kind.CQ, Kind.QC)[side], (label, side)
+                    assert np.array_equal((got.basis_A, got.basis_B)[side],
+                                          basis), (label, side)
+                    assert got.residual == residual, (label, side)
+        assert {Kind.CQ, Kind.QC, Kind.NEITHER} <= kinds
+
+    @pytest.mark.parametrize("dims", CORPUS_DIMS)
+    @pytest.mark.parametrize("tol", [TAU_CLASS, 1e-2])
+    def test_near_the_boundary(self, dims, tol):
+        # eps spans tol/10 to 10 tol, so the sweeps call some perturbed
+        # sides classical and some not.
+        rng = np.random.default_rng(9100 + 10 * dims[0] + dims[1])
+        classical = set()
+        for eps in tol * np.logspace(-1, 1, 9):
+            for make in (random_cc, random_cq):
+                rho = _perturbed(make(*dims, rng), eps, rng)
+                for side in (0, 1):
+                    fam, d = _conditional_family(rho, side)
+                    residual = _block_residual(rho, classical_basis(rho, side),
+                                               side)
+                    classical.add(residual <= tol)
+                    verdict = is_cq(rho, tol=tol, side=side)
+                    if residual <= tol:
+                        assert commute_residual(fam) <= \
+                            _commutator_bound(tol, d)
+                        assert verdict.kind is not Kind.NEITHER
+                    else:
+                        assert verdict.kind is Kind.NEITHER
+        assert classical == {True, False}
+
+    @pytest.mark.parametrize("tol", [TAU_CLASS, 1e-2])
+    def test_classical_side_with_commutator_above_tol(self, tol):
+        # (|0+> <0+| + |1-> <1-|) / 2 with a coherence c between the two
+        # terms: side 0 has block residual c / 2 and commutator residual
+        # sqrt(2) c, so theta must sit above tol for the sweeps' CQ to stand.
+        c = 1.9 * tol
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        minus = np.array([1.0, -1.0]) / np.sqrt(2)
+        a, b = np.kron([1.0, 0.0], plus), np.kron([0.0, 1.0], minus)
+        rho = DensityMatrix((2, 2), (np.outer(a, a) + np.outer(b, b)) / 2
+                            + c * (np.outer(a, b) + np.outer(b, a)))
+        fam, d = _conditional_family(rho, 0)
+        assert 2 * tol < commute_residual(fam) <= _commutator_bound(tol, d)
+        v = is_cq(rho, tol=tol, side=0)
+        assert v.kind is Kind.CQ
+        assert v.residual == pytest.approx(c / 2, rel=1e-9)
+
+    @pytest.mark.parametrize("dims", CORPUS_DIMS)
+    def test_no_sweeps_on_non_classical_corpus_states(self, dims, monkeypatch):
+        corpus = [s for s in make_corpus(4, 9200, *dims)
+                  if s.label in ("sep", "ent")]
+        calls = _count_joint_diagonalize(monkeypatch)
+        for state in corpus:
+            cc, cq, qc = side_verdicts(state.rho, TAU_CLASS)
+            assert (cc.kind, cq.kind, qc.kind) == (Kind.NEITHER,) * 3
+        assert calls == []
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_neither_residual_is_basis_free(self, dims):
+        rng = np.random.default_rng(9300 + 10 * dims[0] + dims[1])
+        for label, rho in _corpus_states(*dims, rng).items():
+            if label in ("cc", "mixed"):
+                continue
+            for side in (0, 1):
+                before = is_cq(rho, side=side)
+                if before.kind is not Kind.NEITHER:
+                    continue
+                u = unitary_channel(haar_unitary(dims[side], rng))
+                after = is_cq(apply_local(u, side, rho), side=side)
+                assert after.kind is Kind.NEITHER
+                assert abs(after.residual - before.residual) <= 1e-12, \
+                    (label, side)
 
 
 class TestPptLabel:
