@@ -22,10 +22,7 @@ from .classify import classical_basis
 from .correlations import Ensemble, mutual_information
 from .optimize import OptimizerConfig, maximize, unitary_from_params
 from .qstate import (
-    TAU_HERM,
     TAU_NUM,
-    TAU_PSD,
-    TAU_TR,
     DensityMatrix,
     StateError,
     SubsystemLayout,
@@ -257,7 +254,8 @@ def _legs(w: np.ndarray) -> np.ndarray:
     return w.swapaxes(-1, -3).swapaxes(-1, -2)
 
 
-def _copy_superoperators(v: np.ndarray, d: int, ancilla: int):
+def _copy_superoperators(v: np.ndarray, d: int, ancilla: int,
+                         eye: np.ndarray, legs: np.ndarray):
     """Both copy marginals of the channels of isometries v (..., d*d*ancilla,
     d) as superoperators, with the factors they are built from.
 
@@ -265,18 +263,21 @@ def _copy_superoperators(v: np.ndarray, d: int, ancilla: int):
     for copy c = 0 (keeps A) and to [(a', i), (a, k)] for c = 1 (keeps A');
     s[..., c, (a, b), (i, j)] = <a| Tr_rest[V |i><j| V^dag] |b> is
     legs[..., c] @ legs[..., c]^dag with its middle indices swapped.
-    Raw arrays for the search loop: the only check is the isometry
-    condition V^dag V = I that constructing the `KrausChannel` would make,
-    applied to every isometry of the batch.
+    `eye` is np.eye(d), and the returned legs are written into `legs`, a
+    C-contiguous complex array of shape (..., 2, d*d, d*ancilla) that the
+    caller holds.  Raw arrays for the search loop: the only check is the
+    isometry condition V^dag V = I that constructing the `KrausChannel`
+    would make, applied to every isometry of the batch.
     """
     batch = v.shape[:-2]
-    err = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(d)).max()
+    err = np.abs(v.conj().swapaxes(-1, -2) @ v - eye).max()
     if err > TAU_NUM:
         raise ChannelError(
             f"Stinespring map is not an isometry: max |V^dag V - I| = {err:.3e}")
     w = v.reshape(batch + (d, d, ancilla, d))  # [..., a, a', k, i]
-    legs = np.stack((_legs(w), _legs(w.swapaxes(-4, -3))), axis=-5).reshape(
-        batch + (2, d * d, d * ancilla))
+    both = legs.reshape(batch + (2, d, d, d, ancilla))
+    np.copyto(both[..., 0, :, :, :, :], _legs(w))
+    np.copyto(both[..., 1, :, :, :, :], _legs(w.swapaxes(-4, -3)))
     gram = legs @ legs.conj().swapaxes(-1, -2)  # [..., c, (a, i), (b, j)]
     return legs, _swap_middle(gram, d)
 
@@ -320,47 +321,72 @@ def _residual_objective(rho: DensityMatrix, anc_a: int, anc_b: int):
     both go through one `_copy_superoperators` and one
     `_stinespring_gradient` call on the stacked pair.
 
-    The copy marginals get the Hermiticity, trace and PSD checks of
-    `DensityMatrix`; one failing candidate fails the whole batch.
+    The isometry check V^dag V = I of `_copy_superoperators` is the only
+    check; one failing isometry fails the whole batch.  It implies the
+    checks a `DensityMatrix` would make on the copy marginals: each is
+    Tr_rest[V X V^dag] of the validated rho under isometries, so it is
+    Hermitian and positive semidefinite up to rounding, and its trace is
+    1 + O(max |V^dag V - I|).  Every candidate that leaves the search is
+    still built as a `KrausChannel` and validated as a `DensityMatrix`
+    (`_candidate`).
+
+    The objective holds its work arrays (the stacked side pair, the legs
+    and the stacked gradient pair), one set per batch shape, and refills
+    them on every call, so a round allocates no arrays of that size
+    twice.  The values and gradients it returns are new arrays and its
+    inputs are only read, but the held arrays make an objective
+    non-reentrant: no two calls of one objective may overlap.
     """
     d_a, d_b = rho.dims
-    n = d_a * d_b
     mat = rho.matrix
     shuffled = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(
         d_a * d_a, d_b * d_b)  # [(i1, j1), (i2, j2)]
 
     same = (d_a, anc_a) == (d_b, anc_b)
+    eye_a, eye_b = np.eye(d_a), np.eye(d_b)
+    work = {}  # batch shape -> (pair, legs, grad), see `held`
+
+    def held(batch):
+        """The work arrays of one batch shape: when the sides share a shape,
+        the stacked pair and, with a leading side axis, the legs and the
+        gradient pair; else no pair and each side's legs and gradient."""
+        if batch not in work:
+            def empty(lead, *shape):
+                return np.empty(lead + shape, dtype=complex)
+            if same:
+                side = (2,) + batch
+                work[batch] = (empty(side, d_a * d_a * anc_a, d_a),
+                               empty(side, 2, d_a * d_a, d_a * anc_a),
+                               empty(side, 2, d_a * d_a, d_a * d_a))
+            else:
+                work[batch] = (
+                    None,
+                    tuple(empty(batch, 2, d * d, d * anc)
+                          for d, anc in ((d_a, anc_a), (d_b, anc_b))),
+                    tuple(empty(batch, 2, d * d, d * d) for d in (d_a, d_b)))
+        return work[batch]
 
     def objective(v_a, v_b):
+        pair, legs, grad = held(v_a.shape[:-2])
         if same:  # both sides in one call: (side, ..., copy, ...) arrays
-            legs, (s_a, s_b) = _copy_superoperators(np.stack((v_a, v_b)),
-                                                    d_a, anc_a)
+            pair[0], pair[1] = v_a, v_b
+            legs, (s_a, s_b) = _copy_superoperators(pair, d_a, anc_a, eye_a,
+                                                    legs)
         else:
-            legs_a, s_a = _copy_superoperators(v_a, d_a, anc_a)
-            legs_b, s_b = _copy_superoperators(v_b, d_b, anc_b)
+            legs_a, s_a = _copy_superoperators(v_a, d_a, anc_a, eye_a, legs[0])
+            legs_b, s_b = _copy_superoperators(v_b, d_b, anc_b, eye_b, legs[1])
         s_b_t = s_b.swapaxes(-1, -2)
         left = s_a @ shuffled  # S_A R
-        copies = left @ s_b_t  # reshuffled copy marginals
-        batch = copies.shape[:-3]
-        dense = copies.reshape(batch + (2, d_a, d_a, d_b, d_b)).swapaxes(
-            -3, -2).reshape(batch + (2, n, n))
-        if np.abs(dense - dense.conj().swapaxes(-1, -2)).max() > TAU_HERM:
-            raise StateError("copy marginal is not Hermitian within tolerance")
-        tr = np.trace(dense, axis1=-2, axis2=-1).real
-        if np.abs(tr - 1.0).max() > TAU_TR:
-            raise StateError(f"copy marginal traces are {tr}, not 1 within tolerance")
-        low = np.linalg.eigvalsh(dense).min()
-        if low < -TAU_PSD:
-            raise StateError(f"copy marginal has negative eigenvalue {low}")
-        err = copies - shuffled
+        err = left @ s_b_t - shuffled  # reshuffled copy marginals minus R
         value = -(err.real ** 2 + err.imag ** 2).sum(axis=(-3, -2, -1))
-        g_a = err @ (shuffled @ s_b_t).conj().swapaxes(-1, -2)
-        g_b = err.swapaxes(-1, -2) @ left.conj()
+        np.matmul(err, (shuffled @ s_b_t).conj().swapaxes(-1, -2), out=grad[0])
+        np.matmul(err.swapaxes(-1, -2), left.conj(), out=grad[1])
+        for g in grad:
+            g *= -2
         if same:
-            return value, tuple(_stinespring_gradient(
-                legs, -2 * np.stack((g_a, g_b)), d_a, anc_a))
-        return value, (_stinespring_gradient(legs_a, -2 * g_a, d_a, anc_a),
-                       _stinespring_gradient(legs_b, -2 * g_b, d_b, anc_b))
+            return value, tuple(_stinespring_gradient(legs, grad, d_a, anc_a))
+        return value, (_stinespring_gradient(legs_a, grad[0], d_a, anc_a),
+                       _stinespring_gradient(legs_b, grad[1], d_b, anc_b))
 
     return objective
 

@@ -277,28 +277,13 @@ def _local_split(ch: KrausChannel, position: int,
     return prod(dims[:position]), prod(dims[position + 1:])
 
 
-def lift_local(ch: KrausChannel, position: int,
-               layout: SubsystemLayout) -> KrausChannel:
-    """Embed a channel as ch (x) id on the remaining subsystems.
-
-    The lifted Kraus operators are full-size Kronecker products; this is
-    the reference that `apply_local` computes without them.
-    """
-    dims = layout.dims
-    d_left, d_right = _local_split(ch, position, dims)
-    eye_l = np.eye(d_left, dtype=complex)
-    eye_r = np.eye(d_right, dtype=complex)
-    ops = tuple(np.kron(np.kron(eye_l, k), eye_r) for k in ch.kraus)
-    out_dims = dims[:position] + ch.out_dims + dims[position + 1:]
-    return KrausChannel(ops, out_dims=out_dims, check_tp=ch.trace_preserving)
-
-
 def apply_local(ch: KrausChannel, position: int,
                 rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to one subsystem; the layout swaps in ch.out_dims.
 
-    Equal, up to rounding, to `apply_channel(lift_local(ch, position,
-    rho.layout), rho)`, without building the lifted channel: the target
+    Equal, up to rounding, to applying ch (x) id with full-size Kronecker
+    Kraus operators (the tests' reference, `lift_local` in
+    `tests/conftest.py`), without building that channel: the target
     party's row and column axes of the state move last, one batched
     product K y K^dag runs over the stacked Kraus operators and every
     block of the other parties, and one sum over the Kraus index closes

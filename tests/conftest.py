@@ -3,8 +3,10 @@
 The oracles here are deliberately written as explicit index loops (no
 vectorized shortcuts shared with the library) so that library results are
 checked against a genuinely independent computation.  The lockstep oracle
-is the exception: it shares the library's linear algebra and writes out
-only the step rule and the round bookkeeping, one run at a time.
+is an exception: it shares the library's linear algebra and writes out
+only the step rule and the round bookkeeping, one run at a time.  So is
+`lift_local`, the Kronecker-product reference for `channels.apply_local`,
+which shares the library's subsystem checks.
 """
 
 from __future__ import annotations
@@ -76,6 +78,21 @@ def oracle_apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     for k in kraus:
         out += k @ rho @ k.conj().T
     return out
+
+
+def lift_local(ch, position: int, layout):
+    """Embed a channel as ch (x) id on the remaining subsystems: the
+    Kronecker reference for `channels.apply_local`, whose lifted Kraus
+    operators are full-size Kronecker products."""
+    from qcorr.channels import KrausChannel, _local_split
+
+    dims = layout.dims
+    d_left, d_right = _local_split(ch, position, dims)
+    eye_l = np.eye(d_left, dtype=complex)
+    eye_r = np.eye(d_right, dtype=complex)
+    ops = tuple(np.kron(np.kron(eye_l, k), eye_r) for k in ch.kraus)
+    out_dims = dims[:position] + ch.out_dims + dims[position + 1:]
+    return KrausChannel(ops, out_dims=out_dims, check_tp=ch.trace_preserving)
 
 
 def oracle_joint_probs(rho: np.ndarray, ms, ns) -> np.ndarray:

@@ -22,7 +22,6 @@ from qcorr.channels import (
     choi_matrix,
     depolarizing_channel,
     isometry_channel,
-    lift_local,
     petz_recovery,
     tensor_channels,
     unitary_channel,
@@ -57,6 +56,8 @@ from qcorr.qstate import (
     tensor,
     trace_distance,
 )
+
+from conftest import lift_local
 
 
 def _report(line: str) -> None:

@@ -35,7 +35,14 @@ from qcorr.channels import ChannelError
 from qcorr.classify import Kind, is_cq
 from qcorr.lockstep import _packed, _parties, _party_blocks, _polar, _tangent
 from qcorr.optimize import OptimizerConfig, isometry_from_params, random_density
-from qcorr.qstate import ProbVector, StateError, bell_phi_plus, tensor
+from qcorr.qstate import (
+    DensityMatrix,
+    ProbVector,
+    StateError,
+    SubsystemLayout,
+    bell_phi_plus,
+    tensor,
+)
 
 TINY = OptimizerConfig(seed=0, restarts=2, max_evals=120)
 
@@ -232,6 +239,76 @@ class TestRawObjective:
             _, res = verify_broadcast(sigma, rho)
             for f, r in zip(frobenius, res):
                 assert f <= 2 * r + 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("ancilla_dim", [None, 1])
+    def test_copy_marginals_of_isometries_are_states(self, rng, dims,
+                                                     ancilla_dim):
+        # Why the isometry check is the only one the objective makes: the
+        # copy marginals of isometries pass every DensityMatrix check.
+        d_a, d_b = dims
+        anc_a, anc_b = ancilla_dim or d_a, ancilla_dim or d_b
+        rho = random_density(dims, 3, rng)
+        shuffled = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(
+            0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+        k = 8
+        v_a = _isometries(rng, k, d_a, anc_a)
+        v_b = _isometries(rng, k, d_b, anc_b)
+        # The objective's own dense copy marginals, from its superoperators.
+        _, s_a = broadcast_mod._copy_superoperators(
+            v_a, d_a, anc_a, np.eye(d_a),
+            np.empty((k, 2, d_a * d_a, d_a * anc_a), dtype=complex))
+        _, s_b = broadcast_mod._copy_superoperators(
+            v_b, d_b, anc_b, np.eye(d_b),
+            np.empty((k, 2, d_b * d_b, d_b * anc_b), dtype=complex))
+        copies = s_a @ shuffled @ s_b.swapaxes(-1, -2)
+        dense = copies.reshape(k, 2, d_a, d_a, d_b, d_b).swapaxes(-3, -2)
+        dense = dense.reshape(k, 2, d_a * d_b, d_a * d_b)
+        for a, b, pair in zip(v_a, v_b, dense):
+            sigma = apply_local_broadcast(_channel_of_isometry(a, d_a, anc_a),
+                                          _channel_of_isometry(b, d_b, anc_b),
+                                          rho)
+            for got, marginal in zip(pair, broadcast_marginals(sigma)):
+                np.testing.assert_allclose(got, marginal.matrix, rtol=0,
+                                           atol=1e-12)
+                for m in (got, marginal.matrix):
+                    DensityMatrix(SubsystemLayout(dims), m)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("ancilla_dim", [None, 1])
+    def test_held_work_arrays_do_not_alias(self, rng, dims, ancilla_dim):
+        d_a, d_b = dims
+        anc_a, anc_b = ancilla_dim or d_a, ancilla_dim or d_b
+        rho = random_density(dims, 3, rng)
+        objective = _residual_objective(rho, anc_a, anc_b)
+        first = (_isometries(rng, 3, d_a, anc_a), _isometries(rng, 3, d_b, anc_b))
+        inputs = [first] + [(_isometries(rng, k, d_a, anc_a),
+                             _isometries(rng, k, d_b, anc_b))
+                            for k in (3, 5, 3)]
+        inputs.append((inputs[1][0][0], inputs[1][1][0]))  # no batch axis
+        kept = [tuple(v.copy() for v in pair) for pair in inputs]
+        values, grads = objective(*first)
+        want = (values.copy(), [g.copy() for g in grads])
+        for (v_a, v_b), (k_a, k_b) in zip(inputs[1:], kept[1:]):
+            got_values, got_grads = objective(v_a, v_b)
+            # Each call agrees bit for bit with a fresh objective's call.
+            fresh_values, fresh_grads = _residual_objective(
+                rho, anc_a, anc_b)(k_a.copy(), k_b.copy())
+            np.testing.assert_array_equal(got_values, fresh_values)
+            for got, fresh in zip(got_grads, fresh_grads):
+                np.testing.assert_array_equal(got, fresh)
+            # The first call's results are left as they were returned.
+            np.testing.assert_array_equal(values, want[0])
+            for g, w in zip(grads, want[1]):
+                np.testing.assert_array_equal(g, w)
+        # No call writes its inputs, and the first input scores as before.
+        for pair, copies in zip(inputs, kept):
+            for v, c in zip(pair, copies):
+                np.testing.assert_array_equal(v, c)
+        again_values, again_grads = objective(*first)
+        np.testing.assert_array_equal(again_values, want[0])
+        for g, w in zip(again_grads, want[1]):
+            np.testing.assert_array_equal(g, w)
 
     def test_non_isometry_raises_channel_error(self):
         objective = _residual_objective(bell_phi_plus(), 2, 2)

@@ -17,7 +17,6 @@ from qcorr.channels import (
     identity_channel,
     isometry_channel,
     kraus_from_choi,
-    lift_local,
     measurement_channel,
     petz_recovery,
     projective_basis_povm,
@@ -33,7 +32,7 @@ from qcorr.qstate import (
     trace_distance,
 )
 
-from conftest import oracle_apply_kraus
+from conftest import lift_local, oracle_apply_kraus
 
 
 class TestPovm:
