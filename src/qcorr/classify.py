@@ -80,16 +80,19 @@ class ClassicalityVerdict:
 
 
 def _family_stack(ops) -> np.ndarray:
-    """(m, d, d) complex copy of a nonempty family of equal square operators."""
-    ops = [np.asarray(o, dtype=complex) for o in ops]
-    if not ops:
+    """(m, d, d) complex copy of a nonempty family of equal square operators,
+    given as a sequence of them or as a stack."""
+    try:
+        ops = np.array(ops, dtype=complex)
+    except ValueError:  # ragged: numpy >= 1.24 refuses to build it
+        raise StateError(
+            "operators must be numeric matrices of one shape") from None
+    if not len(ops):
         raise StateError("operator family is empty")
-    shape = ops[0].shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise StateError(f"operators must be square matrices, got shape {shape}")
-    if any(o.shape != shape for o in ops):
-        raise StateError("operators must share one dimension")
-    return np.array(ops)
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise StateError(
+            f"operators must be square matrices, got shape {ops.shape[1:]}")
+    return ops
 
 
 def commute_residual(ops) -> float:

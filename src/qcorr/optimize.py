@@ -1,8 +1,8 @@
 """Randomness, POVM parameterizations, and multi-start maximization.
 
 `maximize` runs every restart of a search in lockstep as a monotone
-Riemannian gradient ascent on isometries (`isometry_from_params`); the
-step rule and the driver `minimize` live in `lockstep`.
+Riemannian gradient ascent on isometries; the step rule and the driver
+(`minimize`, an ascent despite the name) live in `lockstep`.
 
 - The measurement searches (the projective and general POVM phases of
   I_CQ and I_CC, and so the discord bound) take one W per party.  The
@@ -29,15 +29,15 @@ the returned value never falls below any seed.
 
 Objectives are batched, and there is one contract: an objective takes the
 points' isometries, one (k, n_p, d_p) array per party, and returns k
-values and their Euclidean gradients, shaped as those isometries.  Seed
-points and the winner are per-party matrices too: only `lockstep` packs
-points into reals.
-`lockstep.minimize` takes the polar factors, with one batched SVD per
-distinct party shape, so both I_CC parties share one when their shapes
-agree.  One objective call evaluates every point the live restarts need
-next: the seed points and the start point of each restart, then one
-trial point per restart.  The parameterizations below accept the same
-leading batch axes.
+values and their Euclidean gradients, shaped as those isometries.  Points
+are per-party matrices everywhere (seeds, random starts, the driver's
+stacks and the winner); only `OptimizationResult.params` serializes one
+into reals, in the layout `isometry_from_params` reads.  The driver
+takes the polar factors with one batched SVD per distinct party shape,
+so both I_CC parties share one when their shapes agree.  One objective
+call evaluates every point the live restarts need next: the seed points
+and the start point of each restart, then one trial point per restart.
+The parameterizations below accept the same leading batch axes.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Povm
-from .lockstep import _polar, minimize, packed, unpacked
+from .lockstep import _matrices, _polar, minimize
 from .qstate import DensityMatrix, StateError, _as_layout
 
 
@@ -277,17 +277,19 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     one per party (an empty `shapes` raises ValueError), and `param_dim` =
     sum 2 n d.  `objective(*ws)` takes the polar factors of k points, one
     (k, n, d) array per party, and returns the k values and their Euclidean
-    gradients, shaped as the ws.  A seed point is a sequence of complex
-    (n, d) matrices, one per party.  Another shape of a gradient or a seed
-    matrix raises ValueError.  Seed points are evaluated
-    directly, so the result never undercuts any of them, and take the
-    first of the `cfg.restarts` restart slots; they start the restarts in
-    those slots unless `ascend_seeds` is False, which leaves those slots
-    empty.  The other slots start at random points.  A restart whose
-    objective goes non-finite is aborted and recorded; the others run on.
-    Ties go to the earliest seed, then the earliest restart, as if the
-    restarts ran one after another.  The result carries the winner per
-    party: its matrices (`points`) and their polar factors (`isometries`).
+    gradients, shaped as the ws.  A point is a sequence of complex (n, d)
+    matrices, one per party: the seed points, the random starts and the
+    winner alike.  Another shape of a gradient or a seed matrix raises
+    ValueError.  Seed points are evaluated directly, so the result never
+    undercuts any of them, and take the first of the `cfg.restarts`
+    restart slots; they start the restarts in those slots unless
+    `ascend_seeds` is False, which leaves those slots empty.  The other
+    slots start at random points.  A restart whose objective goes
+    non-finite is aborted and recorded; the others run on.  Ties go to
+    the earliest seed, then the earliest restart, as if the restarts ran
+    one after another.  The result carries the winner per party: its
+    matrices (`points`) and their polar factors (`isometries`); only
+    `params` serializes it into reals.
 
     The search makes min(2 param_dim, `cfg.max_evals`) objective calls
     (one when no slot runs a restart): a restart that stops sooner hands
@@ -300,53 +302,38 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     if not shapes:
         raise ValueError("maximize needs at least one isometry shape")
     param_dim = sum(2 * n * d for n, d in shapes)
-    seed_points = [packed(s, shapes) for s in seed_points]
-
     ss = np.random.SeedSequence(cfg.seed)
     streams = ss.spawn(cfg.restarts)
 
     def random_start(stream):
         rng = np.random.default_rng(stream)
-        return rng.normal(scale=np.pi / 4, size=param_dim)
+        return _matrices(rng.normal(scale=np.pi / 4, size=param_dim), shapes)
 
-    starts = list(seed_points) if ascend_seeds else []
-    starts += [random_start(streams[i])
-               for i in range(len(seed_points), cfg.restarts)]
-    starts = starts[:cfg.restarts]
-
-    def negated(*ws):
-        values, grads = objective(*ws)
-        return -np.asarray(values, dtype=float), [-np.asarray(g) for g in grads]
-
-    res = minimize(negated, np.reshape(starts, (len(starts), param_dim)),
-                   shapes, min(2 * param_dim, cfg.max_evals), cfg.tol,
-                   points=np.reshape(seed_points, (len(seed_points), param_dim)),
-                   refill=lambda: random_start(ss.spawn(1)[0]))
-
+    seed_points = list(seed_points)
     n_seeds = len(seed_points)
+    starts = (seed_points if ascend_seeds else []) + [
+        random_start(s) for s in streams[n_seeds:]]
+    res = minimize(objective, starts[:cfg.restarts], shapes,
+                   min(2 * param_dim, cfg.max_evals), cfg.tol,
+                   points=seed_points,
+                   refill=lambda: random_start(ss.spawn(1)[0]))
     names = ([f"seed {i}" for i in range(n_seeds)]
              + [f"restart {i}" for i in range(len(res.evals) - n_seeds)])
-    best_val = -np.inf
-    best_params = np.zeros(param_dim)
-    winner = None
-    restart_values = []
-    for name, f, x in zip(names, res.fun, res.x):
-        val = float(-f)
-        restart_values.append(val)
-        if val > best_val:
-            best_val, best_params, winner = val, x, name
-    diagnostics = tuple(f"{name}: objective returned {-bad}"
+    best = int(np.argmax(res.fun))  # the earliest of the highest values
+    # The one packing: zeros when no value was finite.
+    params = np.concatenate([p.reshape(-1) for p in res.x[best]]).view(float)
+    diagnostics = tuple(f"{name}: objective returned {bad}"
                         for name, bad in zip(names, res.non_finite)
                         if bad is not None)
     return OptimizationResult(
-        value=best_val,
-        params=best_params,
+        value=float(res.fun[best]),
+        params=params,
         n_evals=res.nfev,
-        restart_values=tuple(restart_values),
+        restart_values=tuple(float(f) for f in res.fun),
         seed=cfg.seed,
         diagnostics=diagnostics,
         restart_evals=res.evals[n_seeds:],
         restart_stops=res.stops[n_seeds:],
-        winner=winner,
-        points=unpacked(best_params, shapes),
+        winner=names[best] if res.fun[best] > -np.inf else None,
+        points=_matrices(params, shapes),
     )

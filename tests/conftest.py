@@ -196,18 +196,63 @@ def oracle_joint_diagonalize(ops, tol: float = 1e-14, max_sweeps: int = 100,
     return u
 
 
-def _oracle_stiefel_descent(x0, shapes, tol):
-    """One descent run as a generator: each `yield` hands out one (1, P)
-    point and receives its values, Euclidean gradients and packed polar
-    factors."""
-    from qcorr.lockstep import (_ARMIJO, _FIRST_STEP, _MAX_STEP, _row_dot,
-                                _tangent)
+def split_point(x, shapes) -> tuple:
+    """The per-party complex matrices, as views, of a real vector x that
+    holds their (re, im) pairs row by row, party after party: the layout
+    of `OptimizationResult.params`."""
+    z = np.ascontiguousarray(x, dtype=float).view(complex)
+    ends = np.cumsum([n * d for n, d in shapes])[:-1]
+    return tuple(part.reshape(shape)
+                 for part, shape in zip(np.split(z, ends), shapes))
+
+
+def pack_point(point) -> np.ndarray:
+    """The real vector of a point's per-party matrices: `split_point`
+    undone."""
+    return np.concatenate([np.asarray(p, dtype=complex).reshape(-1)
+                           for p in point]).view(float)
+
+
+def assert_slope_on_retracted_path(objective, x, rng, h=1e-5):
+    """Take a unit tangent direction xi at the isometries x (one (1, n, d)
+    array per party), from normal draws of one (1, 2 n d) real array per
+    party.  Assert that the slope of `objective` along xi, from the
+    gradients at the polar factors of x, matches the central difference
+    of its values at the polar factors of x +- h xi, which lie on the
+    retracted path."""
+    from qcorr.lockstep import _polar, _tangent
+
+    def at(points):
+        return objective(*(_polar(w) for w in points))
+
+    z = [rng.normal(size=(1, 2 * w[0].size)).view(complex).reshape(w.shape)
+         for w in x]
+    xi = [t[:, 0] for t in _tangent([w[:, None] for w in x],
+                                    [v[:, None] for v in z])]
+    norm = math.sqrt(sum(np.vdot(t, t).real for t in xi))
+    xi = [t / norm for t in xi]
+    slope = sum(np.vdot(g, t).real for g, t in zip(at(x)[1], xi))
+    fd = (at([w + h * t for w, t in zip(x, xi)])[0][0]
+          - at([w - h * t for w, t in zip(x, xi)])[0][0]) / (2 * h)
+    assert abs(slope - fd) <= 1e-6 * abs(fd)
+
+
+def _oracle_stiefel_ascent(x0, tol):
+    """One ascent run as a generator: each `yield` hands out one point, a
+    list of (1, 1, n, d) stacks, one per party, and receives its values,
+    Euclidean gradients and polar factors in that form."""
+    from qcorr.lockstep import (_ARMIJO, _FIRST_STEP, _MAX_STEP, _flat,
+                                _row_dot, _rows, _tangent)
 
     def dot(a, b):
-        return float(_row_dot(a, b)[0])
+        return float(_row_dot(_rows([_flat(p) for p in a]),
+                              _rows([_flat(q) for q in b]))[0])
 
-    f, z, x = yield x0[None]
-    g = _tangent(x, z, shapes)
+    def minus(a, b):
+        return [p - q for p, q in zip(a, b)]
+
+    f, z, x = yield x0
+    g = _tangent(x, z)  # the tangent gradient of -f
     gg = dot(g, g)
     t = t_long = _FIRST_STEP / math.sqrt(gg) if gg else 0.0
     long_step, accepted = True, 0
@@ -217,11 +262,13 @@ def _oracle_stiefel_descent(x0, shapes, tol):
                 return "converged"
             t, long_step = t_long, True
             continue
-        fy, zy, x_new = yield x - t * g
-        if fy[0] <= f[0] - _ARMIJO * t * gg:
-            gain = f[0] - fy[0]
-            g_new = _tangent(x_new, zy, shapes)
-            s, dg = x_new - x, g_new - g
+        fy, zy, x_new = yield [
+            (_flat(p) - t * _flat(q)).view(complex).reshape(p.shape)
+            for p, q in zip(x, g)]
+        if fy[0] >= f[0] + _ARMIJO * t * gg:
+            gain = fy[0] - f[0]
+            g_new = _tangent(x_new, zy)
+            s, dg = minus(x_new, x), minus(g_new, g)
             x, f, g = x_new, fy, g_new
             if gain <= tol and long_step:
                 return "converged"
@@ -238,31 +285,34 @@ def _oracle_stiefel_descent(x0, shapes, tol):
             t *= 0.5
 
 
-def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=None,
+def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=(),
                              refill=None):
     """`lockstep.minimize` with every run a generator stepped one at a
     time: the points of all live runs gather into one `fun` call per round,
-    and each run gets its own row back.  The step rule is written out
-    apart from `lockstep._Descent`; the polar factors, tangent projection
-    and row dots are the library's, so a comparison pins the step logic
-    and the round bookkeeping, not the linear algebra.  Returns the
+    and each run gets its own back.  Points are per-party matrices, held as
+    one (k, 1, n, d) stack per party.  The step rule is written out apart
+    from `lockstep._Ascent`; the polar factors, tangent projection and row
+    dots are the library's, so a comparison pins the step logic and the
+    round bookkeeping, not the linear algebra.  Returns the
     `LockstepResult` fields (fun, x, evals, stops, non_finite)."""
-    from qcorr.lockstep import _packed, _party_blocks, _polar
+    from qcorr.lockstep import _flat, _polar, _rows
 
-    x0s = np.asarray(x0s, dtype=float)
-    n = x0s.shape[1]
-    points = np.empty((0, n)) if points is None else np.asarray(points, dtype=float)
+    def stacked(point):
+        return [np.asarray(p, dtype=complex).reshape(1, 1, *p.shape)
+                for p in point]
 
     def evaluate_once(x):
-        yield x[None]
+        yield stacked(x)
         return "evaluated"
 
     def start(x0):
-        return _oracle_stiefel_descent(x0, shapes, tol)
+        return _oracle_stiefel_ascent(stacked(x0), tol)
 
     runs = [evaluate_once(p) for p in points] + [start(x0) for x0 in x0s]
-    best_f = [np.inf] * len(runs)
-    best_x = [np.zeros(n)] * len(runs)
+    n_points = len(points)
+    zeros = tuple(np.zeros(shape, dtype=complex) for shape in shapes)
+    best_f = [-np.inf] * len(runs)
+    best_x = [zeros] * len(runs)
     evals = [0] * len(runs)
     stops = [""] * len(runs)
     non_finite = [None] * len(runs)
@@ -272,24 +322,23 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=None,
     def stop(i, reason):
         stops[i] = reason
         del pending[i]
-        if i >= len(points) and done < rounds:
+        if i >= n_points and done < rounds:
             runs.append(start(refill()))
-            best_f.append(np.inf)
-            best_x.append(np.zeros(n))
+            best_f.append(-np.inf)
+            best_x.append(zeros)
             evals.append(0)
             stops.append("")
             non_finite.append(None)
             pending[len(runs) - 1] = next(runs[-1])
 
     while pending:
-        batch = np.concatenate(list(pending.values()))
-        blocks = [_polar(b) for b in _party_blocks(batch, shapes)]
-        values, grads = fun(*(b[:, j] for b in blocks
-                              for j in range(b.shape[1])))
-        polar = _packed(blocks)
+        batch = [np.concatenate(party) for party in zip(*pending.values())]
+        polar = [_polar(b) for b in batch]
+        values, grads = fun(*(b[:, 0] for b in polar))
         values = np.asarray(values, dtype=float)
-        grads = _packed(list(grads))
-        values = np.where(np.isfinite(grads).all(axis=-1), values, np.nan)
+        grads = [np.asarray(z, dtype=complex)[:, None] for z in grads]
+        finite = np.isfinite(_rows([_flat(z) for z in grads])).all(axis=-1)
+        values = np.where(finite, values, np.nan)
         done += 1
         for j, i in enumerate(list(pending)):
             v = values[j]
@@ -299,12 +348,13 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=None,
                 runs[i].close()
                 stop(i, "non-finite")
                 continue
-            if v < best_f[i]:
+            if v > best_f[i]:
                 best_f[i] = v
-                best_x[i] = batch[j].copy()
+                best_x[i] = tuple(b[j, 0].copy() for b in batch)
             try:
-                pending[i] = runs[i].send(
-                    (values[j:j + 1], grads[j:j + 1], polar[j:j + 1]))
+                pending[i] = runs[i].send((values[j:j + 1],
+                                           [z[j:j + 1] for z in grads],
+                                           [p[j:j + 1] for p in polar]))
             except StopIteration as end:
                 stop(i, end.value)
         if done >= rounds:
@@ -312,8 +362,8 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=None,
                 runs[i].close()
                 stops[i] = "rounds"
             pending.clear()
-    return (np.array(best_f), np.reshape(best_x, (len(runs), n)),
-            tuple(evals), tuple(stops), tuple(non_finite))
+    return (np.array(best_f), tuple(best_x), tuple(evals), tuple(stops),
+            tuple(non_finite))
 
 
 def oracle_conditional_family(rho: np.ndarray, dims, side: int):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qcorr.broadcast as broadcast_mod
+from conftest import assert_slope_on_retracted_path
 from qcorr.broadcast import (
     _channel_of_isometry,
     _residual_objective,
@@ -33,7 +34,7 @@ from qcorr.corpus import (
 from qcorr.correlations import Ensemble, holevo_chi, mutual_information
 from qcorr.channels import ChannelError
 from qcorr.classify import Kind, is_cq
-from qcorr.lockstep import _packed, _parties, _party_blocks, _polar, _tangent
+from qcorr.lockstep import _polar
 from qcorr.optimize import OptimizerConfig, isometry_from_params, random_density
 from qcorr.qstate import (
     DensityMatrix,
@@ -367,25 +368,10 @@ class TestStinespringSearch:
         shapes = tuple((d * d * anc, d) for d, anc in zip(dims, ancillas))
         rho = random_density(dims, dims[0] * dims[1], rng)
         objective = _residual_objective(rho, *ancillas)
-
-        def with_grad(x):
-            # The value and the gradient, packed as the point x.
-            values, grads = objective(
-                *(_polar(w) for w in _parties(_party_blocks(x, shapes))))
-            return values, _packed(list(grads))
-
-        h = 1e-5
         for _ in range(3):
-            x = _packed([_isometries(rng, 1, d, anc)
-                         for d, anc in zip(dims, ancillas)])
-            xi = _tangent(x, rng.normal(size=x.shape), shapes)
-            xi /= np.linalg.norm(xi)
-            slope = float(np.vdot(with_grad(x)[1], xi))
-            # The isometries are polar factors of the points, so x +- h xi
-            # lie on the retracted path.
-            fd = (with_grad(x + h * xi)[0][0]
-                  - with_grad(x - h * xi)[0][0]) / (2 * h)
-            assert abs(slope - fd) <= 1e-6 * abs(fd)
+            x = [_isometries(rng, 1, d, anc) for d, anc in zip(dims, ancillas)]
+            assert [w.shape[1:] for w in x] == list(shapes)
+            assert_slope_on_retracted_path(objective, x, rng)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("extra", [0, 1])

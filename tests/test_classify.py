@@ -143,6 +143,22 @@ class TestStackedMatchesLoopOracles:
                 assert _block_residual(rho, basis, side) == \
                     oracle_block_residual(rho.matrix, dims, basis, side)
 
+    @pytest.mark.parametrize("dims", CORPUS_DIMS)
+    def test_stacked_input_is_never_written(self, dims):
+        # The sweeps rotate their own copy of the family: a stacked input
+        # keeps every bit, and gives the basis its members give.
+        rng = np.random.default_rng(7700 + 10 * dims[0] + dims[1])
+        for label, rho in _corpus_states(*dims, rng).items():
+            for side in (0, 1):
+                fam, _ = _conditional_family(rho, side)
+                kept = fam.copy()
+                basis = joint_diagonalize(fam)
+                assert fam.tobytes() == kept.tobytes(), (label, side)
+                assert np.array_equal(basis, joint_diagonalize(list(kept))), \
+                    (label, side)
+                commute_residual(fam)
+                assert fam.tobytes() == kept.tobytes(), (label, side)
+
     @pytest.mark.parametrize("d", range(2, 9))
     def test_unitary_hermitian_parts(self, d):
         rng = np.random.default_rng(100 + d)

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_slope_on_retracted_path, split_point
 from qcorr.channels import (
     apply_local,
     depolarizing_channel,
@@ -38,8 +40,7 @@ from qcorr.correlations import (
     optimize_icq,
 )
 from qcorr.classify import classical_basis
-from qcorr.lockstep import (_packed, _parties, _party_blocks, _polar,
-                            _tangent, minimize)
+from qcorr.lockstep import _polar, _tangent, minimize
 from qcorr.optimize import (
     ConfigRangeError,
     OptimizerConfig,
@@ -378,8 +379,8 @@ class TestStackedPartyObjectives:
                     return seen[-1][2]
 
                 # One round that evaluates each row of y once.
-                minimize(recording, np.empty((0, size)), shapes, rounds=1,
-                         tol=1e-8, points=y)
+                minimize(recording, (), shapes, rounds=1, tol=1e-8,
+                         points=[split_point(x, shapes) for x in y])
                 monkeypatch.undo()
                 (svds, (w_a, w_b), (got, grad)), = seen
                 assert svds == ["svd"] * svd_per_round
@@ -474,21 +475,11 @@ def _general_objectives(rho, kind, projective=False):
     return with_grad, value, ((n_a, d_a), (n_b, d_b))
 
 
-def _at_points(with_grad, shapes):
-    """`with_grad` at the polar factors of the matrices of real points x
-    (m, P), as the lockstep driver takes them, with the gradients packed
-    as x."""
-    def at(x):
-        values, grads = with_grad(
-            *(_polar(w) for w in _parties(_party_blocks(x, shapes))))
-        return values, _packed(list(grads))
-    return at
-
-
-def _polar_point(y, shapes):
-    """The points (m, P) whose matrices are the polar factors of those of
-    the points y, one per entry of `shapes`."""
-    return _packed([_polar(w) for w in _parties(_party_blocks(y, shapes))])
+def _random_matrices(rng, k, shapes):
+    """k random complex matrices per (n, d) entry of `shapes`, drawn as
+    real (k, 2 n d) normal arrays."""
+    return [rng.normal(size=(k, 2 * n * d)).view(complex).reshape(k, n, d)
+            for n, d in shapes]
 
 
 def _random_isometries(rng, k, shapes):
@@ -507,19 +498,9 @@ class TestGeneralGradients:
     @staticmethod
     def _assert_central_differences(rng, rho, kind, projective):
         objective, _, shapes = _general_objectives(rho, kind, projective)
-        with_grad = _at_points(objective, shapes)
-        size = sum(2 * n * d for n, d in shapes)
-        h = 1e-5
         for _ in range(3):
-            x = _polar_point(rng.normal(size=(1, size)), shapes)
-            xi = _tangent(x, rng.normal(size=x.shape), shapes)
-            xi /= np.linalg.norm(xi)
-            slope = float(np.vdot(with_grad(x)[1], xi))
-            # The objective takes the polar factor of each point, so x +- h xi
-            # lie on the retracted path.
-            fd = (with_grad(x + h * xi)[0][0]
-                  - with_grad(x - h * xi)[0][0]) / (2 * h)
-            assert abs(slope - fd) <= 1e-6 * abs(fd)
+            x = [_polar(w) for w in _random_matrices(rng, 1, shapes)]
+            assert_slope_on_retracted_path(objective, x, rng)
 
     @pytest.mark.parametrize("kind", ["cq", "cc"])
     @pytest.mark.parametrize("dims", GRAD_DIMS)
@@ -587,11 +568,13 @@ class TestGeneralGradients:
                     for u, d in zip(bases, (d_a, d_b)))
         for kind, point in (("cq", [g_a]), ("cc", [g_a, g_b])):
             objective, _, shapes = _general_objectives(rho, kind)
-            x = _packed(point)
-            value, grad = _at_points(objective, shapes)(x)
+            value, grads = objective(*(_polar(w) for w in point))
             assert value[0] == pytest.approx(s_a, abs=1e-12), kind
-            assert np.isfinite(grad).all(), kind
-            assert np.linalg.norm(_tangent(x, grad, shapes)) <= 1e-9, kind
+            assert all(np.isfinite(g).all() for g in grads), kind
+            tangent = _tangent([w[:, None] for w in point],
+                               [g[:, None] for g in grads])
+            norm = math.sqrt(sum(np.vdot(t, t).real for t in tangent))
+            assert norm <= 1e-9, kind
         rep = correlation_report(rho, SMALL)
         assert rep.I_cq_lower == pytest.approx(s_a, abs=1e-9)
         assert rep.I_cc_lower == pytest.approx(s_a, abs=1e-9)

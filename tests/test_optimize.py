@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_lockstep_minimize
+from conftest import oracle_lockstep_minimize, pack_point, split_point
 from qcorr.channels import Povm
 from qcorr.correlations import _cc_value_grad
-from qcorr.lockstep import packed, unpacked
 from qcorr.optimize import (
     OptimizerConfig,
     general_povm,
@@ -79,20 +78,39 @@ class TestIsometryParameterization:
         w = isometry_from_params(g.view(float).reshape(-1), n, d)
         np.testing.assert_allclose(w, g, atol=1e-14)
 
+    @staticmethod
+    def _scored_seed(point, shapes):
+        """A one-call search that only scores the seed `point`, on an
+        objective that is 0 everywhere, so the seed wins."""
+        objective, _, _ = _linear_on_isometries(
+            [np.zeros(s, dtype=complex) for s in shapes])
+        res = maximize(objective, shapes,
+                       OptimizerConfig(restarts=1, max_evals=1),
+                       seed_points=[point], ascend_seeds=False)
+        assert res.winner == "seed 0"
+        return res
+
     def test_param_dim_is_two_n_d(self):
-        for n, d in ((4, 2), (9, 3), (16, 4)):
-            assert packed([np.zeros((n, d))], ((n, d),)).shape == (2 * n * d,)
-        assert packed([np.zeros((4, 2)), np.zeros((9, 3))],
-                      ((4, 2), (9, 3))).shape == (16 + 54,)
+        for shapes in (((4, 2),), ((9, 3),), ((16, 4),)):
+            point = [np.zeros(s) for s in shapes]
+            (n, d), = shapes
+            res = self._scored_seed(point, shapes)
+            assert res.params.shape == (2 * n * d,)
+        shapes = ((4, 2), (9, 3))
+        point = [np.zeros(s) for s in shapes]
+        assert self._scored_seed(point, shapes).params.shape == (16 + 54,)
 
     @pytest.mark.parametrize("shapes", [((4, 2),), ((4, 2), (9, 3)),
                                         ((2, 2), (2, 2))])
     def test_packing_round_trips(self, rng, shapes):
+        # The winner's params pack its matrices; its points are views of them.
         point = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
-        x = packed(point, shapes)
-        back = unpacked(x, shapes)
+        res = self._scored_seed(point, shapes)
+        x = res.params
+        assert np.array_equal(pack_point(point), x)
+        assert np.array_equal(pack_point(split_point(x, shapes)), x)
         start = 0
-        for got, want, (n, d) in zip(back, point, shapes):
+        for got, want, (n, d) in zip(res.points, point, shapes):
             assert np.array_equal(got, want)
             assert np.shares_memory(got, x)  # views of the parameters
             # The party's slice is the matrix isometry_from_params reads.
@@ -149,7 +167,7 @@ class TestPovmParameterizations:
         d, n = 2, 4
         u = haar_unitary(d, rng)
         # The projective point of basis u is W = u^dag; [W; 0] has n rows.
-        params = packed([np.pad(u.conj().T, ((0, n - d), (0, 0)))], ((n, d),))
+        params = pack_point([np.pad(u.conj().T, ((0, n - d), (0, 0)))])
         povm = general_povm(params, d, n)
         want = [np.outer(u[:, i], u[:, i].conj()) for i in range(d)]
         for i in range(d):
@@ -164,14 +182,14 @@ class TestPovmParameterizations:
         u = haar_unitary(d, rng)
         povm = projective_basis_povm(u)
         # The projective point of basis u packs W = u^dag.
-        x = packed([u.conj().T], ((d, d),))
+        x = pack_point([u.conj().T])
         np.testing.assert_allclose(general_stack(x, d, d), povm.as_array(),
                                    atol=1e-14)
         # [G; 0] packs G's parameters, then zeros; its polar factor is
         # G's with the zero rows, so the POVM gains only zero elements.
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        params = packed([np.pad(g, ((0, n - d), (0, 0)))], ((n, d),))
-        x = packed([g], ((d, d),))
+        params = pack_point([np.pad(g, ((0, n - d), (0, 0)))])
+        x = pack_point([g])
         assert params.shape == (2 * n * d,)
         assert np.array_equal(params[:x.size], x)
         assert not params[x.size:].any()
@@ -179,7 +197,7 @@ class TestPovmParameterizations:
         want[:d] = isometry_from_params(x, d, d)
         np.testing.assert_allclose(isometry_from_params(params, n, d), want,
                                    atol=1e-14)
-        params = packed([np.pad(u.conj().T, ((0, n - d), (0, 0)))], ((n, d),))
+        params = pack_point([np.pad(u.conj().T, ((0, n - d), (0, 0)))])
         want = np.zeros((n, d, d), dtype=complex)
         want[:d] = povm.as_array()
         np.testing.assert_allclose(general_stack(params, d, n), want,
@@ -250,7 +268,7 @@ class TestMaximize:
         res = maximize(objective, shapes,
                        OptimizerConfig(seed=1, restarts=2, max_evals=20))
         assert [p.shape for p in res.points] == list(shapes)
-        assert np.array_equal(packed(res.points, shapes), res.params)
+        assert np.array_equal(pack_point(res.points), res.params)
         start = 0
         for p, w, (n, d) in zip(res.points, res.isometries, shapes):
             assert np.shares_memory(p, res.params)
@@ -360,13 +378,8 @@ class TestMaximize:
     def test_lockstep_minimize_reports_its_budget_stop(self, rng):
         objective, shapes, _ = _linear_on_isometries(
             [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))])
-
-        def fun(w):
-            values, grads = objective(w)
-            return -values, [-g for g in grads]
-
-        res = minimize(fun, rng.normal(size=(2, 18)), shapes, rounds=5,
-                       tol=1e-8)
+        starts = [split_point(x, shapes) for x in rng.normal(size=(2, 18))]
+        res = minimize(objective, starts, shapes, rounds=5, tol=1e-8)
         assert res.stops == ("rounds", "rounds")
         assert res.evals == (5, 5)
         assert res.nfev == 10
@@ -396,7 +409,7 @@ class TestRiemannianAscent:
     def test_lockstep_matches_restarts_one_at_a_time(self, dims):
         objective, shapes, rng = _cc_general_objective(dims, 40 + dims[1])
         param_dim = sum(2 * n * d for n, d in shapes)
-        starts = [unpacked(x, shapes)
+        starts = [split_point(x, shapes)
                   for x in rng.normal(scale=np.pi / 4, size=(3, param_dim))]
         cfg = OptimizerConfig(seed=0, restarts=3, max_evals=150)
         together = maximize(objective, shapes, cfg, seed_points=starts)
@@ -411,7 +424,7 @@ class TestRiemannianAscent:
     def test_no_restart_ends_below_its_start(self, dims):
         objective, shapes, rng = _cc_general_objective(dims, 50 + dims[1])
         param_dim = sum(2 * n * d for n, d in shapes)
-        starts = [unpacked(x, shapes)
+        starts = [split_point(x, shapes)
                   for x in rng.normal(scale=np.pi / 4, size=(4, param_dim))]
         for max_evals in (2, 7, 40):
             cfg = OptimizerConfig(seed=0, restarts=4, max_evals=max_evals)
@@ -533,7 +546,7 @@ class TestFixedRounds:
         objective, shapes, best = _linear_on_isometries(
             [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
         counted, batches = self._counting(objective)
-        seeds = [unpacked(rng.normal(size=16), shapes)]
+        seeds = [split_point(rng.normal(size=16), shapes)]
         cfg = OptimizerConfig(seed=3, restarts=3, max_evals=max_evals)
         res = maximize(counted, shapes, cfg, seed_points=seeds)
         rounds = min(32, max_evals)
@@ -608,10 +621,38 @@ class TestFixedRounds:
         # Each refill starts from a new point: no two restarts tie.
         assert len(set(runs[0].restart_values)) == len(runs[0].restart_values)
 
+    @pytest.mark.parametrize("shapes", [((4, 2),), ((4, 2), (9, 3))])
+    def test_random_starts_keep_their_streams(self, shapes):
+        # Slot i starts from the normal(scale=pi/4, size=param_dim) draws of
+        # the i-th stream spawned from the seed, viewed as complex and split
+        # party after party: the first call sees their polar factors.
+        objective = _quadratic_on_isometries(shapes, 2)
+        first = []
+
+        def recording(*ws):
+            if not first:
+                first.extend(w.copy() for w in ws)
+            return objective(*ws)
+
+        cfg = OptimizerConfig(seed=9, restarts=3, max_evals=4)
+        maximize(recording, shapes, cfg)
+        param_dim = sum(2 * n * d for n, d in shapes)
+        streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+        assert [len(w) for w in first] == [cfg.restarts] * len(shapes)
+        for i, stream in enumerate(streams):
+            draws = np.random.default_rng(stream).normal(scale=np.pi / 4,
+                                                         size=param_dim)
+            z, start = draws.view(complex), 0
+            for w, (n, d) in zip(first, shapes):
+                g = z[start:start + n * d].reshape(n, d)
+                u, _, vh = np.linalg.svd(g, full_matrices=False)
+                assert np.array_equal(w[i], u @ vh), (i, n, d)
+                start += n * d
+
     def test_seeds_left_unascended_keep_their_slots(self, rng):
         objective, shapes, _ = _linear_on_isometries(
             [rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))])
-        seeds = [unpacked(x, shapes) for x in rng.normal(size=(2, 16))]
+        seeds = [split_point(x, shapes) for x in rng.normal(size=(2, 16))]
         cfg = OptimizerConfig(seed=4, restarts=3, max_evals=50)
         res = maximize(objective, shapes, cfg, seed_points=seeds,
                        ascend_seeds=False)
@@ -680,32 +721,40 @@ class TestLockstepMatchesOracle:
         objective = _quadratic_on_isometries(shapes, 7)
         size = sum(2 * n * d for n, d in shapes)
         rng = np.random.default_rng([size, list(self.CASES).index(case)])
-        x0s = rng.normal(scale=np.pi / 4, size=(restarts, size))
-        points = rng.normal(scale=np.pi / 4, size=(n_points, size))
-        # A non-finite gradient wherever the value falls well below the
-        # starts', so poisoned runs stop on it part way down.
+        starts = rng.normal(scale=np.pi / 4, size=(restarts, size))
+        points = [split_point(x, shapes)
+                  for x in rng.normal(scale=np.pi / 4, size=(n_points, size))]
+        # A non-finite gradient wherever the value rises well above the
+        # starts', so poisoned runs stop on it part way up.
         ends = np.cumsum([2 * n * d for n, d in shapes])[:-1]
-        floor = -np.inf
+        ceiling = np.inf
         if poisoned:
-            floor = np.median(-objective(*(
+            ceiling = np.median(objective(*(
                 isometry_from_params(part, n, d) for part, (n, d)
-                in zip(np.split(x0s, ends, axis=-1), shapes)))[0]) - 0.5
+                in zip(np.split(starts, ends, axis=-1), shapes)))[0]) + 0.5
+        x0s = [split_point(x, shapes) for x in starts]
 
         def fun(*ws):
             values, grads = objective(*ws)
-            grads[0][-values < floor, 0, 0] = np.nan
-            return -values, [-g for g in grads]
+            grads[0][values > ceiling, 0, 0] = np.nan
+            return values, grads
 
         def refill_from(seed):
             stream = np.random.default_rng(seed)
-            return lambda: stream.normal(scale=np.pi / 4, size=size)
+            return lambda: split_point(
+                stream.normal(scale=np.pi / 4, size=size), shapes)
 
         args = (fun, x0s, shapes, rounds, tol)
         got = minimize(*args, points=points, refill=refill_from(1))
         want = oracle_lockstep_minimize(*args, points=points,
                                         refill=refill_from(1))
         assert np.array_equal(got.fun, want[0])
-        assert np.array_equal(got.x, want[1])
+        assert len(got.x) == len(want[1])
+        for got_x, want_x in zip(got.x, want[1]):
+            assert len(got_x) == len(shapes)
+            for a, b, shape in zip(got_x, want_x, shapes):
+                assert a.shape == b.shape == shape
+                assert np.array_equal(a, b)
         assert got.evals == want[2]
         assert got.stops == want[3]
         assert repr(got.non_finite) == repr(want[4])
