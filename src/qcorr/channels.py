@@ -23,6 +23,7 @@ from .qstate import (
     SubsystemLayout,
     _complex_entries,
     _int_tuple,
+    _pair_entries,
     ket,
 )
 
@@ -98,13 +99,14 @@ class KrausChannel:
 
     `check_tp=False` admits completely positive maps that are only trace
     preserving on a subspace (transpose channels, Petz maps for
-    rank-deficient references); such maps are flagged `trace_preserving=False`.
+    rank-deficient references); such maps are flagged `trace_preserving=False`,
+    a field computed from the operators and never passed.
     """
 
     kraus: tuple[np.ndarray, ...]
     out_dims: tuple[int, ...] | None = None
     check_tp: bool = field(default=True, repr=False)
-    trace_preserving: bool = field(default=True)
+    trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -166,10 +168,7 @@ class KrausChannel:
             "d_in": self.d_in,
             "d_out": self.d_out,
             "out_dims": list(self.out_dims),
-            "kraus": [
-                [[float(z.real), float(z.imag)] for z in k.reshape(-1)]
-                for k in self.kraus
-            ],
+            "kraus": [_pair_entries(k) for k in self.kraus],
         }
 
     @classmethod

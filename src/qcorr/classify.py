@@ -40,7 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import TAU_PSD, DensityMatrix, StateError, partial_transpose
+from .qstate import (TAU_PSD, DensityMatrix, StateError, _pair_entries,
+                     partial_transpose)
 
 TAU_CLASS = 1e-8
 # A Jacobi sweep that lowers the off-diagonal mass by at most this fraction
@@ -68,9 +69,7 @@ class ClassicalityVerdict:
 
     def to_dict(self) -> dict:
         def basis_list(b):
-            if b is None:
-                return None
-            return [[float(z.real), float(z.imag)] for z in b.reshape(-1)]
+            return None if b is None else _pair_entries(b)
         return {
             "kind": self.kind.value,
             "basis_A": basis_list(self.basis_A),

@@ -47,21 +47,11 @@ def random_cc(d_a: int, d_b: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(SubsystemLayout((d_a, d_b)), m)
 
 
-def random_cq(d_a: int, d_b: int, rng: np.random.Generator,
-              commuting: bool = False) -> DensityMatrix:
-    """CQ state with random conditional states (non-commuting by default)."""
+def random_cq(d_a: int, d_b: int, rng: np.random.Generator) -> DensityMatrix:
+    """CQ state with random (non-commuting) conditional states."""
     p = rng.dirichlet(np.ones(d_a))
     u = haar_unitary(d_a, rng)
-    if commuting:
-        basis = haar_unitary(d_b, rng)
-        conds = []
-        for _ in range(d_a):
-            lam = rng.dirichlet(np.ones(d_b))
-            conds.append(DensityMatrix(
-                SubsystemLayout((d_b,)),
-                (basis * lam) @ basis.conj().T))
-    else:
-        conds = [random_density((d_b,), d_b, rng) for _ in range(d_a)]
+    conds = [random_density((d_b,), d_b, rng) for _ in range(d_a)]
     m = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for i in range(d_a):
         proj = np.outer(u[:, i], u[:, i].conj())

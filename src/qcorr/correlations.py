@@ -36,6 +36,7 @@ from .qstate import (
     DensityMatrix,
     ProbVector,
     StateError,
+    _pair_entries,
     partial_trace,
     permute_subsystems,
     relative_entropy,
@@ -429,12 +430,7 @@ class CorrelationReport:
 
     def to_dict(self) -> dict:
         def povm_list(p):
-            if p is None:
-                return None
-            return [
-                [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-                for m in p.elements
-            ]
+            return None if p is None else [_pair_entries(m) for m in p.elements]
         return {
             "I": self.I,
             "I_cq_lower": self.I_cq_lower,

@@ -8,11 +8,12 @@ ascent on a product of Stiefel manifolds: a point is one complex n x d
 matrix per entry of `shapes`, and a matrix stands for its polar factor
 (Edelman, Arias and Smith, "The geometry of algorithms with
 orthogonality constraints", SIAM J. Matrix Anal. Appl. 20, 1998).
-Points are per-party matrices everywhere, here too: the live runs'
-points, tangent gradients and trial points are complex (k, p, n, d)
-stacks, one stack of all p parties when they share a shape, else one
-stack per party, held as their real views (`_flat`).  Only `maximize`'s
-`params` serializes a point into reals.
+Callers hand the driver per-party matrices, but it keeps each point as
+one real row, the layout of `OptimizationResult.params`: (re, im) pairs
+row by row, party after party.  The live runs' trial points, points and
+gradients are real (k, P) arrays, and the complex (k, p, n, d) stacks
+the SVD and the tangent projection work on are views of them: one stack
+of all p parties when they share a shape, else one per party.
 
 The objective contract is the same for every search: it takes one
 (k, n, d) isometry array per party and returns the k values and their
@@ -21,12 +22,11 @@ is the one place that turns points into isometries, with one batched SVD
 per stack.  The polar factor of a trial point is its retraction, so an
 accepted step costs no second SVD.
 
-A round is array work on the stacks of all live runs at once: the polar
+A round is array work on the rows of all live runs at once: the polar
 factors and the objective call, one tangent projection, the row dots the
 step rule needs, one masked update of the points and gradients, and one
 trial step x - t g up the objective (g is the tangent gradient of its
-negative), the last three on the real views.  Only the step rule runs
-per run, on Python floats.
+negative).  Only the step rule runs per run, on Python floats.
 There is a fixed number of rounds, and runs that stop early are
 replaced, so every round evaluates as many points as the first.
 """
@@ -59,58 +59,61 @@ def _as_parties(arrays, shapes, lead: tuple, what: str) -> list:
     return arrays
 
 
-def _stacks(parties: list, shapes) -> list:
-    """The complex (k, p, n, d) stacks of k points from their (k, n, d)
-    arrays, one per entry of `shapes`: one stack of all p parties when
-    they share a shape, else one stack (p = 1) per party."""
+def _layout(shapes) -> list:
+    """Where the complex (k, p, n, d) stacks lie in a point's row, as
+    (first, end, (p, n, d)) in complex entries: one stack of all p parties
+    when they share a shape, else one stack (p = 1) per party."""
     if len(shapes) > 1 and len(set(shapes)) == 1:
-        out = np.empty((len(parties[0]), len(shapes), *shapes[0]), complex)
-        for j, a in enumerate(parties):
-            out[:, j] = a
-        return [out]
-    return [np.ascontiguousarray(a, dtype=complex)[:, None] for a in parties]
+        (n, d), p = shapes[0], len(shapes)
+        return [(0, p * n * d, (p, n, d))]
+    ends = [0, *accumulate(n * d for n, d in shapes)]
+    return [(a, b, (1, *s)) for a, b, s in zip(ends, ends[1:], shapes)]
 
 
-def _gathered(points, shapes) -> list:
-    """The stacks of points given as sequences of per-party matrices."""
-    points = [_as_parties(point, shapes, (), "point") for point in points]
-    return _stacks([np.reshape([p[j] for p in points], (len(points), *shape))
-                    for j, shape in enumerate(shapes)], shapes)
+def _stack_views(rows: np.ndarray, layout: list) -> list:
+    """The complex stacks of k points' real (k, P) rows, as views."""
+    z = rows.view(complex)
+    return [z[:, a:b].reshape(len(z), *form) for a, b, form in layout]
+
+
+def _party_views(stacks: list) -> list:
+    """The per-party (k, n, d) views of complex (k, p, n, d) stacks."""
+    return [m for stack in stacks for m in stack.swapaxes(0, 1)]
 
 
 def _matrices(row: np.ndarray, shapes) -> tuple:
-    """The per-party complex matrices, as views, of one point's real row
-    (`_rows`): (re, im) pairs row by row, party after party."""
-    z, ends = row.view(complex), [0, *accumulate(n * d for n, d in shapes)]
-    return tuple(z[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes))
+    """The per-party complex matrices, as views, of one point's real row:
+    (re, im) pairs row by row, party after party."""
+    return tuple(m[0] for m in _party_views(
+        _stack_views(row[None], _layout(shapes))))
 
 
-def _flat(stack: np.ndarray) -> np.ndarray:
-    """The real (k, 2 p n d) view of a complex (k, p, n, d) stack: each
-    point's (re, im) pairs row by row, party after party."""
-    return stack.reshape(len(stack), -1).view(float)
+def _gathered(points, shapes, layout: list) -> np.ndarray:
+    """The real (k, P) rows of k points given as per-party matrices."""
+    points = [_as_parties(point, shapes, (), "point") for point in points]
+    rows = np.empty((len(points), sum(2 * n * d for n, d in shapes)))
+    for view, party in zip(_party_views(_stack_views(rows, layout)),
+                           zip(*points)):
+        view[...] = party
+    return rows
 
 
-def _rows(flats: list) -> np.ndarray:
-    """The real (k, P) rows of the k points of several stacks' `_flat`
-    views, party after party: the one view itself, or one concatenation."""
-    return flats[0] if len(flats) == 1 else np.concatenate(flats, axis=-1)
-
-
-def _polar(block: np.ndarray) -> np.ndarray:
-    """The polar factor U V^dag (thin SVD) of every matrix of a stack."""
+def _polar(block: np.ndarray, out=None) -> np.ndarray:
+    """The polar factor U V^dag (thin SVD) of every matrix of a stack,
+    written into `out` if it is given."""
     u, _, vh = np.linalg.svd(block, full_matrices=False)
-    return u @ vh
+    return np.matmul(u, vh, out=out)
 
 
-def _tangent(x: list, z: list) -> list:
+def _tangent(x: list, z: list, out=None) -> list:
     """Riemannian gradient g of -f at the isometry stacks x, for f with
-    Euclidean gradient stacks z: W herm(W^dag Z) - Z per stack.  Stepping
-    x - t g rounds as a descent of -f does, signed zeros included; x + t
-    (Z - W herm(W^dag Z)) need not, where Z and its projection cancel."""
+    Euclidean gradient stacks z: W herm(W^dag Z) - Z per stack, written
+    into the stacks `out` if they are given.  Stepping x - t g rounds as
+    a descent of -f does, signed zeros included; x + t (Z - W herm(W^dag
+    Z)) need not, where Z and its projection cancel."""
     wz = [w.conj().swapaxes(-1, -2) @ g for w, g in zip(x, z)]
-    return [w @ ((s + s.conj().swapaxes(-1, -2)) / 2) - g
-            for w, g, s in zip(x, z, wz)]
+    return [np.subtract(w @ ((s + s.conj().swapaxes(-1, -2)) / 2), g, out=o)
+            for w, g, s, o in zip(x, z, wz, out or [None] * len(x))]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,14 +189,14 @@ class LockstepResult:
     """Outcome of `minimize`, one entry per run (points, then restarts).
 
     `fun[i]` is the highest value run i reached before it stopped (-inf if
-    none was finite) and `x[i]` the first point that reached it, one
-    complex matrix per party (zeros if none).  A run stopped by a
+    none was finite) and `x[i]` the first point that reached it, as its
+    real row (zeros if none; `_matrices` reads it).  A run stopped by a
     non-finite value records that value in `non_finite[i]` and counts it
     in `evals[i]`.
     """
 
     fun: np.ndarray
-    x: tuple[tuple[np.ndarray, ...], ...]
+    x: tuple[np.ndarray, ...]
     evals: tuple[int, ...]
     stops: tuple[str, ...]
     non_finite: tuple[float | None, ...]
@@ -224,7 +227,8 @@ def minimize(fun, x0s, shapes: tuple, rounds: int, tol: float, points=(),
     """
     points, x0s = list(points), list(x0s)
     ascents, best_f, best_x, evals, stops, non_finite = ([] for _ in range(6))
-    zeros = np.zeros(sum(2 * n * d for n, d in shapes))  # no finite value
+    size, layout = sum(2 * n * d for n, d in shapes), _layout(shapes)
+    zeros = np.zeros(size)  # no finite value
 
     def open_runs(n: int, ascend: bool = True) -> None:
         ascents.extend(_Ascent() if ascend else None for _ in range(n))
@@ -234,39 +238,38 @@ def minimize(fun, x0s, shapes: tuple, rounds: int, tol: float, points=(),
 
     open_runs(len(points), ascend=False)  # evaluated once
     open_runs(len(x0s))
-    stacks = _gathered(points + x0s, shapes)
-    forms = [b.shape[1:] for b in stacks]
     ids = list(range(len(evals)))  # the run of each trial point
-    # The `_flat` views of each run's trial point y, of its point x and of
-    # the tangent gradient g of -fun there (placeholders before a value).
-    y = x = g = [_flat(b) for b in stacks]
+    # The rows of each run's trial point y, of its point x and of the
+    # tangent gradient g of -fun there (placeholders before a value).
+    y = x = g = _gathered(points + x0s, shapes, layout)
     done = 0  # rounds so far
 
     while ids:
         k = len(ids)
-        polar = [_polar(r.view(complex).reshape(k, *form))
-                 for r, form in zip(y, forms)]
-        values, grads = fun(*(p for w in polar for p in w.swapaxes(0, 1)))
+        # The rows of the polar factors, of the objective's gradients there
+        # and of the tangent gradients.
+        w_new, z, g_new = (np.empty((k, size)) for _ in range(3))
+        ws, zs = _stack_views(w_new, layout), _stack_views(z, layout)
+        for v, w in zip(_stack_views(y, layout), ws):
+            _polar(v, out=w)
+        values, grads = fun(*_party_views(ws))
         values = np.asarray(values, dtype=float)
         if values.shape != (k,):
             raise ValueError(
                 f"objective returned shape {values.shape} for {k} points")
-        grads = _stacks(_as_parties(grads, shapes, (k,), "objective gradient"),
-                        shapes)
-        finite = np.isfinite(_rows([_flat(z) for z in grads])).all(axis=-1)
+        for view, a in zip(_party_views(zs), _as_parties(
+                grads, shapes, (k,), "objective gradient")):
+            view[...] = a
+        finite = np.isfinite(z).all(axis=-1)
         if not finite.all():
             # A non-finite value; zeros keep the row's unused work finite.
             values = np.where(finite, values, np.nan)
-            grads = [np.where(finite[:, None, None, None], z, 0.0)
-                     for z in grads]
+            z[~finite] = 0.0
         done += 1
-        w_new = [_flat(w) for w in polar]
-        g_new = [_flat(z) for z in _tangent(polar, grads)]
-        gr, ys = _rows(g_new), _rows(y)
-        s = _rows([a - b for a, b in zip(w_new, x)])
-        dg = _rows([a - b for a, b in zip(g_new, g)])
+        _tangent(ws, zs, _stack_views(g_new, layout))
+        s, dg = w_new - x, g_new - g
         dots = zip(*(_row_dot(a, b).tolist() for a, b in (
-            (gr, gr), (s, s), (s, dg), (dg, dg))))
+            (g_new, g_new), (s, s), (s, dg), (dg, dg))))
         accepted = np.zeros(k, dtype=bool)
         steps = [0.0] * k
         keep, starts = [], []
@@ -278,7 +281,7 @@ def minimize(fun, x0s, shapes: tuple, rounds: int, tol: float, points=(),
                 stop = "non-finite"
             else:
                 if v > best_f[i]:
-                    best_f[i], best_x[i] = v, ys[j].copy()
+                    best_f[i], best_x[i] = v, y[j].copy()
                 if run is None:
                     stop = "evaluated"
                 else:
@@ -296,22 +299,18 @@ def minimize(fun, x0s, shapes: tuple, rounds: int, tol: float, points=(),
             break
 
         mask = accepted[:, None]
-        x = [np.where(mask, a, b) for a, b in zip(w_new, x)]
-        g = [np.where(mask, a, b) for a, b in zip(g_new, g)]
-        t = np.array(steps)[:, None]
-        y = [a - t * b for a, b in zip(x, g)]
+        x = np.where(mask, w_new, x)
+        g = np.where(mask, g_new, g)
+        y = x - np.array(steps)[:, None] * g
         if len(keep) < k:
-            x, g, y = ([m[keep] for m in ms] for ms in (x, g, y))
+            x, g, y = x[keep], g[keep], y[keep]
         ids = [ids[j] for j in keep]
         if starts:
             ids += range(len(evals), len(evals) + len(starts))
             open_runs(len(starts))
-            new = [_flat(b) for b in _gathered(starts, shapes)]
-            x, g, y = ([np.concatenate(mc) for mc in zip(ms, new)]
-                       for ms in (x, g, y))
+            new = _gathered(starts, shapes, layout)
+            x, g, y = (np.concatenate((m, new)) for m in (x, g, y))
 
     return LockstepResult(
-        fun=np.array(best_f),
-        x=tuple(_matrices(row, shapes) for row in best_x),
-        evals=tuple(evals), stops=tuple(stops),
-        non_finite=tuple(non_finite), nfev=sum(evals))
+        fun=np.array(best_f), x=tuple(best_x), evals=tuple(evals),
+        stops=tuple(stops), non_finite=tuple(non_finite), nfev=sum(evals))

@@ -29,12 +29,13 @@ the returned value never falls below any seed.
 
 Objectives are batched, and there is one contract: an objective takes the
 points' isometries, one (k, n_p, d_p) array per party, and returns k
-values and their Euclidean gradients, shaped as those isometries.  Points
-are per-party matrices everywhere (seeds, random starts, the driver's
-stacks and the winner); only `OptimizationResult.params` serializes one
-into reals, in the layout `isometry_from_params` reads.  The driver
-takes the polar factors with one batched SVD per distinct party shape,
-so both I_CC parties share one when their shapes agree.  One objective
+values and their Euclidean gradients, shaped as those isometries.  Seeds
+and random starts are handed over as per-party matrices, and the driver
+keeps each point as one real row, party after party, in the layout
+`isometry_from_params` reads: `OptimizationResult.params` is the
+winner's row, and `points` views it per party.  The driver takes the
+polar factors with one batched SVD per distinct party shape, so both
+I_CC parties share one when their shapes agree.  One objective
 call evaluates every point the live restarts need next: the seed points
 and the start point of each restart, then one trial point per restart.
 The parameterizations below accept the same leading batch axes.
@@ -278,8 +279,8 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     sum 2 n d.  `objective(*ws)` takes the polar factors of k points, one
     (k, n, d) array per party, and returns the k values and their Euclidean
     gradients, shaped as the ws.  A point is a sequence of complex (n, d)
-    matrices, one per party: the seed points, the random starts and the
-    winner alike.  Another shape of a gradient or a seed matrix raises
+    matrices, one per party: the seed points and the random starts alike.
+    Another shape of a gradient or a seed matrix raises
     ValueError.  Seed points are evaluated directly, so the result never
     undercuts any of them, and take the first of the `cfg.restarts`
     restart slots; they start the restarts in those slots unless
@@ -287,9 +288,9 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     slots start at random points.  A restart whose objective goes
     non-finite is aborted and recorded; the others run on.  Ties go to
     the earliest seed, then the earliest restart, as if the restarts ran
-    one after another.  The result carries the winner per party: its
-    matrices (`points`) and their polar factors (`isometries`); only
-    `params` serializes it into reals.
+    one after another.  `params` is the winner's real row from the driver,
+    and the result carries it per party too: its matrices (`points`, views
+    of `params`) and their polar factors (`isometries`).
 
     The search makes min(2 param_dim, `cfg.max_evals`) objective calls
     (one when no slot runs a restart): a restart that stops sooner hands
@@ -320,8 +321,7 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     names = ([f"seed {i}" for i in range(n_seeds)]
              + [f"restart {i}" for i in range(len(res.evals) - n_seeds)])
     best = int(np.argmax(res.fun))  # the earliest of the highest values
-    # The one packing: zeros when no value was finite.
-    params = np.concatenate([p.reshape(-1) for p in res.x[best]]).view(float)
+    params = res.x[best]  # the winner's row: zeros when no value was finite
     diagnostics = tuple(f"{name}: objective returned {bad}"
                         for name, bad in zip(names, res.non_finite)
                         if bad is not None)

@@ -45,6 +45,12 @@ def _complex_entries(entries, error: type[ValueError]) -> np.ndarray:
         raise error(f"entries must be [re, im] pairs of numbers: {exc}") from exc
 
 
+def _pair_entries(m) -> list:
+    """JSON list of [re, im] number pairs of an array's entries, row-major:
+    what `_complex_entries` reads."""
+    return [[float(z.real), float(z.imag)] for z in np.ravel(m)]
+
+
 def _int_tuple(values, error: type[ValueError]) -> tuple[int, ...]:
     """Integers from a JSON list; floats, strings and non-lists raise `error`."""
     try:
@@ -55,21 +61,15 @@ def _int_tuple(values, error: type[ValueError]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered local Hilbert-space dimensions, with optional labels."""
+    """Ordered local Hilbert-space dimensions."""
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise StateError(f"every local dimension must be >= 1, got {dims}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(dims):
-                raise StateError("labels must match dims in length")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -80,10 +80,7 @@ class SubsystemLayout:
         return len(self.dims)
 
     def restricted(self, keep: tuple[int, ...]) -> "SubsystemLayout":
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in keep)
-        return SubsystemLayout(tuple(self.dims[i] for i in keep), labels)
+        return SubsystemLayout(tuple(self.dims[i] for i in keep))
 
 
 def _as_layout(layout) -> SubsystemLayout:
@@ -136,11 +133,7 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
     def to_json_dict(self) -> dict:
-        flat = self.matrix.reshape(-1)
-        return {
-            "dims": list(self.dims),
-            "matrix": [[float(z.real), float(z.imag)] for z in flat],
-        }
+        return {"dims": list(self.dims), "matrix": _pair_entries(self.matrix)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
@@ -194,11 +187,8 @@ def bell_phi_plus() -> DensityMatrix:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; the layout is the concatenation of both layouts."""
-    labels = None
-    if a.layout.labels is not None and b.layout.labels is not None:
-        labels = a.layout.labels + b.layout.labels
-    layout = SubsystemLayout(a.dims + b.dims, labels)
-    return DensityMatrix(layout, np.kron(a.matrix, b.matrix))
+    return DensityMatrix(SubsystemLayout(a.dims + b.dims),
+                         np.kron(a.matrix, b.matrix))
 
 
 def _ptrace_array(mat: np.ndarray, dims: tuple[int, ...],
@@ -244,12 +234,7 @@ def permute_subsystems(rho: DensityMatrix, perm) -> DensityMatrix:
     t = rho.matrix.reshape(dims + dims)
     axes = perm + tuple(p + n for p in perm)
     out = np.transpose(t, axes).reshape(rho.dim, rho.dim)
-    layout = SubsystemLayout(
-        tuple(dims[p] for p in perm),
-        None if rho.layout.labels is None
-        else tuple(rho.layout.labels[p] for p in perm),
-    )
-    return DensityMatrix(layout, out)
+    return DensityMatrix(SubsystemLayout(tuple(dims[p] for p in perm)), out)
 
 
 def partial_transpose(rho: DensityMatrix, positions) -> np.ndarray:

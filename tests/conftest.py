@@ -237,16 +237,22 @@ def assert_slope_on_retracted_path(objective, x, rng, h=1e-5):
     assert abs(slope - fd) <= 1e-6 * abs(fd)
 
 
+def _real_row(stacks) -> np.ndarray:
+    """The real (1, P) row of one point held as (1, 1, n, d) stacks, one
+    per party: (re, im) pairs row by row, party after party."""
+    return np.concatenate([np.asarray(p, dtype=complex).reshape(1, -1)
+                           for p in stacks], axis=-1).view(float)
+
+
 def _oracle_stiefel_ascent(x0, tol):
     """One ascent run as a generator: each `yield` hands out one point, a
     list of (1, 1, n, d) stacks, one per party, and receives its values,
     Euclidean gradients and polar factors in that form."""
-    from qcorr.lockstep import (_ARMIJO, _FIRST_STEP, _MAX_STEP, _flat,
-                                _row_dot, _rows, _tangent)
+    from qcorr.lockstep import (_ARMIJO, _FIRST_STEP, _MAX_STEP, _row_dot,
+                                _tangent)
 
     def dot(a, b):
-        return float(_row_dot(_rows([_flat(p) for p in a]),
-                              _rows([_flat(q) for q in b]))[0])
+        return float(_row_dot(_real_row(a), _real_row(b))[0])
 
     def minus(a, b):
         return [p - q for p, q in zip(a, b)]
@@ -262,9 +268,8 @@ def _oracle_stiefel_ascent(x0, tol):
                 return "converged"
             t, long_step = t_long, True
             continue
-        fy, zy, x_new = yield [
-            (_flat(p) - t * _flat(q)).view(complex).reshape(p.shape)
-            for p, q in zip(x, g)]
+        fy, zy, x_new = yield [(p.view(float) - t * q.view(float)).view(complex)
+                               for p, q in zip(x, g)]
         if fy[0] >= f[0] + _ARMIJO * t * gg:
             gain = fy[0] - f[0]
             g_new = _tangent(x_new, zy)
@@ -295,7 +300,7 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=(),
     dots are the library's, so a comparison pins the step logic and the
     round bookkeeping, not the linear algebra.  Returns the
     `LockstepResult` fields (fun, x, evals, stops, non_finite)."""
-    from qcorr.lockstep import _flat, _polar, _rows
+    from qcorr.lockstep import _polar
 
     def stacked(point):
         return [np.asarray(p, dtype=complex).reshape(1, 1, *p.shape)
@@ -337,7 +342,8 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=(),
         values, grads = fun(*(b[:, 0] for b in polar))
         values = np.asarray(values, dtype=float)
         grads = [np.asarray(z, dtype=complex)[:, None] for z in grads]
-        finite = np.isfinite(_rows([_flat(z) for z in grads])).all(axis=-1)
+        finite = np.logical_and.reduce(
+            [np.isfinite(z).all(axis=(1, 2, 3)) for z in grads])
         values = np.where(finite, values, np.nan)
         done += 1
         for j, i in enumerate(list(pending)):

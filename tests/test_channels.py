@@ -82,6 +82,14 @@ class TestKrausChannel:
         with pytest.raises(ChannelError, match="out_dims"):
             KrausChannel((np.eye(4),), out_dims=out_dims)
 
+    @pytest.mark.parametrize("claim", [True, False])
+    def test_trace_preservation_is_derived_not_passed(self, claim):
+        # The flag is computed from the operators, so it is no argument.
+        with pytest.raises(TypeError):
+            KrausChannel((np.eye(2),), trace_preserving=claim)
+        assert KrausChannel((np.eye(2),)).trace_preserving
+        assert not KrausChannel((np.eye(2) / 2,), check_tp=False).trace_preserving
+
     def test_json_round_trip(self, rng):
         ch = KrausChannel((haar_unitary(4, rng),), out_dims=(2, 2))
         back = KrausChannel.from_json_dict(ch.to_json_dict())

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import oracle_lockstep_minimize, pack_point, split_point
 from qcorr.channels import Povm
 from qcorr.correlations import _cc_value_grad
+from qcorr.lockstep import _matrices
 from qcorr.optimize import (
     OptimizerConfig,
     general_povm,
@@ -699,8 +700,11 @@ class TestLockstepMatchesOracle:
     """`minimize` steps every run as the generator oracle in conftest does,
     bit for bit: values, points, evaluations, stops and non-finite values."""
 
+    # One stack, one stack of two or three parties, and one stack per
+    # party, the equal shapes of the last set not adjacent.
     SHAPES = [((2, 2),), ((2, 2), (2, 2)), ((9, 3),), ((4, 2), (9, 3)),
-              ((8, 2), (8, 2))]
+              ((8, 2), (8, 2)), ((2, 2), (2, 2), (2, 2)),
+              ((2, 2), (3, 3), (2, 2))]
     # (restarts, seed points, rounds, tol, poisoned, the stop reasons the
     # case must reach)
     CASES = {
@@ -751,8 +755,8 @@ class TestLockstepMatchesOracle:
         assert np.array_equal(got.fun, want[0])
         assert len(got.x) == len(want[1])
         for got_x, want_x in zip(got.x, want[1]):
-            assert len(got_x) == len(shapes)
-            for a, b, shape in zip(got_x, want_x, shapes):
+            assert got_x.shape == (size,)
+            for a, b, shape in zip(_matrices(got_x, shapes), want_x, shapes):
                 assert a.shape == b.shape == shape
                 assert np.array_equal(a, b)
         assert got.evals == want[2]
