@@ -103,11 +103,11 @@ def cc_broadcast_channels(basis_a: np.ndarray,
         d = basis.shape[0]
         if np.abs(basis.conj().T @ basis - np.eye(d)).max() > TAU_NUM:
             raise ChannelError("cloner basis is not orthonormal")
-        ops = tuple(
-            np.outer(np.kron(basis[:, i], basis[:, i]), basis[:, i].conj())
-            for i in range(d)
-        )
-        return KrausChannel(ops, out_dims=(d, d))
+        # ops[i] = np.outer(np.kron(b_i, b_i), b_i.conj()) for column b_i.
+        cols = basis.T
+        clones = (cols[:, :, None] * cols[:, None, :]).reshape(d, d * d)
+        return KrausChannel(clones[:, :, None] * cols.conj()[:, None, :],
+                            out_dims=(d, d))
 
     return cloner(basis_a), cloner(basis_b)
 
@@ -143,11 +143,8 @@ def theorem2_check(sigma: DensityMatrix, rho: DensityMatrix,
 
 def _trace_out_second_channel(d: int, d_env: int) -> KrausChannel:
     """Partial-trace channel C^(d*d_env) -> C^d over the second factor."""
-    ops = tuple(
-        np.kron(np.eye(d, dtype=complex), ket(k, d_env).conj().reshape(1, -1))
-        for k in range(d_env)
-    )
-    return KrausChannel(ops)
+    # ops[k] = np.kron(I_d, <k|): one Kronecker product over the stack of bras.
+    return KrausChannel(np.kron(np.eye(d), np.eye(d_env)[:, None, :]))
 
 
 def local_broadcast_maps_from_petz(
@@ -210,12 +207,11 @@ def attachment_candidate(rho: DensityMatrix,
     def attach(marginal: DensityMatrix) -> KrausChannel:
         d = marginal.dim
         evals, vecs = np.linalg.eigh(marginal.matrix)
-        ops = []
-        for lam, v in zip(evals, vecs.T):
-            if lam > 1e-15:
-                ops.append(np.sqrt(lam)
-                           * np.kron(np.eye(d, dtype=complex), v.reshape(-1, 1)))
-        return KrausChannel(tuple(ops), out_dims=(d, d))
+        keep = evals > 1e-15
+        # ops[k] = np.kron(I_d, |v_k>) for the kept eigenvectors v_k.
+        ops = np.kron(np.eye(d, dtype=complex), vecs.T[keep][:, :, None])
+        return KrausChannel(np.sqrt(evals[keep])[:, None, None] * ops,
+                            out_dims=(d, d))
 
     return _candidate(rho, attach(partial_trace(rho, (0,))),
                       attach(partial_trace(rho, (1,))), mi_rho)
@@ -225,8 +221,8 @@ def _channel_of_isometry(v: np.ndarray, d: int, ancilla: int) -> KrausChannel:
     """The channel d -> d*d with Stinespring isometry V: C^d -> C^d (x) C^d
     (x) C^ancilla, given as its (d*d*ancilla, d) matrix with rows in
     [a, a', k] order: Kraus operator k is V's rows of ancilla level k."""
-    ops = tuple(v.reshape(d * d, ancilla, d)[:, k, :] for k in range(ancilla))
-    return KrausChannel(ops, out_dims=(d, d))
+    return KrausChannel(v.reshape(d * d, ancilla, d).swapaxes(0, 1),
+                        out_dims=(d, d))
 
 
 def _stinespring_channel(params: np.ndarray, d: int,
@@ -243,7 +239,7 @@ def _channel_point(channel: KrausChannel, ancilla: int) -> np.ndarray:
     its (d*d*ancilla, d) Stinespring isometry, the inverse of
     `_channel_of_isometry` with unused ancilla levels zero."""
     v = np.zeros((channel.d_out, ancilla, channel.d_in), dtype=complex)
-    v[:, :len(channel.kraus)] = np.stack(channel.kraus, axis=1)
+    v[:, :len(channel.kraus)] = channel.kraus.swapaxes(0, 1)
     return v.reshape(-1, channel.d_in)
 
 

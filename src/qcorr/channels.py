@@ -1,5 +1,10 @@
 """CPTP maps as Kraus families, measurement maps, and Petz recovery.
 
+A POVM and a channel each hold their operators as one read-only complex
+array, validated once at construction: `Povm.elements` has shape (n, d, d)
+and `KrausChannel.kraus` shape (r, d_out, d_in).  The maps below act on the
+whole stack at once; indexing, iteration and `len` read it like a tuple.
+
 Channels may change dimension (d_in -> d_out) and may declare how their
 output splits into subsystems (`out_dims`), which is how broadcast maps
 A -> AA' keep layouts consistent.
@@ -23,8 +28,8 @@ from .qstate import (
     SubsystemLayout,
     _complex_entries,
     _int_tuple,
+    _operator_stack,
     _pair_entries,
-    ket,
 )
 
 
@@ -39,45 +44,33 @@ class ChannelParseError(ChannelError):
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite list of PSD operators summing to the identity."""
+    """PSD operators summing to the identity.
 
-    elements: tuple[np.ndarray, ...]
+    `elements` is given as a sequence of equal square matrices or as one
+    stack, and held as a read-only complex (n, d, d) array whose entry i is
+    outcome i's operator.
+    """
+
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(np.asarray(m, dtype=complex) for m in self.elements)
-        if not elems:
-            raise ChannelError("POVM needs at least one element")
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for m in elems:
-            if m.shape != (d, d):
-                raise ChannelError("POVM elements must share one dimension")
-            if not np.isfinite(m).all():
-                raise ChannelError("POVM element has non-finite entries")
-            if np.abs(m - m.conj().T).max() > TAU_NUM:
-                raise ChannelError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(m).min() < -TAU_PSD:
-                raise ChannelError("POVM element is not PSD")
-            total += m
-        if np.abs(total - np.eye(d)).max() > TAU_NUM:
+        elems = _operator_stack(self.elements, ChannelError, square=True)
+        d = elems.shape[1]
+        if np.abs(elems - elems.conj().swapaxes(-1, -2)).max() > TAU_NUM:
+            raise ChannelError("POVM element is not Hermitian")
+        if np.linalg.eigvalsh(elems).min() < -TAU_PSD:
+            raise ChannelError("POVM element is not PSD")
+        if np.abs(elems.sum(0) - np.eye(d)).max() > TAU_NUM:
             raise ChannelError("POVM elements do not sum to the identity")
-        frozen = []
-        for m in elems:
-            m = m.copy()
-            m.flags.writeable = False
-            frozen.append(m)
-        object.__setattr__(self, "elements", tuple(frozen))
+        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def outcome_count(self) -> int:
         return len(self.elements)
-
-    def as_array(self) -> np.ndarray:
-        return np.ascontiguousarray(np.stack(self.elements))
 
 
 def projective_basis_povm(basis: np.ndarray) -> Povm:
@@ -85,8 +78,8 @@ def projective_basis_povm(basis: np.ndarray) -> Povm:
     d = basis.shape[0]
     if np.abs(basis.conj().T @ basis - np.eye(d)).max() > TAU_NUM:
         raise ChannelError("basis columns are not orthonormal")
-    return Povm(tuple(np.outer(basis[:, i], basis[:, i].conj())
-                      for i in range(d)))
+    cols = basis.T
+    return Povm(cols[:, :, None] * cols.conj()[:, None, :])
 
 
 def computational_povm(d: int) -> Povm:
@@ -97,71 +90,62 @@ def computational_povm(d: int) -> Povm:
 class KrausChannel:
     """Completely positive map given by Kraus operators.
 
+    `kraus` is given as a sequence of equal-shape matrices or as one stack,
+    and held as a read-only complex (r, d_out, d_in) array whose entry i is
+    the i-th Kraus operator.
+
     `check_tp=False` admits completely positive maps that are only trace
     preserving on a subspace (transpose channels, Petz maps for
     rank-deficient references); such maps are flagged `trace_preserving=False`,
     a field computed from the operators and never passed.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     out_dims: tuple[int, ...] | None = None
     check_tp: bool = field(default=True, repr=False)
     trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise ChannelError("channel needs at least one Kraus operator")
-        d_out, d_in = ops[0].shape
-        for k in ops:
-            if k.shape != (d_out, d_in):
-                raise ChannelError("Kraus operators must share one shape")
-            if not np.isfinite(k).all():
-                raise ChannelError("Kraus operator has non-finite entries")
-        comp = sum(k.conj().T @ k for k in ops)
-        tp = bool(np.abs(comp - np.eye(d_in)).max() <= TAU_NUM)
+        ops = _operator_stack(self.kraus, ChannelError)
+        _, d_out, d_in = ops.shape
+        comp = (ops.conj().swapaxes(-1, -2) @ ops).sum(0)
+        err = np.abs(comp - np.eye(d_in)).max()
+        tp = bool(err <= TAU_NUM)
         if self.check_tp and not tp:
             raise ChannelError(
                 "Kraus operators violate trace preservation: "
-                f"max |sum K^dag K - I| = {np.abs(comp - np.eye(d_in)).max():.3e}"
-            )
+                f"max |sum K^dag K - I| = {err:.3e}")
         out_dims = self.out_dims
         if out_dims is None:
             out_dims = (d_out,)
         else:
-            out_dims = tuple(int(d) for d in out_dims)
+            out_dims = _int_tuple(out_dims, ChannelError)
             if any(d < 1 for d in out_dims):
                 raise ChannelError(f"out_dims {out_dims} must all be >= 1")
             if prod(out_dims) != d_out:
                 raise ChannelError(
                     f"out_dims {out_dims} do not multiply to d_out={d_out}")
-        frozen = []
-        for k in ops:
-            k = k.copy()
-            k.flags.writeable = False
-            frozen.append(k)
-        object.__setattr__(self, "kraus", tuple(frozen))
+        object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "out_dims", out_dims)
         object.__setattr__(self, "trace_preserving", tp)
 
     @property
     def d_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def d_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Raw action sum_i K_i X K_i^dag on a bare matrix."""
+        """Raw action sum_i K_i X K_i^dag on a bare matrix, as one batched
+        product over the stack summed over the Kraus index."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.d_in, self.d_in):
             raise ChannelError(
                 f"input has shape {x.shape}, channel expects {self.d_in}")
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ x @ k.conj().T
-        return out
+        k = self.kraus
+        return (k @ x @ k.conj().swapaxes(-1, -2)).sum(0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,7 +175,7 @@ class KrausChannel:
             if flat.size != d_in * d_out:
                 raise ChannelError("Kraus operator has wrong entry count")
             ops.append(flat.reshape(d_out, d_in))
-        return cls(tuple(ops), out_dims=out_dims)
+        return cls(ops, out_dims=out_dims)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -204,42 +188,38 @@ class KrausChannel:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel((np.eye(d, dtype=complex),))
+    return KrausChannel(np.eye(d)[None])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
-    return KrausChannel((u,))
+    return KrausChannel(np.asarray(u)[None])
 
 
 def isometry_channel(v: np.ndarray, out_dims=None) -> KrausChannel:
     """Channel X -> V X V^dag for an isometry V (V^dag V = I)."""
-    return KrausChannel((np.asarray(v, dtype=complex),), out_dims=out_dims)
+    return KrausChannel(np.asarray(v)[None], out_dims=out_dims)
 
 
 def depolarizing_channel(d: int) -> KrausChannel:
-    """Fully depolarizing map X -> Tr(X) I/d."""
-    ops = tuple(
-        np.outer(ket(i, d), ket(j, d).conj()) / np.sqrt(d)
-        for i in range(d) for j in range(d)
-    )
-    return KrausChannel(ops)
+    """Fully depolarizing map X -> Tr(X) I/d: Kraus operator (i, j) is
+    |i><j| / sqrt(d)."""
+    return KrausChannel(np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))
 
 
 def measurement_channel(povm: Povm) -> KrausChannel:
     """Quantum-to-classical map X -> sum_i Tr(M_i X) |i><i|.
 
-    Kraus operators |i><psi_ik| come from the eigendecompositions
-    M_i = sum_k |psi_ik><psi_ik|.
+    Kraus operators sqrt(lam_ik) |i><psi_ik| come from one batched
+    eigendecomposition M_i = sum_k lam_ik |psi_ik><psi_ik| of the elements,
+    in the order (i, k), over the eigenvalues above TAU_SUPP.
     """
     n = povm.outcome_count
-    ops = []
-    for i, m in enumerate(povm.elements):
-        evals, vecs = np.linalg.eigh(m)
-        for lam, v in zip(evals, vecs.T):
-            if lam > TAU_SUPP:
-                ops.append(np.sqrt(lam) * np.outer(ket(i, n), v.conj()))
-    return KrausChannel(tuple(ops))
+    evals, vecs = np.linalg.eigh(povm.elements)
+    keep = evals > TAU_SUPP
+    # rows[i, k] = |i><psi_ik|, with the products np.outer takes.
+    rows = (np.eye(n, dtype=complex)[:, None, :, None]
+            * vecs.conj().swapaxes(-1, -2)[:, :, None, :])
+    return KrausChannel(np.sqrt(evals[keep])[:, None, None] * rows[keep])
 
 
 def _output_state(ch: KrausChannel, out: np.ndarray,
@@ -291,7 +271,7 @@ def apply_local(ch: KrausChannel, position: int,
     dims = rho.dims
     d_left, d_right = _local_split(ch, position, dims)
     d_in, d_out = ch.d_in, ch.d_out
-    kraus = np.array(ch.kraus)[:, None]
+    kraus = ch.kraus[:, None]
     # y[l, r, l', r'] is the (d_in, d_in) block of the target party.
     y = rho.matrix.reshape(d_left, d_in, d_right, d_left, d_in, d_right)
     y = y.transpose(0, 2, 3, 5, 1, 4).reshape(-1, d_in, d_in)
@@ -305,8 +285,7 @@ def apply_local(ch: KrausChannel, position: int,
 
 def transpose_channel(ch: KrausChannel) -> KrausChannel:
     """The map Y -> sum_i K_i^dag Y K_i (CP, unital, generally not TP)."""
-    ops = tuple(k.conj().T for k in ch.kraus)
-    return KrausChannel(ops, out_dims=None, check_tp=False)
+    return KrausChannel(ch.kraus.conj().swapaxes(-1, -2), check_tp=False)
 
 
 def compose(ch2: KrausChannel, ch1: KrausChannel) -> KrausChannel:
@@ -315,13 +294,16 @@ def compose(ch2: KrausChannel, ch1: KrausChannel) -> KrausChannel:
         raise ChannelError(
             f"cannot compose: first map outputs {ch1.d_out}, "
             f"second expects {ch2.d_in}")
-    ops = tuple(k2 @ k1 for k2 in ch2.kraus for k1 in ch1.kraus)
+    ops = (ch2.kraus[:, None] @ ch1.kraus).reshape(-1, ch2.d_out, ch1.d_in)
     return KrausChannel(ops, out_dims=ch2.out_dims,
                         check_tp=ch1.trace_preserving and ch2.trace_preserving)
 
 
 def tensor_channels(ch_a: KrausChannel, ch_b: KrausChannel) -> KrausChannel:
-    ops = tuple(np.kron(ka, kb) for ka in ch_a.kraus for kb in ch_b.kraus)
+    # ops[a, b] = kron(K_a, K_b), from np.kron's products of entries.
+    ops = (ch_a.kraus[:, None, :, None, :, None]
+           * ch_b.kraus[None, :, None, :, None, :])
+    ops = ops.reshape(-1, ch_a.d_out * ch_b.d_out, ch_a.d_in * ch_b.d_in)
     return KrausChannel(ops, out_dims=ch_a.out_dims + ch_b.out_dims,
                         check_tp=ch_a.trace_preserving and ch_b.trace_preserving)
 
@@ -357,21 +339,19 @@ def petz_recovery(ch: KrausChannel, sigma: DensityMatrix) -> KrausChannel:
             "only on its support", RuntimeWarning, stacklevel=2)
     inv_sqrt = _psd_power(out, -0.5)
     sqrt_sigma = _psd_power(sigma.matrix, 0.5)
-    ops = tuple(sqrt_sigma @ k.conj().T @ inv_sqrt for k in ch.kraus)
+    ops = sqrt_sigma @ ch.kraus.conj().swapaxes(-1, -2) @ inv_sqrt
     in_dims = sigma.dims if sigma.layout.n_subsystems > 1 else None
     return KrausChannel(ops, out_dims=in_dims, check_tp=False)
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix J = sum_ij |i><j| (x) ch[|i><j|]."""
-    d = ch.d_in
-    j = np.zeros((d * ch.d_out, d * ch.d_out), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, k] = 1.0
-            j += np.kron(e, ch.apply_matrix(e))
-    return j
+    """Choi matrix J = sum_ij |i><j| (x) ch[|i><j|].
+
+    Entry ((i, a), (j, b)) is sum_r K_r[a, i] conj(K_r[b, j]): one product
+    of the Kraus stack, read as rows r over (i, a), with its conjugate.
+    """
+    rows = ch.kraus.swapaxes(1, 2).reshape(len(ch.kraus), -1)
+    return rows.T @ rows.conj()
 
 
 def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int,
@@ -380,8 +360,7 @@ def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int,
     evals, vecs = np.linalg.eigh(choi)
     if evals.min() < -TAU_NUM:
         raise ChannelError(f"Choi matrix is not PSD: min eigenvalue {evals.min()}")
-    ops = []
-    for lam, v in zip(evals, vecs.T):
-        if lam > TAU_SUPP:
-            ops.append(np.sqrt(lam) * v.reshape(d_in, d_out).T)
-    return KrausChannel(tuple(ops), out_dims=out_dims, check_tp=False)
+    keep = evals > TAU_SUPP
+    ops = vecs.T[keep].reshape(-1, d_in, d_out).swapaxes(-1, -2)
+    return KrausChannel(np.sqrt(evals[keep])[:, None, None] * ops,
+                        out_dims=out_dims, check_tp=False)

@@ -40,8 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import (TAU_PSD, DensityMatrix, StateError, _pair_entries,
-                     partial_transpose)
+from .qstate import (TAU_PSD, DensityMatrix, StateError, _operator_stack,
+                     _pair_entries, partial_transpose)
 
 TAU_CLASS = 1e-8
 # A Jacobi sweep that lowers the off-diagonal mass by at most this fraction
@@ -78,29 +78,13 @@ class ClassicalityVerdict:
         }
 
 
-def _family_stack(ops) -> np.ndarray:
-    """(m, d, d) complex copy of a nonempty family of equal square operators,
-    given as a sequence of them or as a stack."""
-    try:
-        ops = np.array(ops, dtype=complex)
-    except ValueError:  # ragged: numpy >= 1.24 refuses to build it
-        raise StateError(
-            "operators must be numeric matrices of one shape") from None
-    if not len(ops):
-        raise StateError("operator family is empty")
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise StateError(
-            f"operators must be square matrices, got shape {ops.shape[1:]}")
-    return ops
-
-
 def commute_residual(ops) -> float:
     """Max Frobenius norm of pairwise commutators.
 
     One matrix product of the stacked family gives every pairwise product:
     rows (i, a) of the members times columns (j, c) hold (X_i X_j)_ac.
     """
-    ops = _family_stack(ops)
+    ops = _operator_stack(ops, StateError, square=True)
     m, d, _ = ops.shape
     prods = ops.reshape(m * d, d) @ ops.transpose(1, 0, 2).reshape(d, m * d)
     prods = prods.reshape(m, d, m, d)
@@ -174,7 +158,7 @@ def joint_diagonalize(ops, tol: float = 1e-14,
     over members and p != q) by at most `_STALL` of its previous value, or
     after `max_sweeps`.
     """
-    ops = _family_stack(ops)
+    ops = _operator_stack(ops, StateError, square=True)
     m, d, _ = ops.shape
     eye = np.eye(d, dtype=complex)
     u = eye

@@ -136,7 +136,7 @@ def cc_state(rho: DensityMatrix, povm_a: Povm,
                       apply_local(measurement_channel(povm_a), 0, rho))
     probs = cc_joint_probs(
         np.ascontiguousarray(rho.matrix),
-        povm_a.as_array(), povm_b.as_array())
+        povm_a.elements, povm_b.elements)
     return out, ClassicalJoint(np.clip(probs, 0.0, None))
 
 
@@ -308,7 +308,7 @@ def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
                         seed_points=seeds, ascend_seeds=counts == dims)
 
     def found(res, family):
-        povms = [Povm(tuple(isometry_stack(w))) for w in res.isometries]
+        povms = [Povm(isometry_stack(w)) for w in res.isometries]
         return dict(value=res.value, povm_a=povms[0],
                     povm_b=(*povms, None)[1], family=family, result=res)
 
@@ -464,7 +464,7 @@ def correlation_report(rho: DensityMatrix,
     # reported chain holds structurally (data processing on the B side).
     rho_mat = np.ascontiguousarray(rho.matrix)
     s_b = von_neumann_entropy(partial_trace(rho, (1,)))
-    cq_at_cc = _cq_value(rho_mat, s_b, icc.povm_a.as_array())
+    cq_at_cc = _cq_value(rho_mat, s_b, icc.povm_a.elements)
 
     # On a product state I itself can come out a few ulps below zero; the
     # measured bounds stop at zero all the same.

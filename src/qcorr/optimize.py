@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,15 +93,7 @@ class OptimizerConfig:
             raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "max_evals": self.max_evals,
-            "tol": self.tol,
-            "outcome_count": self.outcome_count,
-            "projective_only": self.projective_only,
-            "ancilla_dim": self.ancilla_dim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -267,7 +259,7 @@ def general_povm(params: np.ndarray, d: int, n_outcomes: int) -> Povm:
     """
     if n_outcomes < d:
         raise ValueError("need at least d outcomes for completeness")
-    return Povm(tuple(general_stack(params, d, n_outcomes)))
+    return Povm(general_stack(params, d, n_outcomes))
 
 
 def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),

@@ -45,6 +45,34 @@ def _complex_entries(entries, error: type[ValueError]) -> np.ndarray:
         raise error(f"entries must be [re, im] pairs of numbers: {exc}") from exc
 
 
+def _operator_stack(ops, error: type[ValueError],
+                    square: bool = False) -> np.ndarray:
+    """Read-only, C-contiguous complex (m, rows, cols) copy of a family of
+    operators, given as a sequence of equal-shape matrices or as one stack.
+
+    An empty, ragged, non-numeric or non-finite family, one that is not a
+    stack of nonempty matrices, or with `square` one of non-square
+    matrices, raises `error`.
+    """
+    try:
+        arr = np.asarray(ops)
+    except ValueError:  # ragged: numpy >= 1.24 refuses to build it
+        arr = None
+    if arr is None or arr.dtype.kind not in "biufc":
+        raise error("operators must be numeric matrices of one shape")
+    if arr.ndim != 3 or not arr.size:
+        raise error(f"operators must be a nonempty stack of nonempty "
+                    f"matrices, got shape {arr.shape}")
+    if square and arr.shape[1] != arr.shape[2]:
+        raise error(
+            f"operators must be square matrices, got shape {arr.shape[1:]}")
+    arr = arr.astype(complex, order="C")
+    if not np.isfinite(arr).all():
+        raise error("operators have non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
 def _pair_entries(m) -> list:
     """JSON list of [re, im] number pairs of an array's entries, row-major:
     what `_complex_entries` reads."""
@@ -52,7 +80,8 @@ def _pair_entries(m) -> list:
 
 
 def _int_tuple(values, error: type[ValueError]) -> tuple[int, ...]:
-    """Integers from a JSON list; floats, strings and non-lists raise `error`."""
+    """Integers from a sequence (a JSON list, say); floats, strings and
+    non-sequences raise `error`."""
     try:
         return tuple(operator.index(v) for v in values)
     except TypeError as exc:
@@ -66,7 +95,7 @@ class SubsystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _int_tuple(self.dims, StateError)
         object.__setattr__(self, "dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise StateError(f"every local dimension must be >= 1, got {dims}")
@@ -321,6 +350,23 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(f, 0.0), 1.0)
 
 
+def _distribution(p: np.ndarray, what: str) -> np.ndarray:
+    """Read-only copy of the probabilities `p` with tiny negative entries
+    clipped to zero.  Empty or non-finite input, a negative entry beyond
+    TAU_PSD or a sum off 1 by more than TAU_TR raises `StateError`."""
+    if not p.size:
+        raise StateError(f"{what} array is empty")
+    if not np.isfinite(p).all():
+        raise StateError(f"{what} array has non-finite entries")
+    if p.min() < -TAU_PSD:
+        raise StateError(f"negative {what} {p.min()}")
+    if abs(p.sum() - 1.0) > TAU_TR:
+        raise StateError(f"{what} values sum to {p.sum()}, not 1")
+    p = np.clip(p, 0.0, None)
+    p.flags.writeable = False
+    return p
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Probability distribution; tiny negative entries are clipped to zero."""
@@ -329,13 +375,7 @@ class ProbVector:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(-1)
-        if p.min() < -TAU_PSD:
-            raise StateError(f"negative probability {p.min()}")
-        if abs(p.sum() - 1.0) > TAU_TR:
-            raise StateError(f"probabilities sum to {p.sum()}, not 1")
-        p = np.clip(p, 0.0, None)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _distribution(p, "probability"))
 
     def entropy_bits(self) -> float:
         return shannon_bits(self.p)
@@ -349,13 +389,7 @@ class ClassicalJoint:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.min() < -TAU_PSD:
-            raise StateError(f"negative joint probability {p.min()}")
-        if abs(p.sum() - 1.0) > TAU_TR:
-            raise StateError(f"joint probabilities sum to {p.sum()}, not 1")
-        p = np.clip(p, 0.0, None)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _distribution(p, "joint probability"))
 
     def marginal(self, axis: int) -> ProbVector:
         axes = tuple(i for i in range(self.p.ndim) if i != axis)

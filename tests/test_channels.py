@@ -67,6 +67,40 @@ class TestPovm:
             Povm((e0, np.eye(2, dtype=complex) - e0))
 
 
+MALFORMED_OPERATORS = {
+    "empty": [],
+    "empty_matrices": np.zeros((1, 0, 0)),
+    "vector": [np.ones(2)],
+    "unequal": [np.eye(2), np.eye(3)],
+    "ragged_rows": [[[1.0, 0.0], [0.0]]],
+    "none": [None],
+    "strings": ["identity"],
+    "numeric_strings": [[["1", "0"], ["0", "1"]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_OPERATORS))
+@pytest.mark.parametrize("cls", [Povm, KrausChannel])
+def test_malformed_operator_family_raises_channel_error(cls, name):
+    with pytest.raises(ChannelError):
+        cls(MALFORMED_OPERATORS[name])
+
+
+def test_operators_are_one_read_only_complex_stack():
+    povm, ch = computational_povm(3), depolarizing_channel(3)
+    assert povm.elements.shape == (3, 3, 3)
+    assert ch.kraus.shape == (9, 3, 3)
+    for ops in (povm.elements, ch.kraus):
+        assert ops.dtype == complex and ops.flags.c_contiguous
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 2.0
+    # The caller's array is copied, not held.
+    given = np.eye(2)[None].copy()
+    ch = KrausChannel(given)
+    given[0, 0, 0] = 5.0
+    assert ch.kraus[0, 0, 0] == 1.0
+
+
 class TestKrausChannel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_operator(self, bad):
@@ -81,6 +115,16 @@ class TestKrausChannel:
         # The first three multiply to d_out = 4 all the same.
         with pytest.raises(ChannelError, match="out_dims"):
             KrausChannel((np.eye(4),), out_dims=out_dims)
+
+    @pytest.mark.parametrize("out_dims", [(2.5, 2), (2, 2.0), ("2", 2), 4])
+    def test_rejects_non_integral_out_dims(self, out_dims):
+        with pytest.raises(ChannelError):
+            KrausChannel(np.eye(4)[None], out_dims=out_dims)
+
+    def test_accepts_numpy_integer_out_dims(self):
+        ch = KrausChannel(np.eye(4)[None], out_dims=(np.int64(2), np.int32(2)))
+        assert ch.out_dims == (2, 2)
+        assert all(type(d) is int for d in ch.out_dims)
 
     @pytest.mark.parametrize("claim", [True, False])
     def test_trace_preservation_is_derived_not_passed(self, claim):

@@ -71,6 +71,10 @@ MALFORMED_FAMILIES = {
     "vector": [np.zeros(2)],
     "unequal": [np.eye(2), np.eye(3)],
     "unequal_after_first": [np.eye(2), np.eye(2), np.zeros((2, 3))],
+    "ragged_rows": [[[1.0, 0.0], [0.0]]],
+    "non_numeric": [None],
+    "numeric_strings": [[["1", "0"], ["0", "1"]]],
+    "non_finite": [np.eye(2), np.diag([np.nan, 1.0])],
 }
 
 

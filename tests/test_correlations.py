@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_slope_on_retracted_path, split_point
+from conftest import (assert_slope_on_retracted_path, oracle_entropy_bits,
+                      split_point)
 from qcorr.channels import (
     apply_local,
     depolarizing_channel,
@@ -608,7 +609,7 @@ class TestProjectivePhase:
                  (icc.povm_a, d_a), (icc.povm_b, d_b)]
         assert icq.family == icc.family == "projective"
         for povm, d in povms:
-            ms = povm.as_array()
+            ms = povm.elements
             assert ms.shape == (d, d, d)
             products = np.einsum("iab,jbc->ijac", ms, ms)
             want = np.eye(d)[:, :, None, None] * ms[:, None]
@@ -631,9 +632,9 @@ class TestProjectivePhase:
         for rho in states:
             rho_mat = np.ascontiguousarray(rho.matrix)
             s_b = von_neumann_entropy(partial_trace(rho, (1,)))
-            povms_a = [projective_basis_povm(u).as_array()
+            povms_a = [projective_basis_povm(u).elements
                        for u in _seed_bases(rho, 0)]
-            povms_b = [projective_basis_povm(u).as_array()
+            povms_b = [projective_basis_povm(u).elements
                        for u in _seed_bases(rho, 1)]
             cq_seeds = [_cq_value(rho_mat, s_b, m) for m in povms_a]
             cc_seeds = [_cc_value(rho_mat, m, n)
@@ -683,6 +684,63 @@ def test_bell_diagonal_states_match_the_closed_form():
         assert rep.I_cq_lower == pytest.approx(j, rel=0, abs=1e-9), c
         assert rep.I_cc_lower == pytest.approx(j, rel=0, abs=1e-9), c
         assert rep.discord_upper == pytest.approx(i - j, rel=0, abs=1e-9), c
+
+
+def _rank_two_purifications(d_a, count, rng):
+    """Rank-2 states on (d_a, 2), each with its purification as a
+    (d_a, 2, 2) array psi[a, b, e]: rho_AB = Tr_E |psi><psi|."""
+    found = []
+    for _ in range(count):
+        z = rng.normal(size=(2 * d_a, 2)) + 1j * rng.normal(size=(2 * d_a, 2))
+        vecs = np.linalg.qr(z)[0]
+        w = rng.uniform(0.1, 0.9)
+        psi = (vecs * np.sqrt([w, 1.0 - w])).reshape(d_a, 2, 2)
+        rho = np.einsum("abe,cde->abcd", psi, psi.conj()).reshape(
+            2 * d_a, 2 * d_a)
+        found.append((DensityMatrix(SubsystemLayout((d_a, 2)), rho), psi))
+    return found
+
+
+def _koashi_winter_icq(psi):
+    """Exact I_CQ measured on A of Tr_E |psi><psi|, for a qubit B and a
+    qubit purifying party E.
+
+    Koashi and Winter, "Monogamy of quantum entanglement and other
+    correlations", PRA 69, 022309 (2004): I_CQ = S(B) - E_F(rho_BE).
+    rho_BE is two qubits, so Wootters' concurrence (PRL 80, 2245, 1998)
+    gives its entanglement of formation.
+    """
+    rho_be = np.einsum("abe,acf->becf", psi, psi.conj()).reshape(4, 4)
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    prod_evals = np.linalg.eigvals(rho_be @ yy @ rho_be.conj() @ yy).real
+    lam = np.sort(np.sqrt(np.clip(prod_evals, 0.0, None)))[::-1]
+    c = max(0.0, lam[0] - lam[1:].sum())
+    x = (1 + np.sqrt(1 - c * c)) / 2
+    rho_b = np.einsum("abe,ace->bc", psi, psi.conj())
+    return oracle_entropy_bits(rho_b) - oracle_entropy_bits(np.diag([x, 1 - x]))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("budget", ["report", "cli_default"])
+@pytest.mark.parametrize("d_a", [2, 3])
+def test_rank_two_states_match_koashi_winter(d_a, budget, side):
+    # At 3x2 the report budget can fall short of the exact value, since the
+    # general POVM phase only scores its seeds there; only the bound is
+    # checked at that budget.
+    cfg = (OptimizerConfig(seed=0, restarts=3, max_evals=300)
+           if budget == "report" else OptimizerConfig(seed=0))
+    exact_expected = (d_a, budget) != (3, "report")
+    for rho, psi in _rank_two_purifications(d_a, 6,
+                                            np.random.default_rng(6100 + d_a)):
+        exact = _koashi_winter_icq(psi)
+        if side == 0:
+            found = correlation_report(rho, cfg).I_cq_lower
+        else:
+            found = optimize_icq(permute_subsystems(rho, (1, 0)), cfg,
+                                 side=1).value
+        assert found <= exact + 1e-7
+        if exact_expected:
+            assert found == pytest.approx(exact, rel=0, abs=1e-7)
 
 
 class TestGeneralGain:

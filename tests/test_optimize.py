@@ -142,7 +142,7 @@ class TestPovmParameterizations:
         u = unitary_from_params(params, d)
         x = np.ascontiguousarray(u.conj().T).view(float).ravel()
         np.testing.assert_allclose(projective_stack(params, d),
-                                   general_povm(x, d, d).as_array(),
+                                   general_povm(x, d, d).elements,
                                    atol=1e-12)
 
     def test_general_povm_valid(self, rng):
@@ -160,7 +160,7 @@ class TestPovmParameterizations:
         params = rng.normal(size=2 * n * d)
         np.testing.assert_allclose(
             general_stack(params, d, n),
-            general_povm(params, d, n).as_array(),
+            general_povm(params, d, n).elements,
             atol=1e-14,
         )
 
@@ -184,7 +184,7 @@ class TestPovmParameterizations:
         povm = projective_basis_povm(u)
         # The projective point of basis u packs W = u^dag.
         x = pack_point([u.conj().T])
-        np.testing.assert_allclose(general_stack(x, d, d), povm.as_array(),
+        np.testing.assert_allclose(general_stack(x, d, d), povm.elements,
                                    atol=1e-14)
         # [G; 0] packs G's parameters, then zeros; its polar factor is
         # G's with the zero rows, so the POVM gains only zero elements.
@@ -200,7 +200,7 @@ class TestPovmParameterizations:
                                    atol=1e-14)
         params = pack_point([np.pad(u.conj().T, ((0, n - d), (0, 0)))])
         want = np.zeros((n, d, d), dtype=complex)
-        want[:d] = povm.as_array()
+        want[:d] = povm.elements
         np.testing.assert_allclose(general_stack(params, d, n), want,
                                    atol=1e-14)
 

@@ -10,6 +10,7 @@ from qcorr.qstate import (
     ProbVector,
     StateError,
     StateParseError,
+    SubsystemLayout,
     bell_phi_plus,
     bits_to_nats,
     fidelity,
@@ -75,6 +76,25 @@ class TestValidation:
     def test_prob_vector_rejects_negative(self):
         with pytest.raises(StateError):
             ProbVector(np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("p", [
+        np.array([0.5, np.nan, 0.5]), np.array([[0.5, np.nan], [0.25, 0.25]]),
+        np.array([np.inf, 0.5]), np.array([]), np.zeros((0, 2)),
+    ], ids=["nan", "nan_2d", "inf", "empty", "empty_2d"])
+    @pytest.mark.parametrize("cls", [ProbVector, ClassicalJoint])
+    def test_distributions_reject_non_finite_and_empty(self, cls, p):
+        with pytest.raises(StateError):
+            cls(p)
+
+    @pytest.mark.parametrize("dims", [(2.9, 2), (2, 2.0), ("2", 2), 2])
+    def test_layout_rejects_non_integral_dims(self, dims):
+        with pytest.raises(StateError):
+            SubsystemLayout(dims)
+
+    def test_layout_accepts_numpy_integers(self):
+        dims = SubsystemLayout((np.int64(2), np.int32(3))).dims
+        assert dims == (2, 3)
+        assert all(type(d) is int for d in dims)
 
     def test_classical_joint_marginals(self):
         p = ClassicalJoint(np.array([[0.4, 0.1], [0.1, 0.4]]))
