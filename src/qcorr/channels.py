@@ -42,13 +42,14 @@ class ChannelParseError(ChannelError):
     and `kraus`, or its entries are not numbers of the right form."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """PSD operators summing to the identity.
 
     `elements` is given as a sequence of equal square matrices or as one
     stack, and held as a read-only complex (n, d, d) array whose entry i is
-    outcome i's operator.
+    outcome i's operator.  A POVM compares and hashes by identity, as an
+    array has no single truth value to compare by.
     """
 
     elements: np.ndarray
@@ -86,13 +87,14 @@ def computational_povm(d: int) -> Povm:
     return projective_basis_povm(np.eye(d, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive map given by Kraus operators.
 
     `kraus` is given as a sequence of equal-shape matrices or as one stack,
     and held as a read-only complex (r, d_out, d_in) array whose entry i is
-    the i-th Kraus operator.
+    the i-th Kraus operator.  A channel compares and hashes by identity, as
+    a POVM does.
 
     `check_tp=False` admits completely positive maps that are only trace
     preserving on a subspace (transpose channels, Petz maps for

@@ -16,7 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels_py import cc_joint_probs, cq_blocks, shannon_bits
+from ._kernels_py import (
+    cc_contract,
+    cc_form,
+    cc_joint_probs,
+    cq_blocks,
+    cq_contract,
+    cq_form,
+    shannon_bits,
+)
 from .channels import (
     Povm,
     apply_local,
@@ -37,6 +45,7 @@ from .qstate import (
     ProbVector,
     StateError,
     _pair_entries,
+    _permuted_matrix,
     partial_trace,
     permute_subsystems,
     relative_entropy,
@@ -76,21 +85,29 @@ def _cut_partition(rho: DensityMatrix, cut):
 
 
 def mutual_information(rho: DensityMatrix, cut=None) -> float:
-    """S(A) + S(B) - S(AB) in bits across the given bipartition."""
+    """S(A) + S(B) - S(AB) in bits across the given bipartition, never
+    below zero."""
     side_a, side_b = _cut_partition(rho, cut)
-    s_a = von_neumann_entropy(partial_trace(rho, side_a))
-    s_b = von_neumann_entropy(partial_trace(rho, side_b))
-    return s_a + s_b - von_neumann_entropy(rho)
+    return _information(von_neumann_entropy(partial_trace(rho, side_a))
+                        + von_neumann_entropy(partial_trace(rho, side_b)),
+                        rho)
+
+
+def _information(marginal_entropy: float, rho: DensityMatrix) -> float:
+    """The sum of rho's marginal entropies minus S(rho).  A product state
+    can come out a few ulps below zero, so the difference is clamped at
+    0.0 (first: max(0.0, -0.0) is 0.0, max(-0.0, 0.0) is -0.0)."""
+    return max(0.0, marginal_entropy - von_neumann_entropy(rho))
 
 
 def multipartite_mutual_information(rho: DensityMatrix) -> float:
     """sum_k S(A_k) - S(A_1...A_n); the relative-entropy form of total
-    multipartite correlations."""
+    multipartite correlations, never below zero."""
     n = rho.layout.n_subsystems
     if n < 2:
         raise StateError("multipartite mutual information needs >= 2 subsystems")
-    total = sum(von_neumann_entropy(partial_trace(rho, (k,))) for k in range(n))
-    return total - von_neumann_entropy(rho)
+    return _information(sum(von_neumann_entropy(partial_trace(rho, (k,)))
+                            for k in range(n)), rho)
 
 
 def classical_mutual_information(joint: ClassicalJoint) -> float:
@@ -156,24 +173,32 @@ class MeasurementOptimum:
     # The projective-family search, run first whatever `family` won; for
     # I_CQ it is the search that defines the discord bound.
     projective: OptimizationResult
-    # Party A's projective seed matrices (`_local_bases_seeds(rho, 0)`) of
+    # Party A's projective seed matrices (`_local_bases_seeds`) of
     # a side-0 I_CQ search, kept so the I_CC search can reuse them.
     seeds_a: tuple[np.ndarray, ...] = ()
     # The general-family search, run second; None under `projective_only`.
     general: OptimizationResult | None = None
+    # The marginals (rho_A, rho_B) of a side-0 I_CQ search's state, built
+    # once there and kept so the I_CC search and `correlation_report`
+    # reuse them.
+    marginals: tuple[DensityMatrix, ...] = ()
 
 
 def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray):
     """I of the CQ state for POVM element stacks `ms` (..., n, dA, dA) on
     the first party; a float for one stack, an array over leading axes."""
     blocks = cq_blocks(rho_mat, ms)
-    return _cq_bits(blocks, np.linalg.eigvalsh(blocks), s_b)
+    return _cq_bits(_block_traces(blocks), np.linalg.eigvalsh(blocks), s_b)
 
 
-def _cq_bits(blocks: np.ndarray, lam: np.ndarray, s_b: float):
+def _block_traces(blocks: np.ndarray) -> np.ndarray:
+    """Tr B_i of conditional blocks B_i: the outcome probabilities p_i."""
+    return np.trace(blocks, axis1=-2, axis2=-1).real
+
+
+def _cq_bits(probs: np.ndarray, lam: np.ndarray, s_b: float):
     """H(p) + S(B) - H(eigenvalues of all blocks): I of the CQ state with
-    conditional blocks B_i (Tr B_i = p_i) whose eigenvalues are `lam`."""
-    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    conditional blocks B_i of traces `probs` and eigenvalues `lam`."""
     lam = np.clip(lam.reshape(lam.shape[:-2] + (-1,)), 0.0, None)
     return (shannon_bits(np.clip(probs, 0.0, None))
             + s_b - shannon_bits(lam))
@@ -182,14 +207,15 @@ def _cq_bits(blocks: np.ndarray, lam: np.ndarray, s_b: float):
 def _cc_value(rho_mat: np.ndarray, ms: np.ndarray, ns: np.ndarray):
     """Classical mutual information of the outcomes of stacks `ms`, `ns`
     (same leading axes); a float for one pair of stacks."""
-    return _cc_bits(np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None))
+    p = np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None)
+    return _cc_bits(p, p.sum(axis=-1), p.sum(axis=-2))
 
 
-def _cc_bits(p: np.ndarray):
-    """H(A) + H(B) - H(AB) of joint distributions p (..., nA, nB)."""
-    h_a = shannon_bits(p.sum(axis=-1))
-    h_b = shannon_bits(p.sum(axis=-2))
-    return h_a + h_b - shannon_bits(p.reshape(p.shape[:-2] + (-1,)))
+def _cc_bits(p: np.ndarray, p_a: np.ndarray, p_b: np.ndarray):
+    """H(A) + H(B) - H(AB) of joint distributions p (..., nA, nB) with
+    marginals p_a (..., nA) and p_b (..., nB)."""
+    return (shannon_bits(p_a) + shannon_bits(p_b)
+            - shannon_bits(p.reshape(p.shape[:-2] + (-1,))))
 
 
 # Eigenvalues and probabilities are floored at this inside gradient logs
@@ -208,61 +234,76 @@ def _isometry_gradient(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 2 * (w[..., None, :] @ q)[..., 0, :]
 
 
-def _cq_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray, s_b: float,
-                   w: np.ndarray):
-    """Values of `_cq_value` on the general POVMs of isometries w
-    (..., n, dA) and their gradients, one (..., n, dA) array in a tuple.
+def _cq_objective(rho: DensityMatrix, s_b: float):
+    """The I_CQ search objective on party 0 of rho, S(B) = `s_b`: w ->
+    (the values of `_cq_value` on the general POVMs of isometries w
+    (..., n, dA), and their gradients, one (..., n, dA) array in a tuple).
 
     One `eigh` of the blocks B_i gives both: the derivative of I in B_i is
     L_i = log2 B_i - log2 p_i (Lewis, "Derivatives of spectral functions",
     Math. Oper. Res. 21, 1996), and Tr[L_i dB_i] = Tr[dM_i Q_i] with
-    Q_i = Tr_B[(I (x) L_i) rho].
+    Q_i = Tr_B[(I (x) L_i) rho].  The forms of rho and of its swap are
+    built once, here.
     """
-    blocks = cq_blocks(rho_mat, isometry_stack(w))
-    lam, vecs = np.linalg.eigh(blocks)
-    value = _cq_bits(blocks, lam, s_b)
-    probs = np.trace(blocks, axis1=-2, axis2=-1).real
-    log_ratio = _log2_floor(lam) - _log2_floor(probs)[..., None]
-    l_b = (vecs * log_ratio[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return value, (_isometry_gradient(w, cq_blocks(rho_swap, l_b)),)
+    d_a, d_b = rho.dims
+    form = cq_form(rho.matrix, d_a)
+    # The parties exchanged: its blocks trace out the measured one.
+    form_swap = cq_form(_permuted_matrix(rho.matrix, rho.dims, (1, 0)), d_b)
+
+    def value_grad(w):
+        blocks = cq_contract(form, isometry_stack(w))
+        lam, vecs = np.linalg.eigh(blocks)
+        probs = _block_traces(blocks)
+        log_ratio = _log2_floor(lam) - _log2_floor(probs)[..., None]
+        l_b = (vecs * log_ratio[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        return _cq_bits(probs, lam, s_b), (
+            _isometry_gradient(w, cq_contract(form_swap, l_b)),)
+    return value_grad
 
 
-def _cc_value_grad(rho_mat: np.ndarray, rho_swap: np.ndarray,
-                   w_a: np.ndarray, w_b: np.ndarray):
-    """Values of `_cc_value` on the general POVMs of isometries w_a
-    (..., nA, dA) and w_b (..., nB, dB), and their gradients, shaped as
-    w_a and w_b.
+def _cc_objective(rho: DensityMatrix):
+    """The I_CC search objective of rho: (w_a, w_b) -> (the values of
+    `_cc_value` on the general POVMs of isometries w_a (..., nA, dA) and
+    w_b (..., nB, dB), and their gradients, shaped as w_a and w_b).
 
     The derivative of I in p_ij is g_ij = log2(p_ij / (p_i. p_.j)) (up to
     a constant that completeness cancels), so party A's direction for
     element i is Q_i = sum_j g_ij R_j with R_j = Tr_B[(I (x) N_j) rho], and
     party B's is built the same way from the blocks Tr_A[(M_i (x) I) rho].
+    The three forms of rho are built once, here.
     """
-    ms, ns = isometry_stack(w_a), isometry_stack(w_b)
-    p = np.clip(cc_joint_probs(rho_mat, ms, ns), 0.0, None)
-    value = _cc_bits(p)
-    g = (_log2_floor(p) - _log2_floor(p.sum(axis=-1))[..., :, None]
-         - _log2_floor(p.sum(axis=-2))[..., None, :])
+    d_a, d_b = rho.dims
+    joint = cc_form(rho.matrix, d_a)
+    form_a = cq_form(rho.matrix, d_a)
+    form_b = cq_form(_permuted_matrix(rho.matrix, rho.dims, (1, 0)), d_b)
 
     def direction(weights, blocks):
         *batch, n, d, _ = blocks.shape
         return (weights @ blocks.reshape(*batch, n, d * d)).reshape(
             *batch, weights.shape[-2], d, d)
 
-    q_a = direction(g, cq_blocks(rho_swap, ns))
-    q_b = direction(g.swapaxes(-1, -2), cq_blocks(rho_mat, ms))
-    return value, (_isometry_gradient(w_a, q_a), _isometry_gradient(w_b, q_b))
+    def value_grad(w_a, w_b):
+        ms, ns = isometry_stack(w_a), isometry_stack(w_b)
+        p = np.clip(cc_contract(joint, ms, ns), 0.0, None)
+        p_a, p_b = p.sum(axis=-1), p.sum(axis=-2)
+        g = (_log2_floor(p) - _log2_floor(p_a)[..., :, None]
+             - _log2_floor(p_b)[..., None, :])
+        q_a = direction(g, cq_contract(form_b, ns))
+        q_b = direction(g.swapaxes(-1, -2), cq_contract(form_a, ms))
+        return _cc_bits(p, p_a, p_b), (_isometry_gradient(w_a, q_a),
+                                       _isometry_gradient(w_b, q_b))
+    return value_grad
 
 
-def _local_bases_seeds(rho: DensityMatrix, side: int) -> list[np.ndarray]:
-    """Projective seed matrices: the isometries W = U^dag of the bases U (as
-    columns) of the computational basis, the marginal's eigenbasis and the
-    classical basis."""
-    d = rho.dims[side]
-    marginal = partial_trace(rho, (side,))
+def _local_bases_seeds(rho: DensityMatrix,
+                       marginal: DensityMatrix) -> list[np.ndarray]:
+    """Projective seed matrices of party 0 of rho, whose marginal is
+    `marginal`: the isometries W = U^dag of the bases U (as columns) of the
+    computational basis, the marginal's eigenbasis and the classical
+    basis."""
     _, eigvecs = np.linalg.eigh(marginal.matrix)
     return [np.conj(u).T
-            for u in (np.eye(d), eigvecs, classical_basis(rho, side))]
+            for u in (np.eye(marginal.dim), eigvecs, classical_basis(rho, 0))]
 
 
 def _outcome_counts(cfg: OptimizerConfig, dims: tuple) -> tuple | None:
@@ -349,17 +390,14 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     if side not in (0, 1):
         raise StateError(f"side must be 0 or 1, got {side!r}")
     work = rho if side == 0 else permute_subsystems(rho, (1, 0))
-    rho_mat = np.ascontiguousarray(work.matrix)
-    s_b = von_neumann_entropy(partial_trace(work, (1,)))
-    # The parties exchanged: `cq_blocks` of it traces out the measured one.
-    rho_swap = np.ascontiguousarray(
-        (rho if side else permute_subsystems(rho, (1, 0))).matrix)
-
-    bases = _local_bases_seeds(work, 0)
+    marginals = (partial_trace(work, (0,)), partial_trace(work, (1,)))
+    bases = _local_bases_seeds(work, marginals[0])
     seeds = [(x,) for x in bases]
-    best = _measure(lambda w: _cq_value_grad(rho_mat, rho_swap, s_b, w),
+    best = _measure(_cq_objective(work, von_neumann_entropy(marginals[1])),
                     (work.dims[0],), cfg, seeds, lambda x: [*seeds, x])
-    return replace(best, seeds_a=tuple(bases) if side == 0 else ())
+    if side:
+        return best
+    return replace(best, seeds_a=tuple(bases), marginals=marginals)
 
 
 def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -370,18 +408,19 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     eigenbasis, so the bound never falls below the classical mutual
     information of that pairing, and the classical bases of both sides,
     which makes the bound exact on CC states.  `icq` is the side-0 I_CQ
-    optimum; its A-side seeds are reused rather than recomputed.
+    optimum; its A-side seeds and B marginal are reused rather than
+    recomputed.
     """
     if rho.layout.n_subsystems != 2:
         raise StateError("optimize_icc requires a bipartite layout")
-    rho_mat = np.ascontiguousarray(rho.matrix)
     if icq is None:
         icq = optimize_icq(rho, cfg)
 
-    seeds_a = list(icq.seeds_a) or _local_bases_seeds(rho, 0)
-    swapped = permute_subsystems(rho, (1, 0))
-    seeds_b = _local_bases_seeds(swapped, 0)
-    rho_swap = np.ascontiguousarray(swapped.matrix)
+    seeds_a = list(icq.seeds_a) or _local_bases_seeds(
+        rho, partial_trace(rho, (0,)))
+    # The swapped state's party-0 marginal is rho_B, entry for entry.
+    rho_b = icq.marginals[1] if icq.marginals else partial_trace(rho, (1,))
+    seeds_b = _local_bases_seeds(permute_subsystems(rho, (1, 0)), rho_b)
 
     pairs = list(zip(seeds_a, seeds_b))
     proj_seeds = [*pairs, (seeds_a[0], seeds_b[1])]
@@ -396,9 +435,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
             x_cq = x[0]
         return [*pairs, x, (x_cq, seeds_b[1])]
 
-    return _measure(
-        lambda w_a, w_b: _cc_value_grad(rho_mat, rho_swap, w_a, w_b),
-        rho.dims, cfg, proj_seeds, general_seeds)
+    return _measure(_cc_objective(rho), rho.dims, cfg, proj_seeds,
+                    general_seeds)
 
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -455,19 +493,20 @@ def correlation_report(rho: DensityMatrix,
     """All correlation measures of a bipartite state, chain-consistent.
     Raises `ConfigRangeError` before any search if `cfg.outcome_count` is
     below a party's dimension and the general phase would run."""
-    i = mutual_information(rho)
+    _cut_partition(rho, None)  # a state of other than two parties raises
     _outcome_counts(cfg, rho.dims)
     icq = optimize_icq(rho, cfg)
     icc = optimize_icc(rho, cfg, icq=icq)
 
+    # I from the marginals the I_CQ search built.
+    rho_a, rho_b = icq.marginals
+    s_b = von_neumann_entropy(rho_b)
+    i = _information(von_neumann_entropy(rho_a) + s_b, rho)
     # Re-score the CC optimum's A-measurement as a CQ candidate so the
     # reported chain holds structurally (data processing on the B side).
-    rho_mat = np.ascontiguousarray(rho.matrix)
-    s_b = von_neumann_entropy(partial_trace(rho, (1,)))
-    cq_at_cc = _cq_value(rho_mat, s_b, icc.povm_a.elements)
+    cq_at_cc = _cq_value(rho.matrix, s_b, icc.povm_a.elements)
 
-    # On a product state I itself can come out a few ulps below zero; the
-    # measured bounds stop at zero all the same.
+    # I is never below zero; the measured bounds stop at zero too.
     i_cq = max(min(i, max(icq.value, cq_at_cc)), 0.0)
     i_cc = max(min(i_cq, icc.value), 0.0)
 

@@ -17,18 +17,28 @@ of all p parties when they share a shape, else one per party.
 
 The objective contract is the same for every search: it takes one
 (k, n, d) isometry array per party and returns the k values and their
-Euclidean gradients, one complex (k, n, d) array per party.  The driver
-is the one place that turns points into isometries, with one batched SVD
-per stack.  The polar factor of a trial point is its retraction, so an
-accepted step costs no second SVD.
+Euclidean gradients, one complex (k, n, d) array per party.  The
+isometries are views into arrays the driver holds and rewrites every
+round, so they are valid only during the call: an objective copies
+whatever it keeps.  The driver is the one place that turns points into
+isometries, with one batched SVD per stack.  The polar factor of a trial
+point is its retraction, so an accepted step costs no second SVD.
 
 A round is array work on the rows of all live runs at once: the polar
 factors and the objective call, one tangent projection, the row dots the
 step rule needs, one masked update of the points and gradients, and one
 trial step x - t g up the objective (g is the tangent gradient of its
-negative).  Only the step rule runs per run, on Python floats.
-There is a fixed number of rounds, and runs that stop early are
-replaced, so every round evaluates as many points as the first.
+negative).  Only the step rule runs per run, on Python floats.  The
+round's arrays are held per batch size k: the polar factors, the
+gradients, and one (k, 3, P) array of the tangent gradients g, the steps
+s and the gradient changes dg, whose four dots g.g, s.s, s.dg and dg.dg
+come from one pairwise product (k, 4, 1, P) @ (k, 4, P, 1).  Each of its
+entries is one row times one column, which numpy hands to the same dot
+kernel as `np.vdot`, so the dots keep its bits; a Gram product
+(k, 3, P) @ (k, P, 3) rounds some of them differently.
+There is a fixed number of rounds, and a run that stops early hands its
+slot, in place, to a new run from the real row `refill()` returns, so
+every round evaluates as many points as the first.
 """
 
 from __future__ import annotations
@@ -111,16 +121,19 @@ def _tangent(x: list, z: list, out=None) -> list:
     into the stacks `out` if they are given.  Stepping x - t g rounds as
     a descent of -f does, signed zeros included; x + t (Z - W herm(W^dag
     Z)) need not, where Z and its projection cancel."""
-    wz = [w.conj().swapaxes(-1, -2) @ g for w, g in zip(x, z)]
-    return [np.subtract(w @ ((s + s.conj().swapaxes(-1, -2)) / 2), g, out=o)
-            for w, g, s, o in zip(x, z, wz, out or [None] * len(x))]
+    tangents = []
+    for w, g, o in zip(x, z, out or [None] * len(x)):
+        s = w.conj().swapaxes(-1, -2) @ g
+        # herm(s) = (s + s^dag) / 2, formed in place.
+        s += s.conj().swapaxes(-1, -2)
+        s /= 2
+        tangents.append(np.subtract(w @ s, g, out=o))
+    return tangents
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot products of the rows of two real (k, P) arrays, as k matrix
-    products: each is bit for bit `np.vdot` of its two rows, which a
-    pairwise-summed reduction such as `(a * b).sum(-1)` need not be."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+# The rows of the (k, 3, P) round array (g, s, dg) that the four dots of
+# `_Ascent.step` pair: g.g, s.s, s.dg and dg.dg.
+_LEFT, _RIGHT = [0, 1, 1, 2], [0, 1, 2, 2]
 
 
 class _Ascent:
@@ -213,22 +226,41 @@ def minimize(fun, x0s, shapes: tuple, rounds: int, tol: float, points=(),
     factors of k points, one (k, rows, cols) array per entry, and returns
     the k values and their Euclidean gradients, shaped as the polar
     factors (or a ValueError is raised); a point whose gradient is not
-    finite counts as a non-finite value.  One ascent run (the rule of
-    `_Ascent`, tolerance `tol`) starts from each point of `x0s`, and each
-    of `points` is evaluated once.  Every round evaluates the one point
-    each live run waits for in one `fun` call.  A non-finite value stops
-    only the run it belongs to.
+    finite counts as a non-finite value.  The polar factors are views into
+    arrays the driver holds and rewrites every round: they are valid only
+    during the call, so `fun` must copy whatever it keeps of them.  One
+    ascent run (the rule of `_Ascent`, tolerance `tol`) starts from each
+    point of `x0s`, and each of `points` is evaluated once.  Every round
+    evaluates the one point each live run waits for in one `fun` call.  A
+    non-finite value stops only the run it belongs to.
 
     There are `rounds` rounds (fewer only when no run is left): a run that
     stops sooner hands its slot to a new run from the point `refill()`
-    returns, so `refill` is needed unless `x0s` is empty or every run
-    lasts all the rounds, and the runs still live after the last round
-    stop as "rounds".
+    returns, as a real row in the layout of `LockstepResult.x`, so
+    `refill` is needed unless `x0s` is empty or every run lasts all the
+    rounds, and the runs still live after the last round stop as
+    "rounds".
     """
     points, x0s = list(points), list(x0s)
     ascents, best_f, best_x, evals, stops, non_finite = ([] for _ in range(6))
     size, layout = sum(2 * n * d for n, d in shapes), _layout(shapes)
     zeros = np.zeros(size)  # no finite value
+    held = {}  # k -> the round arrays of k live runs, see `round_arrays`
+
+    def round_arrays(k: int) -> tuple:
+        """The round arrays of k runs, held per k and rewritten every
+        round: the rows of the polar factors w and of the objective's
+        gradients z there; the (k, 3, P) rows of the tangent gradients g,
+        of the steps s between polar factors and of the changes dg of g;
+        the rows of g, as a view; the stack views of w, z and g; and the
+        party views of w and z."""
+        if k not in held:
+            w, z, gsd = (np.empty((k, size)), np.empty((k, size)),
+                         np.empty((k, 3, size)))
+            stacks = [_stack_views(a, layout) for a in (w, z, gsd[:, 0])]
+            held[k] = (w, z, gsd, gsd[:, 0], *stacks,
+                       _party_views(stacks[0]), _party_views(stacks[1]))
+        return held[k]
 
     def open_runs(n: int, ascend: bool = True) -> None:
         ascents.extend(_Ascent() if ascend else None for _ in range(n))
@@ -241,38 +273,41 @@ def minimize(fun, x0s, shapes: tuple, rounds: int, tol: float, points=(),
     ids = list(range(len(evals)))  # the run of each trial point
     # The rows of each run's trial point y, of its point x and of the
     # tangent gradient g of -fun there (placeholders before a value).
-    y = x = g = _gathered(points + x0s, shapes, layout)
+    y = _gathered(points + x0s, shapes, layout)
+    x, g, ys = y.copy(), y.copy(), _stack_views(y, layout)
     done = 0  # rounds so far
 
     while ids:
         k = len(ids)
-        # The rows of the polar factors, of the objective's gradients there
-        # and of the tangent gradients.
-        w_new, z, g_new = (np.empty((k, size)) for _ in range(3))
-        ws, zs = _stack_views(w_new, layout), _stack_views(z, layout)
-        for v, w in zip(_stack_views(y, layout), ws):
+        w_new, z, gsd, g_new, ws, zs, gs, w_parties, z_parties = (
+            round_arrays(k))
+        for v, w in zip(ys, ws):
             _polar(v, out=w)
-        values, grads = fun(*_party_views(ws))
+        values, grads = fun(*w_parties)
         values = np.asarray(values, dtype=float)
         if values.shape != (k,):
             raise ValueError(
                 f"objective returned shape {values.shape} for {k} points")
-        for view, a in zip(_party_views(zs), _as_parties(
+        for view, a in zip(z_parties, _as_parties(
                 grads, shapes, (k,), "objective gradient")):
             view[...] = a
-        finite = np.isfinite(z).all(axis=-1)
-        if not finite.all():
+        # One sum finds a non-finite gradient entry (or one that overflows
+        # it); only then does the row-wise test run.
+        if not math.isfinite(z.sum()):
             # A non-finite value; zeros keep the row's unused work finite.
+            finite = np.isfinite(z).all(axis=-1)
             values = np.where(finite, values, np.nan)
             z[~finite] = 0.0
         done += 1
-        _tangent(ws, zs, _stack_views(g_new, layout))
-        s, dg = w_new - x, g_new - g
-        dots = zip(*(_row_dot(a, b).tolist() for a, b in (
-            (g_new, g_new), (s, s), (s, dg), (dg, dg))))
+        _tangent(ws, zs, gs)
+        np.subtract(w_new, x, out=gsd[:, 1])
+        np.subtract(g_new, g, out=gsd[:, 2])
+        # g.g, s.s, s.dg and dg.dg of each run, as one pairwise product.
+        dots = (gsd[:, _LEFT, None, :] @ gsd[:, _RIGHT, :, None]).reshape(
+            k, 4).tolist()
         accepted = np.zeros(k, dtype=bool)
         steps = [0.0] * k
-        keep, starts = [], []
+        keep, starts = [], []  # the rows of live runs, of refilled slots
         for j, (i, v, dot) in enumerate(zip(ids, values.tolist(), dots)):
             evals[i] += 1
             run = ascents[i]
@@ -292,24 +327,27 @@ def minimize(fun, x0s, shapes: tuple, rounds: int, tol: float, points=(),
                 continue
             stops[i] = stop
             if i >= len(points) and done < rounds:
-                starts.append(refill())
+                starts.append(j)
         if done >= rounds:
             for j in keep:
                 stops[ids[j]] = "rounds"
             break
 
         mask = accepted[:, None]
-        x = np.where(mask, w_new, x)
-        g = np.where(mask, g_new, g)
-        y = x - np.array(steps)[:, None] * g
-        if len(keep) < k:
-            x, g, y = x[keep], g[keep], y[keep]
-        ids = [ids[j] for j in keep]
-        if starts:
-            ids += range(len(evals), len(evals) + len(starts))
-            open_runs(len(starts))
-            new = _gathered(starts, shapes, layout)
-            x, g, y = (np.concatenate((m, new)) for m in (x, g, y))
+        np.copyto(x, w_new, where=mask)
+        np.copyto(g, g_new, where=mask)
+        np.multiply(np.array(steps)[:, None], g, out=y)
+        np.subtract(x, y, out=y)
+        # A stopped run's slot takes a new run, from the refill's row (also
+        # the placeholders of its point and gradient).
+        for j in starts:
+            ids[j] = len(evals)
+            open_runs(1)
+            x[j] = g[j] = y[j] = refill()
+        if len(keep) + len(starts) < k:
+            rows = sorted(keep + starts)
+            x, g, y = x[rows], g[rows], y[rows]
+            ys, ids = _stack_views(y, layout), [ids[j] for j in rows]
 
     return LockstepResult(
         fun=np.array(best_f), x=tuple(best_x), evals=tuple(evals),

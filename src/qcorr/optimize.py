@@ -27,17 +27,19 @@ Runs are deterministic for a fixed seed: RNG streams are spawned per
 restart, and user-supplied seed points are always evaluated directly, so
 the returned value never falls below any seed.
 
-Objectives are batched, and there is one contract: an objective takes the
-points' isometries, one (k, n_p, d_p) array per party, and returns k
-values and their Euclidean gradients, shaped as those isometries.  Seeds
-and random starts are handed over as per-party matrices, and the driver
-keeps each point as one real row, party after party, in the layout
-`isometry_from_params` reads: `OptimizationResult.params` is the
-winner's row, and `points` views it per party.  The driver takes the
-polar factors with one batched SVD per distinct party shape, so both
-I_CC parties share one when their shapes agree.  One objective
-call evaluates every point the live restarts need next: the seed points
-and the start point of each restart, then one trial point per restart.
+Objectives are batched, and there is one contract: an objective takes
+the points' isometries, one (k, n_p, d_p) array per party, and returns k
+values and their Euclidean gradients, shaped as those isometries.  The
+isometries are views into the driver's round arrays, valid only during
+the call.  Seeds and random starts are handed over as per-party
+matrices, and the driver keeps each point as one real row, party after
+party, in the layout `isometry_from_params` reads:
+`OptimizationResult.params` is the winner's row, and `points` views it
+per party.  The driver takes the polar factors with one batched SVD per
+distinct party shape, so both I_CC parties share one when their shapes
+agree.  One objective call evaluates every point the live restarts need
+next: the seed points and the start point of each restart, then one
+trial point per restart.
 The parameterizations below accept the same leading batch axes.
 """
 
@@ -240,9 +242,10 @@ def isometry_from_params(params: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def isometry_stack(w: np.ndarray) -> np.ndarray:
     """(..., n, d, d) projectors onto the conjugated rows of (..., n, d)
-    isometries: the elements of the general POVM family (hot path)."""
-    w = w.conj()
-    return np.ascontiguousarray(w[..., :, None] * w.conj()[..., None, :])
+    isometries: the elements of the general POVM family (hot path).
+    Element i is a a^dag for the conjugated row a = conj(w_i), taken as one
+    product of conj(w) and w, which is conj(a) bit for bit."""
+    return np.multiply(w.conj()[..., :, None], w[..., None, :], order="C")
 
 
 def general_stack(params: np.ndarray, d: int, n_outcomes: int) -> np.ndarray:
@@ -270,8 +273,11 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     one per party (an empty `shapes` raises ValueError), and `param_dim` =
     sum 2 n d.  `objective(*ws)` takes the polar factors of k points, one
     (k, n, d) array per party, and returns the k values and their Euclidean
-    gradients, shaped as the ws.  A point is a sequence of complex (n, d)
-    matrices, one per party: the seed points and the random starts alike.
+    gradients, shaped as the ws.  The ws are views into arrays the driver
+    rewrites every round, valid only during the call, so an objective
+    copies whatever it keeps of them.  A point is a sequence of complex
+    (n, d) matrices, one per party: the seed points and the random starts
+    alike.
     Another shape of a gradient or a seed matrix raises
     ValueError.  Seed points are evaluated directly, so the result never
     undercuts any of them, and take the first of the `cfg.restarts`
@@ -289,7 +295,10 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     its slot to a restart from a new random point (see
     `lockstep.minimize`), so the cost is set by the slots and the shapes
     alone, and the restarts still running after the last call stop as
-    "rounds".
+    "rounds".  Every random start is the normal(scale=pi/4, size=param_dim)
+    draws of its own stream spawned from `cfg.seed`: slot i's the i-th,
+    and the k-th refill's the (restarts + k)-th.  A refill hands those
+    draws to the driver as they are, as the point's real row.
     """
     shapes = tuple(shapes)
     if not shapes:
@@ -298,18 +307,19 @@ def maximize(objective, shapes, cfg: OptimizerConfig, seed_points=(),
     ss = np.random.SeedSequence(cfg.seed)
     streams = ss.spawn(cfg.restarts)
 
-    def random_start(stream):
-        rng = np.random.default_rng(stream)
-        return _matrices(rng.normal(scale=np.pi / 4, size=param_dim), shapes)
+    def random_row(stream):
+        """The real row of a random start: its normal draws."""
+        return np.random.default_rng(stream).normal(scale=np.pi / 4,
+                                                    size=param_dim)
 
     seed_points = list(seed_points)
     n_seeds = len(seed_points)
     starts = (seed_points if ascend_seeds else []) + [
-        random_start(s) for s in streams[n_seeds:]]
+        _matrices(random_row(s), shapes) for s in streams[n_seeds:]]
     res = minimize(objective, starts[:cfg.restarts], shapes,
                    min(2 * param_dim, cfg.max_evals), cfg.tol,
                    points=seed_points,
-                   refill=lambda: random_start(ss.spawn(1)[0]))
+                   refill=lambda: random_row(ss.spawn(1)[0]))
     names = ([f"seed {i}" for i in range(n_seeds)]
              + [f"restart {i}" for i in range(len(res.evals) - n_seeds)])
     best = int(np.argmax(res.fun))  # the earliest of the highest values

@@ -260,10 +260,18 @@ def permute_subsystems(rho: DensityMatrix, perm) -> DensityMatrix:
     if sorted(perm) != list(range(n)):
         raise StateError(f"invalid permutation {perm} for {n} subsystems")
     dims = rho.dims
-    t = rho.matrix.reshape(dims + dims)
+    return DensityMatrix(SubsystemLayout(tuple(dims[p] for p in perm)),
+                         _permuted_matrix(rho.matrix, dims, perm))
+
+
+def _permuted_matrix(mat: np.ndarray, dims: tuple[int, ...],
+                     perm: tuple[int, ...]) -> np.ndarray:
+    """The matrix of `permute_subsystems`, unvalidated: `mat` of a state of
+    local dimensions `dims` with output position k holding subsystem
+    perm[k]."""
+    n = len(dims)
     axes = perm + tuple(p + n for p in perm)
-    out = np.transpose(t, axes).reshape(rho.dim, rho.dim)
-    return DensityMatrix(SubsystemLayout(tuple(dims[p] for p in perm)), out)
+    return np.transpose(mat.reshape(dims + dims), axes).reshape(mat.shape)
 
 
 def partial_transpose(rho: DensityMatrix, positions) -> np.ndarray:

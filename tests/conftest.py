@@ -248,11 +248,10 @@ def _oracle_stiefel_ascent(x0, tol):
     """One ascent run as a generator: each `yield` hands out one point, a
     list of (1, 1, n, d) stacks, one per party, and receives its values,
     Euclidean gradients and polar factors in that form."""
-    from qcorr.lockstep import (_ARMIJO, _FIRST_STEP, _MAX_STEP, _row_dot,
-                                _tangent)
+    from qcorr.lockstep import _ARMIJO, _FIRST_STEP, _MAX_STEP, _tangent
 
     def dot(a, b):
-        return float(_row_dot(_real_row(a), _real_row(b))[0])
+        return float(np.vdot(_real_row(a), _real_row(b)))
 
     def minus(a, b):
         return [p - q for p, q in zip(a, b)]
@@ -295,10 +294,12 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=(),
     """`lockstep.minimize` with every run a generator stepped one at a
     time: the points of all live runs gather into one `fun` call per round,
     and each run gets its own back.  Points are per-party matrices, held as
-    one (k, 1, n, d) stack per party.  The step rule is written out apart
-    from `lockstep._Ascent`; the polar factors, tangent projection and row
-    dots are the library's, so a comparison pins the step logic and the
-    round bookkeeping, not the linear algebra.  Returns the
+    one (k, 1, n, d) stack per party; `refill()` returns a real row, as the
+    driver's does.  The step rule is written out apart
+    from `lockstep._Ascent`; the polar factors and tangent projection are
+    the library's and each dot is `np.vdot` of two real rows, so a
+    comparison pins the step logic, the round bookkeeping and the bits of
+    the driver's batched dots, not the linear algebra.  Returns the
     `LockstepResult` fields (fun, x, evals, stops, non_finite)."""
     from qcorr.lockstep import _polar
 
@@ -328,7 +329,7 @@ def oracle_lockstep_minimize(fun, x0s, shapes, rounds, tol, points=(),
         stops[i] = reason
         del pending[i]
         if i >= n_points and done < rounds:
-            runs.append(start(refill()))
+            runs.append(start(split_point(refill(), shapes)))
             best_f.append(-np.inf)
             best_x.append(zeros)
             evals.append(0)

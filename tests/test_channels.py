@@ -101,6 +101,22 @@ def test_operators_are_one_read_only_complex_stack():
     assert ch.kraus[0, 0, 0] == 1.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: computational_povm(2),
+    lambda: depolarizing_channel(2),
+], ids=["Povm", "KrausChannel"])
+def test_operator_families_compare_and_hash_by_identity(make):
+    # An array has no single truth value, so == is identity: an equal-valued
+    # copy compares unequal, and either works as a set member or a dict key.
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert {a, b, a} == {a, b} and len({a, b}) == 2
+    keyed = {a: "a", b: "b"}
+    assert keyed[a] == "a" and keyed[b] == "b"
+    assert hash(a) == hash(a)
+
+
 class TestKrausChannel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_operator(self, bad):

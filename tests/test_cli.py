@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ def test_petz_local_channel(tmp_path):
     assert payload["mode"] == "local_A"
     assert payload["recovery_trace_distance"] <= 1e-10
     assert payload["I_after"] == pytest.approx(payload["I_before"], abs=1e-9)
+
+
+def test_petz_product_output_has_zero_information(tmp_path):
+    # Fully depolarizing party A leaves a product state, whose I came out
+    # as -4.440892098500626e-16 before mutual information was clamped.
+    state = tmp_path / "qutrit.json"
+    random_density((3, 3), 9, np.random.default_rng(7)).save(state)
+    chan_path = tmp_path / "chan.json"
+    depolarizing_channel(3).save(chan_path)
+    out = tmp_path / "petz.json"
+    assert main(["petz", str(state), str(chan_path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["mode"] == "local_A"
+    assert payload["I_after"] == 0.0
+    assert math.copysign(1.0, payload["I_after"]) == 1.0
+    assert payload["I_before"] > 0.0
 
 
 def test_petz_global_depolarizing(tmp_path):

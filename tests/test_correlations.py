@@ -23,10 +23,10 @@ from qcorr.corpus import (
 )
 from qcorr.correlations import (
     Ensemble,
+    _cc_objective,
     _cc_value,
-    _cc_value_grad,
+    _cq_objective,
     _cq_value,
-    _cq_value_grad,
     cc_state,
     classical_mutual_information,
     correlation_report,
@@ -62,6 +62,7 @@ from qcorr.qstate import (
     partial_trace,
     permute_subsystems,
     pure_state,
+    tensor,
     von_neumann_entropy,
 )
 
@@ -95,6 +96,27 @@ class TestMutualInformation:
         assert mutual_information(product_state(2, 3, rng)) == pytest.approx(
             0.0, abs=1e-10
         )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_product_states_never_below_zero(self, seed):
+        # Unclamped, S(A) + S(B) - S(AB) of most of these products rounds
+        # a few ulps below zero; the result is +0.0 or above, never -0.0.
+        rng = np.random.default_rng(seed)
+        cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
+        for dims in ((2, 2), (2, 3), (3, 3)):
+            rho = product_state(*dims, rng)
+            values = [mutual_information(rho), mutual_information(rho, (1,)),
+                      multipartite_mutual_information(rho),
+                      correlation_report(rho, cfg).I]
+            for value in values:
+                assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+                assert value <= 1e-12
+        three = tensor(tensor(random_density((2,), 2, rng),
+                              random_density((2,), 2, rng)),
+                       random_density((3,), 3, rng))
+        value = multipartite_mutual_information(three)
+        assert 0.0 <= value <= 1e-12
+        assert math.copysign(1.0, value) == 1.0
 
     def test_matches_relative_entropy_form(self, rng):
         rho = random_density((2, 3), 4, rng)
@@ -357,8 +379,6 @@ class TestStackedPartyObjectives:
         rng = np.random.default_rng(9000 + 10 * d_a + d_b)
         rho = random_density(dims, d_a * d_b, rng)
         rho_mat = np.ascontiguousarray(rho.matrix)
-        rho_swap = np.ascontiguousarray(
-            permute_subsystems(rho, (1, 0)).matrix)
         cfg = OptimizerConfig(seed=0, restarts=1, max_evals=5)
         searches, _ = self._recorded_objectives(rho, cfg, monkeypatch)
         monkeypatch.undo()
@@ -394,8 +414,7 @@ class TestStackedPartyObjectives:
                                  general_stack(y[:, :split], d_a, n_a),
                                  general_stack(y[:, split:], d_b, n_b))
                 assert np.array_equal(got, want), (n_a, k)
-                want, want_grad = _cc_value_grad(rho_mat, rho_swap,
-                                                 want_a, want_b)
+                want, want_grad = _cc_objective(rho)(want_a, want_b)
                 assert np.array_equal(got, want), (n_a, k)
                 for g, want_g in zip(grad, want_grad):
                     assert np.array_equal(g, want_g), (n_a, k)
@@ -457,23 +476,15 @@ def _general_objectives(rho, kind, projective=False):
     d_a, d_b = rho.dims
     n_a, n_b = (d_a, d_b) if projective else (d_a * d_a, d_b * d_b)
     rho_mat = np.ascontiguousarray(rho.matrix)
-    rho_swap = np.ascontiguousarray(
-        permute_subsystems(rho, (1, 0)).matrix)
     s_b = von_neumann_entropy(partial_trace(rho, (1,)))
     if kind == "cq":
-        def with_grad(w):
-            return _cq_value_grad(rho_mat, rho_swap, s_b, w)
-
         def value(w):
             return _cq_value(rho_mat, s_b, isometry_stack(w))
-        return with_grad, value, ((n_a, d_a),)
-
-    def with_grad(w_a, w_b):
-        return _cc_value_grad(rho_mat, rho_swap, w_a, w_b)
+        return _cq_objective(rho, s_b), value, ((n_a, d_a),)
 
     def value(w_a, w_b):
         return _cc_value(rho_mat, isometry_stack(w_a), isometry_stack(w_b))
-    return with_grad, value, ((n_a, d_a), (n_b, d_b))
+    return _cc_objective(rho), value, ((n_a, d_a), (n_b, d_b))
 
 
 def _random_matrices(rng, k, shapes):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_lockstep_minimize, pack_point, split_point
 from qcorr.channels import Povm
-from qcorr.correlations import _cc_value_grad
-from qcorr.lockstep import _matrices
+from qcorr.correlations import _cc_objective
+from qcorr.lockstep import _matrices, _polar
 from qcorr.optimize import (
     OptimizerConfig,
     general_povm,
@@ -20,7 +20,6 @@ from qcorr.optimize import (
     random_density,
     unitary_from_params,
 )
-from qcorr.qstate import permute_subsystems
 
 
 class TestRandomObjects:
@@ -226,14 +225,8 @@ def _cc_general_objective(dims, seed):
     d_a, d_b = dims
     rng = np.random.default_rng(seed)
     rho = random_density(dims, d_a * d_b, rng)
-    rho_mat = np.ascontiguousarray(rho.matrix)
-    rho_swap = np.ascontiguousarray(
-        permute_subsystems(rho, (1, 0)).matrix)
     n_a, n_b = d_a * d_a, d_b * d_b
-
-    def objective(w_a, w_b):
-        return _cc_value_grad(rho_mat, rho_swap, w_a, w_b)
-    return objective, ((n_a, d_a), (n_b, d_b)), rng
+    return _cc_objective(rho), ((n_a, d_a), (n_b, d_b)), rng
 
 
 def _distance_to(target):
@@ -626,29 +619,50 @@ class TestFixedRounds:
     def test_random_starts_keep_their_streams(self, shapes):
         # Slot i starts from the normal(scale=pi/4, size=param_dim) draws of
         # the i-th stream spawned from the seed, viewed as complex and split
-        # party after party: the first call sees their polar factors.
+        # party after party: the first call sees their polar factors.  The
+        # k-th refill starts from those of the (restarts + k)-th stream.
         objective = _quadratic_on_isometries(shapes, 2)
-        first = []
+        calls = []
 
         def recording(*ws):
-            if not first:
-                first.extend(w.copy() for w in ws)
+            calls.append([w.copy() for w in ws])
             return objective(*ws)
 
-        cfg = OptimizerConfig(seed=9, restarts=3, max_evals=4)
-        maximize(recording, shapes, cfg)
+        cfg = OptimizerConfig(seed=9, restarts=3, max_evals=60, tol=1e-2)
+        res = maximize(recording, shapes, cfg)
         param_dim = sum(2 * n * d for n, d in shapes)
-        streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+        refills = len(res.restart_evals) - cfg.restarts
+        assert refills >= 2
+        streams = np.random.SeedSequence(cfg.seed).spawn(
+            cfg.restarts + refills)
+        first = calls[0]
         assert [len(w) for w in first] == [cfg.restarts] * len(shapes)
-        for i, stream in enumerate(streams):
+
+        def polar_factors(stream):
             draws = np.random.default_rng(stream).normal(scale=np.pi / 4,
                                                          size=param_dim)
-            z, start = draws.view(complex), 0
-            for w, (n, d) in zip(first, shapes):
+            z, start, factors = draws.view(complex), 0, []
+            for n, d in shapes:
                 g = z[start:start + n * d].reshape(n, d)
                 u, _, vh = np.linalg.svd(g, full_matrices=False)
-                assert np.array_equal(w[i], u @ vh), (i, n, d)
+                factors.append(u @ vh)
                 start += n * d
+            return factors
+
+        for i, stream in enumerate(streams[:cfg.restarts]):
+            for w, want, (n, d) in zip(first, polar_factors(stream), shapes):
+                assert np.array_equal(w[i], want), (i, n, d)
+        # Each refill's start shows up in a later call than the previous
+        # refill's (or the same one), in one row for every party.
+        last = 1
+        for k, stream in enumerate(streams[cfg.restarts:]):
+            want = polar_factors(stream)
+            found = [(c, r) for c in range(last, len(calls))
+                     for r in range(len(calls[c][0]))
+                     if all(np.array_equal(w[r], v)
+                            for w, v in zip(calls[c], want))]
+            assert found, k
+            last = found[0][0]
 
     def test_seeds_left_unascended_keep_their_slots(self, rng):
         objective, shapes, _ = _linear_on_isometries(
@@ -671,6 +685,67 @@ class TestFixedRounds:
                              seed_points=seeds, ascend_seeds=False)
         assert none_left.restart_evals == ()
         assert none_left.n_evals == 2
+
+
+class TestResultsOwnTheirArrays:
+    """The driver rewrites its round arrays every round and hands the
+    objective views of them; no result may alias them."""
+
+    SHAPES = ((4, 2), (3, 3))
+
+    def _recorded(self, seen):
+        objective = _quadratic_on_isometries(self.SHAPES, 5)
+
+        def recording(*ws):
+            seen.extend(ws)  # the views themselves, not copies
+            return objective(*ws)
+        return recording
+
+    def test_lockstep_rows_survive_more_rounds_and_another_run(self, rng):
+        size = sum(2 * n * d for n, d in self.SHAPES)
+        rows = rng.normal(scale=np.pi / 4, size=(5, size))
+        points = [split_point(x, self.SHAPES) for x in rows[:2]]
+        x0s = [split_point(x, self.SHAPES) for x in rows[2:]]
+        seen = []
+        res = minimize(self._recorded(seen), x0s, self.SHAPES, rounds=30,
+                       tol=0.1, points=points,
+                       refill=lambda: rng.normal(scale=np.pi / 4, size=size))
+        assert res.stops[:2] == ("evaluated", "evaluated")
+        assert len(res.evals) > 5  # slots were refilled
+        # The seed points' rows were taken in the first round of 30, and
+        # every run's row is still the point that reached its value.
+        for got, want in zip(res.x[:2], rows[:2]):
+            assert np.array_equal(got, want)
+        objective = _quadratic_on_isometries(self.SHAPES, 5)
+        for x, f in zip(res.x, res.fun):
+            ws = [_polar(m)[None] for m in _matrices(x, self.SHAPES)]
+            assert objective(*ws)[0][0] == pytest.approx(f, rel=1e-12)
+        kept = [x.copy() for x in res.x]
+        assert not any(np.shares_memory(x, w) for x in res.x for w in seen)
+        minimize(self._recorded([]), x0s, self.SHAPES, rounds=30, tol=0.1,
+                 points=points,
+                 refill=lambda: rng.normal(scale=np.pi / 4, size=size))
+        assert all(np.array_equal(x, k) for x, k in zip(res.x, kept))
+
+    def test_search_results_survive_another_search(self, rng):
+        size = sum(2 * n * d for n, d in self.SHAPES)
+        seeds = [split_point(x, self.SHAPES)
+                 for x in rng.normal(scale=np.pi / 4, size=(2, size))]
+        cfg = OptimizerConfig(seed=3, restarts=4, max_evals=40, tol=0.1)
+        seen = []
+        res = maximize(self._recorded(seen), self.SHAPES, cfg,
+                       seed_points=seeds)
+        assert len(res.restart_evals) > cfg.restarts  # slots were refilled
+        params, values = res.params.copy(), res.restart_values
+        points = [p.copy() for p in res.points]
+        assert not any(np.shares_memory(a, w) for a in (res.params,
+                                                         *res.points)
+                       for w in seen)
+        maximize(self._recorded([]), self.SHAPES,
+                 dataclasses.replace(cfg, seed=4), seed_points=seeds)
+        assert np.array_equal(res.params, params)
+        assert all(np.array_equal(p, q) for p, q in zip(res.points, points))
+        assert res.restart_values == values
 
 
 def _quadratic_on_isometries(shapes, seed):
@@ -745,8 +820,7 @@ class TestLockstepMatchesOracle:
 
         def refill_from(seed):
             stream = np.random.default_rng(seed)
-            return lambda: split_point(
-                stream.normal(scale=np.pi / 4, size=size), shapes)
+            return lambda: stream.normal(scale=np.pi / 4, size=size)
 
         args = (fun, x0s, shapes, rounds, tol)
         got = minimize(*args, points=points, refill=refill_from(1))
