@@ -40,8 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import (TAU_PSD, DensityMatrix, StateError, _operator_stack,
-                     _pair_entries, partial_transpose)
+from .qstate import (TAU_PSD, DensityMatrix, StateError, _check_side,
+                     _operator_stack, _pair_entries, partial_transpose)
 
 TAU_CLASS = 1e-8
 # A Jacobi sweep that lowers the off-diagonal mass by at most this fraction
@@ -230,16 +230,15 @@ def _conditional_family(rho: DensityMatrix, side: int):
     as a (members, d, d) stack in `_family_index` order, and d."""
     if rho.layout.n_subsystems != 2:
         raise StateError("classification requires a bipartite layout")
+    _check_side(side)
     d_a, d_b = rho.dims
     r = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     if side == 0:
         d_cond, d_reg = d_a, d_b
         blocks = r.transpose(1, 3, 0, 2)  # blocks[m, n] = r[:, m, :, n]
-    elif side == 1:
+    else:
         d_cond, d_reg = d_b, d_a
         blocks = r.transpose(0, 2, 1, 3)  # blocks[m, n] = r[m, :, n, :]
-    else:
-        raise StateError(f"side must be 0 or 1, got {side}")
     blocks_h = blocks.conj().swapaxes(-1, -2)
     kinds = np.stack([blocks, blocks + blocks_h, 1j * (blocks - blocks_h)])
     return kinds[_family_index(d_reg)], d_cond

@@ -8,11 +8,16 @@ Reports enforce the chain I >= I_CQ >= I_CC >= 0 by construction: the CC
 optimum's A-measurement is re-scored as a CQ candidate, and the final
 values are clamped downward along the chain (clamps act only at numerical
 noise level).
+
+Each `optimize_icq` call builds one record (`_Parties`) of rho's marginals,
+forms and seed bases; party 1 is measured from the form of rho's swap.  The
+record is cached nowhere, since a benchmark that repeats a call on one
+state would then time cache hits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +49,7 @@ from .qstate import (
     DensityMatrix,
     ProbVector,
     StateError,
+    _check_side,
     _pair_entries,
     _permuted_matrix,
     partial_trace,
@@ -111,12 +117,12 @@ def multipartite_mutual_information(rho: DensityMatrix) -> float:
 
 
 def classical_mutual_information(joint: ClassicalJoint) -> float:
-    """Shannon mutual information of a bipartite joint distribution, in bits."""
+    """Shannon mutual information of a bipartite joint, in bits (>= 0)."""
     if joint.p.ndim != 2:
         raise StateError("classical mutual information needs a bipartite joint")
     h_a = joint.marginal(0).entropy_bits()
     h_b = joint.marginal(1).entropy_bits()
-    return h_a + h_b - joint.entropy_bits()
+    return max(0.0, h_a + h_b - joint.entropy_bits())
 
 
 def holevo_chi(ensemble: Ensemble) -> float:
@@ -134,9 +140,10 @@ def holevo_chi(ensemble: Ensemble) -> float:
 
 
 def cq_state(rho: DensityMatrix, povm_a: Povm, side: int = 0) -> DensityMatrix:
-    """Post-measurement state (M (x) id)[rho] for the POVM on one party."""
+    """Post-measurement state (M (x) id)[rho] of the POVM on party `side`."""
     if rho.layout.n_subsystems != 2:
         raise StateError("cq_state requires a bipartite layout")
+    _check_side(side)
     if povm_a.dim != rho.dims[side]:
         raise StateError("POVM dimension does not match the measured party")
     return apply_local(measurement_channel(povm_a), side, rho)
@@ -161,6 +168,38 @@ def cc_state(rho: DensityMatrix, povm_a: Povm,
 # Measurement optimization
 
 
+class _Parties:
+    """What the measurement searches read of a bipartite state `rho`."""
+
+    def __init__(self, rho: DensityMatrix):
+        if rho.layout.n_subsystems != 2:
+            raise StateError("measurement searches need a bipartite layout")
+        self.rho = rho
+        self.marginals = (partial_trace(rho, (0,)), partial_trace(rho, (1,)))
+        self.entropies = tuple(map(von_neumann_entropy, self.marginals))
+        d_a, d_b = rho.dims
+        # cq_forms[s] measures party s: party 1's is the form of the swap,
+        # whose blocks trace out party 0.
+        self.cq_forms = (cq_form(rho.matrix, d_a), cq_form(
+            _permuted_matrix(rho.matrix, rho.dims, (1, 0)), d_b))
+        self.cc_form = cc_form(rho.matrix, d_a)
+        self._seeds = {}
+
+    def information(self) -> float:  # I(A:B) of rho
+        return _information(self.entropies[0] + self.entropies[1], self.rho)
+
+    def seeds(self, side: int) -> tuple[np.ndarray, ...]:
+        """Party `side`'s projective seeds, built on first use: W = U^dag
+        of the bases U (as columns) of the computational basis, the
+        marginal's eigenbasis and the classical basis."""
+        if side not in self._seeds:
+            _, eigvecs = np.linalg.eigh(self.marginals[side].matrix)
+            basis = classical_basis(self.rho, side)
+            self._seeds[side] = tuple(np.conj(u).T for u in (
+                np.eye(len(basis)), eigvecs, basis))
+        return self._seeds[side]
+
+
 @dataclass(frozen=True)
 class MeasurementOptimum:
     """Best measurement found for one correlation functional."""
@@ -173,15 +212,10 @@ class MeasurementOptimum:
     # The projective-family search, run first whatever `family` won; for
     # I_CQ it is the search that defines the discord bound.
     projective: OptimizationResult
-    # Party A's projective seed matrices (`_local_bases_seeds`) of
-    # a side-0 I_CQ search, kept so the I_CC search can reuse them.
-    seeds_a: tuple[np.ndarray, ...] = ()
+    # The searched state's record, which the I_CC search and reports reuse.
+    parties: _Parties = field(repr=False, compare=False)
     # The general-family search, run second; None under `projective_only`.
     general: OptimizationResult | None = None
-    # The marginals (rho_A, rho_B) of a side-0 I_CQ search's state, built
-    # once there and kept so the I_CC search and `correlation_report`
-    # reuse them.
-    marginals: tuple[DensityMatrix, ...] = ()
 
 
 def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray):
@@ -234,21 +268,18 @@ def _isometry_gradient(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 2 * (w[..., None, :] @ q)[..., 0, :]
 
 
-def _cq_objective(rho: DensityMatrix, s_b: float):
-    """The I_CQ search objective on party 0 of rho, S(B) = `s_b`: w ->
-    (the values of `_cq_value` on the general POVMs of isometries w
-    (..., n, dA), and their gradients, one (..., n, dA) array in a tuple).
+def _cq_objective(parties: _Parties, side: int):
+    """The I_CQ search objective on party `side` of the record's state:
+    w -> (the values of `_cq_value` on the general POVMs of isometries w
+    (..., n, d), and their gradients, one (..., n, d) array in a tuple).
 
     One `eigh` of the blocks B_i gives both: the derivative of I in B_i is
     L_i = log2 B_i - log2 p_i (Lewis, "Derivatives of spectral functions",
     Math. Oper. Res. 21, 1996), and Tr[L_i dB_i] = Tr[dM_i Q_i] with
-    Q_i = Tr_B[(I (x) L_i) rho].  The forms of rho and of its swap are
-    built once, here.
+    Q_i = Tr_B[(I (x) L_i) rho].
     """
-    d_a, d_b = rho.dims
-    form = cq_form(rho.matrix, d_a)
-    # The parties exchanged: its blocks trace out the measured one.
-    form_swap = cq_form(_permuted_matrix(rho.matrix, rho.dims, (1, 0)), d_b)
+    form, form_swap = parties.cq_forms[side], parties.cq_forms[1 - side]
+    s_b = parties.entropies[1 - side]
 
     def value_grad(w):
         blocks = cq_contract(form, isometry_stack(w))
@@ -261,8 +292,8 @@ def _cq_objective(rho: DensityMatrix, s_b: float):
     return value_grad
 
 
-def _cc_objective(rho: DensityMatrix):
-    """The I_CC search objective of rho: (w_a, w_b) -> (the values of
+def _cc_objective(parties: _Parties):
+    """The I_CC search objective on the record: (w_a, w_b) -> (the values of
     `_cc_value` on the general POVMs of isometries w_a (..., nA, dA) and
     w_b (..., nB, dB), and their gradients, shaped as w_a and w_b).
 
@@ -270,12 +301,9 @@ def _cc_objective(rho: DensityMatrix):
     a constant that completeness cancels), so party A's direction for
     element i is Q_i = sum_j g_ij R_j with R_j = Tr_B[(I (x) N_j) rho], and
     party B's is built the same way from the blocks Tr_A[(M_i (x) I) rho].
-    The three forms of rho are built once, here.
     """
-    d_a, d_b = rho.dims
-    joint = cc_form(rho.matrix, d_a)
-    form_a = cq_form(rho.matrix, d_a)
-    form_b = cq_form(_permuted_matrix(rho.matrix, rho.dims, (1, 0)), d_b)
+    joint = parties.cc_form
+    form_a, form_b = parties.cq_forms
 
     def direction(weights, blocks):
         *batch, n, d, _ = blocks.shape
@@ -295,17 +323,6 @@ def _cc_objective(rho: DensityMatrix):
     return value_grad
 
 
-def _local_bases_seeds(rho: DensityMatrix,
-                       marginal: DensityMatrix) -> list[np.ndarray]:
-    """Projective seed matrices of party 0 of rho, whose marginal is
-    `marginal`: the isometries W = U^dag of the bases U (as columns) of the
-    computational basis, the marginal's eigenbasis and the classical
-    basis."""
-    _, eigvecs = np.linalg.eigh(marginal.matrix)
-    return [np.conj(u).T
-            for u in (np.eye(marginal.dim), eigvecs, classical_basis(rho, 0))]
-
-
 def _outcome_counts(cfg: OptimizerConfig, dims: tuple) -> tuple | None:
     """Outcome counts of the general POVM family on parties of local
     dimensions `dims` (None under `cfg.projective_only`).  Raises
@@ -323,8 +340,8 @@ def _outcome_counts(cfg: OptimizerConfig, dims: tuple) -> tuple | None:
     return counts
 
 
-def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
-             general_seeds) -> MeasurementOptimum:
+def _measure(parties, value_grad, dims: tuple, cfg: OptimizerConfig,
+             proj_seeds, general_seeds) -> MeasurementOptimum:
     """Best measurement found on parties of local dimensions `dims`.
 
     `value_grad(*ws)` gives the values and gradients of the functional at
@@ -355,7 +372,7 @@ def _measure(value_grad, dims: tuple, cfg: OptimizerConfig, proj_seeds,
 
     counts = _outcome_counts(cfg, dims)
     proj_res = search(dims, proj_seeds)
-    best = MeasurementOptimum(projective=proj_res,
+    best = MeasurementOptimum(projective=proj_res, parties=parties,
                               **found(proj_res, "projective"))
     if counts is None:
         return best
@@ -385,19 +402,11 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     `cfg.outcome_count` outcomes (default d^2).  `side` is the measured
     party, 0 or 1; any other raises `StateError`.
     """
-    if rho.layout.n_subsystems != 2:
-        raise StateError("optimize_icq requires a bipartite layout")
-    if side not in (0, 1):
-        raise StateError(f"side must be 0 or 1, got {side!r}")
-    work = rho if side == 0 else permute_subsystems(rho, (1, 0))
-    marginals = (partial_trace(work, (0,)), partial_trace(work, (1,)))
-    bases = _local_bases_seeds(work, marginals[0])
-    seeds = [(x,) for x in bases]
-    best = _measure(_cq_objective(work, von_neumann_entropy(marginals[1])),
-                    (work.dims[0],), cfg, seeds, lambda x: [*seeds, x])
-    if side:
-        return best
-    return replace(best, seeds_a=tuple(bases), marginals=marginals)
+    _check_side(side)
+    parties = _Parties(rho)
+    seeds = [(x,) for x in parties.seeds(side)]
+    return _measure(parties, _cq_objective(parties, side), (rho.dims[side],),
+                    cfg, seeds, lambda x: [*seeds, x])
 
 
 def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -408,19 +417,12 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     eigenbasis, so the bound never falls below the classical mutual
     information of that pairing, and the classical bases of both sides,
     which makes the bound exact on CC states.  `icq` is the side-0 I_CQ
-    optimum; its A-side seeds and B marginal are reused rather than
-    recomputed.
+    optimum, whose record is reused if it was found on this very `rho`.
     """
-    if rho.layout.n_subsystems != 2:
-        raise StateError("optimize_icc requires a bipartite layout")
     if icq is None:
         icq = optimize_icq(rho, cfg)
-
-    seeds_a = list(icq.seeds_a) or _local_bases_seeds(
-        rho, partial_trace(rho, (0,)))
-    # The swapped state's party-0 marginal is rho_B, entry for entry.
-    rho_b = icq.marginals[1] if icq.marginals else partial_trace(rho, (1,))
-    seeds_b = _local_bases_seeds(permute_subsystems(rho, (1, 0)), rho_b)
+    parties = icq.parties if icq.parties.rho is rho else _Parties(rho)
+    seeds_a, seeds_b = parties.seeds(0), parties.seeds(1)
 
     pairs = list(zip(seeds_a, seeds_b))
     proj_seeds = [*pairs, (seeds_a[0], seeds_b[1])]
@@ -435,8 +437,8 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
             x_cq = x[0]
         return [*pairs, x, (x_cq, seeds_b[1])]
 
-    return _measure(_cc_objective(rho), rho.dims, cfg, proj_seeds,
-                    general_seeds)
+    return _measure(parties, _cc_objective(parties), rho.dims, cfg,
+                    proj_seeds, general_seeds)
 
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -444,8 +446,8 @@ def discord(rho: DensityMatrix, cfg: OptimizerConfig,
     """Gap I - I_CQ with the measured party `side` (0 or 1, as in
     `optimize_icq`) restricted to complete projective measurements; an
     upper bound on the true discord."""
-    i = mutual_information(rho)
     icq = optimize_icq(rho, replace(cfg, projective_only=True), side=side)
+    i = icq.parties.information()
     return max(i - min(icq.value, i), 0.0)
 
 
@@ -498,13 +500,11 @@ def correlation_report(rho: DensityMatrix,
     icq = optimize_icq(rho, cfg)
     icc = optimize_icc(rho, cfg, icq=icq)
 
-    # I from the marginals the I_CQ search built.
-    rho_a, rho_b = icq.marginals
-    s_b = von_neumann_entropy(rho_b)
-    i = _information(von_neumann_entropy(rho_a) + s_b, rho)
+    i = icq.parties.information()
     # Re-score the CC optimum's A-measurement as a CQ candidate so the
     # reported chain holds structurally (data processing on the B side).
-    cq_at_cc = _cq_value(rho.matrix, s_b, icc.povm_a.elements)
+    cq_at_cc = _cq_value(rho.matrix, icq.parties.entropies[1],
+                         icc.povm_a.elements)
 
     # I is never below zero; the measured bounds stop at zero too.
     i_cq = max(min(i, max(icq.value, cq_at_cc)), 0.0)

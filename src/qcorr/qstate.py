@@ -88,6 +88,13 @@ def _int_tuple(values, error: type[ValueError]) -> tuple[int, ...]:
         raise error(f"expected a list of integers, got {values!r}") from exc
 
 
+def _check_side(side) -> None:
+    """Raise `StateError` unless `side` names a party of a bipartite state:
+    0 or 1."""
+    if side not in (0, 1):
+        raise StateError(f"side must be 0 or 1, got {side!r}")
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered local Hilbert-space dimensions."""

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -23,6 +24,7 @@ from qcorr.corpus import (
 )
 from qcorr.correlations import (
     Ensemble,
+    _Parties,
     _cc_objective,
     _cc_value,
     _cq_objective,
@@ -78,6 +80,9 @@ def test_optimize_icq_and_discord_reject_other_sides(side):
         optimize_icq(rho, cfg, side=side)
     with pytest.raises(StateError, match="side must be 0 or 1"):
         discord(rho, cfg, side=side)
+    # A qubit POVM: it fits party 0, so only the side can be at fault.
+    with pytest.raises(StateError, match="side must be 0 or 1"):
+        cq_state(rho, projective_basis_povm(np.eye(2)), side=side)
     assert optimize_icq(rho, cfg, side=1).povm_a.dim == 3
 
 
@@ -143,6 +148,23 @@ class TestClassicalQuantities:
         assert classical_mutual_information(joint) == pytest.approx(
             0.2780719051126379, abs=1e-12
         )
+
+    def test_classical_mi_of_products_never_below_zero(self, rng):
+        # Unclamped, H(A) + H(B) - H(AB) of about a quarter of these joints
+        # rounds a few ulps below zero; the result is +0.0 or above.
+        joints = [np.outer(rng.dirichlet(np.ones(m)),
+                           rng.dirichlet(np.ones(n)))
+                  for m, n in ((2, 2), (2, 3), (3, 3), (4, 2)) * 50]
+        for _ in range(50):
+            rho = tensor(random_density((2,), 2, rng),
+                         random_density((2,), 2, rng))
+            pa = projective_basis_povm(haar_unitary(2, rng))
+            pb = projective_basis_povm(haar_unitary(2, rng))
+            joints.append(cc_state(rho, pa, pb)[1].p)
+        values = [classical_mutual_information(ClassicalJoint(p))
+                  for p in joints]
+        assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+        assert max(values) <= 1e-12
 
     def test_holevo_two_pure_states_frozen_value(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -240,28 +262,41 @@ class TestOptimizedBounds:
         assert rep.optimizer_meta["icq_projective"] == standalone
 
     def test_report_reuses_side_a_seeds(self, rng, monkeypatch):
-        import qcorr.classify as classify_mod
-
-        calls = []
-        real = classify_mod.joint_diagonalize
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(classify_mod, "joint_diagonalize", counting)
+        calls = _count_work(monkeypatch)
         rho = random_density((2, 3), 4, rng)
         rep = correlation_report(rho, SMALL)
         # One classical basis per side; side A's is computed once, not
         # twice, and the seed bases are packed as isometries directly.
-        assert len(calls) == 2
+        assert calls.count("joint_diagonalize") == 2
         monkeypatch.undo()
         icq = optimize_icq(rho, SMALL)
-        assert len(icq.seeds_a) == 3
-        fresh = optimize_icc(rho, SMALL,
-                             icq=dataclasses.replace(icq, seeds_a=()))
+        assert len(icq.parties.seeds(0)) == 3
+        # The same state as another object: the I_CC search builds its
+        # own record rather than reuse the I_CQ search's.
+        twin = DensityMatrix(rho.layout, rho.matrix)
+        fresh = optimize_icc(twin, SMALL, icq=icq)
+        assert fresh.parties is not icq.parties
         assert rep.optimizer_meta["icc"] == fresh.result.to_dict()
         assert rep.I_cc_lower == min(rep.I_cq_lower, fresh.value)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_work_per_call(self, dims, monkeypatch):
+        # A report validates two states (the marginals), takes their
+        # entropies and S(rho), and joint-diagonalizes once per side; party
+        # 1's I_CQ search validates the same two marginals and no swapped
+        # state, and diagonalizes once.
+        rho = random_density(dims, 4, np.random.default_rng(31))
+        calls = _count_work(monkeypatch)
+        correlation_report(rho, SMALL)
+        assert collections.Counter(calls) == {
+            "DensityMatrix": 2, "von_neumann_entropy": 3,
+            "joint_diagonalize": 2}
+        calls.clear()
+        icq = optimize_icq(rho, SMALL, side=1)
+        assert collections.Counter(calls) == {
+            "DensityMatrix": 2, "von_neumann_entropy": 2,
+            "joint_diagonalize": 1}
+        assert icq.parties.rho is rho
 
 
     # On these states the general family cannot beat the projective one;
@@ -276,6 +311,55 @@ class TestOptimizedBounds:
         rep = correlation_report(state(), SMALL)
         assert rep.optimizer_meta["icq_family"] == "projective"
         assert rep.optimizer_meta["icc_family"] == "projective"
+
+
+def _count_work(monkeypatch) -> list:
+    """Record the name of each state validation ("DensityMatrix"),
+    entropy taken by `qcorr.correlations` and Jacobi run, until
+    `monkeypatch.undo()`."""
+    import qcorr.classify as classify_mod
+    import qcorr.correlations as corr_mod
+
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted(
+        "DensityMatrix", DensityMatrix.__post_init__))
+    monkeypatch.setattr(classify_mod, "joint_diagonalize", counted(
+        "joint_diagonalize", classify_mod.joint_diagonalize))
+    monkeypatch.setattr(corr_mod, "von_neumann_entropy", counted(
+        "von_neumann_entropy", corr_mod.von_neumann_entropy))
+    return calls
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("cfg", [
+    SMALL, OptimizerConfig(seed=0, restarts=6, max_evals=300)],
+    ids=["report", "six_restarts"])
+def test_party_one_is_measured_as_the_swap_party_zero(dims, cfg):
+    # Party 1's search reads the swap's form, marginal and classical basis
+    # off rho itself; its results are those of the swapped state's party-0
+    # search, bit for bit.
+    rng = np.random.default_rng(7300 + 10 * dims[0] + dims[1])
+    for rank in (2, dims[0] * dims[1]):
+        rho = random_density(dims, rank, rng)
+        swap = permute_subsystems(rho, (1, 0))
+        got, want = optimize_icq(rho, cfg, side=1), optimize_icq(swap, cfg)
+        assert got.projective.to_dict() == want.projective.to_dict()
+        assert got.general.to_dict() == want.general.to_dict()
+        assert got.povm_a.elements.tobytes() == want.povm_a.elements.tobytes()
+        assert got.value == want.value and got.family == want.family
+        # I of rho and of its swap may round apart; the gap from the
+        # projective search's value may not.
+        i = mutual_information(rho)
+        proj = dataclasses.replace(cfg, projective_only=True)
+        want = optimize_icq(swap, proj).value
+        assert discord(rho, cfg, side=1) == max(i - min(want, i), 0.0)
 
 
 class TestDataProcessing:
@@ -414,7 +498,8 @@ class TestStackedPartyObjectives:
                                  general_stack(y[:, :split], d_a, n_a),
                                  general_stack(y[:, split:], d_b, n_b))
                 assert np.array_equal(got, want), (n_a, k)
-                want, want_grad = _cc_objective(rho)(want_a, want_b)
+                want, want_grad = _cc_objective(_Parties(rho))(want_a,
+                                                               want_b)
                 assert np.array_equal(got, want), (n_a, k)
                 for g, want_g in zip(grad, want_grad):
                     assert np.array_equal(g, want_g), (n_a, k)
@@ -480,11 +565,11 @@ def _general_objectives(rho, kind, projective=False):
     if kind == "cq":
         def value(w):
             return _cq_value(rho_mat, s_b, isometry_stack(w))
-        return _cq_objective(rho, s_b), value, ((n_a, d_a),)
+        return _cq_objective(_Parties(rho), 0), value, ((n_a, d_a),)
 
     def value(w_a, w_b):
         return _cc_value(rho_mat, isometry_stack(w_a), isometry_stack(w_b))
-    return _cc_objective(rho), value, ((n_a, d_a), (n_b, d_b))
+    return _cc_objective(_Parties(rho)), value, ((n_a, d_a), (n_b, d_b))
 
 
 def _random_matrices(rng, k, shapes):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_lockstep_minimize, pack_point, split_point
 from qcorr.channels import Povm
-from qcorr.correlations import _cc_objective
+from qcorr.correlations import _cc_objective, _Parties
 from qcorr.lockstep import _matrices, _polar
 from qcorr.optimize import (
     OptimizerConfig,
@@ -226,7 +226,7 @@ def _cc_general_objective(dims, seed):
     rng = np.random.default_rng(seed)
     rho = random_density(dims, d_a * d_b, rng)
     n_a, n_b = d_a * d_a, d_b * d_b
-    return _cc_objective(rho), ((n_a, d_a), (n_b, d_b)), rng
+    return _cc_objective(_Parties(rho)), ((n_a, d_a), (n_b, d_b)), rng
 
 
 def _distance_to(target):
