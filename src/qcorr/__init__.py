@@ -69,7 +69,6 @@ from .broadcast import (
     regroup,
 )
 from .optimize import (
-    ConfigRangeError,
     OptimizerConfig,
     OptimizationResult,
     haar_unitary,

@@ -4,9 +4,9 @@ Subcommands: measures, classify, broadcast, petz, suite, make-corpus.
 All reports are JSON (suite emits CSV) and embed a run manifest.  Reports
 are byte-reproducible for a fixed seed; wall time goes to stderr only.
 
-Exit codes: 0 success, 2 parse error (an unreadable input, an option value
-out of range for the input, or an unwritable output), 3 invariant
-violation, 4 optimizer or numerical failure.  Commands, loaders and
+Exit codes: 0 success, 2 parse error (an unreadable input, a bad option,
+or an unwritable output), 3 invariant violation, 4 optimizer or numerical
+failure.  Commands, loaders and
 writers only raise; `main` alone turns an error into its code (`_EXITS`).
 """
 
@@ -29,7 +29,7 @@ from .channels import (ChannelError, ChannelParseError, KrausChannel,
 from .classify import ppt_label, side_verdicts
 from .correlations import correlation_report, mutual_information
 from .corpus import make_corpus
-from .optimize import ConfigRangeError, OptimizerConfig
+from .optimize import OptimizerConfig
 from .qstate import (DensityMatrix, StateError, StateParseError, bits_to_nats,
                      partial_trace, trace_distance)
 
@@ -76,7 +76,6 @@ _EXITS = (
     ("read", (StateError, ChannelError), EXIT_INVARIANT, "invalid {}: "),
     ("read", Exception, EXIT_PARSE, "cannot read {}: "),
     ("write", Exception, EXIT_PARSE, "cannot write {}: "),
-    ("run", ConfigRangeError, EXIT_PARSE, "{}"),
     ("run", StateError, EXIT_INVARIANT, "{}"),
     ("run", Exception, EXIT_OPTIMIZER, "{}optimizer failure: "),
 )
@@ -290,8 +289,6 @@ _OPTIONS = {
                              "min(2*param_dim, max_evals) objective calls"),
     "--tol": dict(type=_TOL, default=1e-8),
     "--units": dict(choices=("bits", "nats"), default="bits"),
-    "--outcomes": dict(type=_COUNT, default=None, dest="outcome_count",
-                       metavar="OUTCOMES", help="outcome count for the general POVM family"),
     "--projective-only": dict(action="store_true"),
     "--ancilla": dict(type=_COUNT, default=None, dest="ancilla_dim",
                       metavar="ANCILLA", help="Stinespring ancilla dimension for broadcast "
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="correlation report for a state file")
     p.add_argument("state")
-    _add_options(p, f"{_SEARCH} --outcomes --projective-only --out")
+    _add_options(p, f"{_SEARCH} --projective-only --out")
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("classify", help="CC/CQ structure verdict")
@@ -338,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run measures over a labeled corpus")
     p.add_argument("corpus", help="directory from make-corpus")
-    _add_options(p, f"{_SEARCH} --outcomes --projective-only --ancilla --out")
+    _add_options(p, f"{_SEARCH} --projective-only --ancilla --out")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("make-corpus", help="write the bundled labeled corpus")

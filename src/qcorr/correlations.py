@@ -37,7 +37,6 @@ from .channels import (
 )
 from .classify import classical_basis
 from .optimize import (
-    ConfigRangeError,
     OptimizationResult,
     OptimizerConfig,
     isometry_stack,
@@ -216,6 +215,8 @@ class MeasurementOptimum:
     parties: _Parties = field(repr=False, compare=False)
     # The general-family search, run second; None under `projective_only`.
     general: OptimizationResult | None = None
+    # The measured party of an I_CQ optimum, 0 or 1; None for I_CC.
+    side: int | None = None
 
 
 def _cq_value(rho_mat: np.ndarray, s_b: float, ms: np.ndarray):
@@ -323,36 +324,19 @@ def _cc_objective(parties: _Parties):
     return value_grad
 
 
-def _outcome_counts(cfg: OptimizerConfig, dims: tuple) -> tuple | None:
-    """Outcome counts of the general POVM family on parties of local
-    dimensions `dims` (None under `cfg.projective_only`).  Raises
-    `ConfigRangeError` when one is below its party's dimension: a complete
-    rank-1 POVM on C^d has at least d outcomes."""
-    if cfg.projective_only:
-        return None
-    counts = tuple(d * d if cfg.outcome_count is None else cfg.outcome_count
-                   for d in dims)
-    for n, d in zip(counts, dims):
-        if n < d:
-            raise ConfigRangeError(
-                f"outcome count {n} is below the measured party's dimension "
-                f"{d}: a complete rank-1 POVM needs at least {d} outcomes")
-    return counts
-
-
 def _measure(parties, value_grad, dims: tuple, cfg: OptimizerConfig,
-             proj_seeds, general_seeds) -> MeasurementOptimum:
+             proj_seeds, general_seeds, side=None) -> MeasurementOptimum:
     """Best measurement found on parties of local dimensions `dims`.
 
     `value_grad(*ws)` gives the values and gradients of the functional at
     one (k, n, d) isometry array per party.  A seed is a sequence of
     per-party matrices.  The projective phase (n = d) ascends from
     `proj_seeds`.  Unless `cfg.projective_only`, the general phase
-    (`cfg.outcome_count` outcomes, default d^2) scores the seeds
-    `general_seeds(x)`, x being the projective optimum's matrices, each
-    padded with zero rows; its value wins only if it beats the projective
-    one by more than `TAU_NUM`.  An outcome count below a party's
-    dimension raises `ConfigRangeError` before any search.
+    (n = d^2, enough to reach the maximum over all POVMs: Davies, IEEE
+    Trans. Inf. Theory 24, 596, 1978) scores the seeds `general_seeds(x)`,
+    x being the projective optimum's matrices, each padded with zero rows;
+    its value wins only if it beats the projective one by more than
+    `TAU_NUM`.
 
     Each search makes a fixed number of objective calls, two per real
     parameter but at most `max_evals`: a restart that converges early
@@ -370,12 +354,12 @@ def _measure(parties, value_grad, dims: tuple, cfg: OptimizerConfig,
         return dict(value=res.value, povm_a=povms[0],
                     povm_b=(*povms, None)[1], family=family, result=res)
 
-    counts = _outcome_counts(cfg, dims)
     proj_res = search(dims, proj_seeds)
-    best = MeasurementOptimum(projective=proj_res, parties=parties,
+    best = MeasurementOptimum(projective=proj_res, parties=parties, side=side,
                               **found(proj_res, "projective"))
-    if counts is None:
+    if cfg.projective_only:
         return best
+    counts = tuple(d * d for d in dims)
 
     # A matrix G with fewer rows (the projective optimum's, say) enters the
     # general family as [G; 0]: its polar factor is that of G with the zero
@@ -398,15 +382,15 @@ def optimize_icq(rho: DensityMatrix, cfg: OptimizerConfig,
     marginal's eigenbasis, and the jointly diagonalizing classical basis,
     which makes the bound exact (I_CQ = I) on CQ-structured inputs.  Both
     families are isometries W searched by gradient ascent: the projective
-    one is the d-outcome family (W unitary), the general one has
-    `cfg.outcome_count` outcomes (default d^2).  `side` is the measured
-    party, 0 or 1; any other raises `StateError`.
+    one is the d-outcome family (W unitary), the general one has d^2
+    outcomes.  `side` is the measured party, 0 or 1; any other raises
+    `StateError`.
     """
     _check_side(side)
     parties = _Parties(rho)
     seeds = [(x,) for x in parties.seeds(side)]
     return _measure(parties, _cq_objective(parties, side), (rho.dims[side],),
-                    cfg, seeds, lambda x: [*seeds, x])
+                    cfg, seeds, lambda x: [*seeds, x], side=side)
 
 
 def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -416,29 +400,26 @@ def optimize_icc(rho: DensityMatrix, cfg: OptimizerConfig,
     Seeds include the CQ optimum's A-POVM paired with the B marginal's
     eigenbasis, so the bound never falls below the classical mutual
     information of that pairing, and the classical bases of both sides,
-    which makes the bound exact on CC states.  `icq` is the side-0 I_CQ
-    optimum, whose record is reused if it was found on this very `rho`.
+    which makes the bound exact on CC states.  `icq` is an I_CQ optimum of
+    party 0 (any other raises `StateError`), whose record is reused if it
+    was found on this very `rho`.
     """
     if icq is None:
         icq = optimize_icq(rho, cfg)
+    elif icq.side != 0 or icq.povm_a.dim != rho.dims[0]:
+        raise StateError("optimize_icc needs an I_CQ optimum of party 0 of "
+                         "a state with rho's local dimensions")
     parties = icq.parties if icq.parties.rho is rho else _Parties(rho)
     seeds_a, seeds_b = parties.seeds(0), parties.seeds(1)
 
     pairs = list(zip(seeds_a, seeds_b))
+    # The CQ optimum's POVM paired with the B eigenbasis.
+    cq_pair = (icq.result.points[0], seeds_b[1])
     proj_seeds = [*pairs, (seeds_a[0], seeds_b[1])]
     if icq.family == "projective":
-        # CQ optimum's POVM paired with the B eigenbasis.
-        proj_seeds.append((icq.result.points[0], seeds_b[1]))
-
-    def general_seeds(x):
-        # The I_CQ optimum's matrix, unless it has more outcomes than fit.
-        x_cq = icq.result.points[0]
-        if len(x_cq) > _outcome_counts(cfg, rho.dims)[0]:
-            x_cq = x[0]
-        return [*pairs, x, (x_cq, seeds_b[1])]
-
+        proj_seeds.append(cq_pair)
     return _measure(parties, _cc_objective(parties), rho.dims, cfg,
-                    proj_seeds, general_seeds)
+                    proj_seeds, lambda x: [*pairs, x, cq_pair])
 
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig,
@@ -492,19 +473,16 @@ def _general_gain(opt: MeasurementOptimum) -> float | None:
 
 def correlation_report(rho: DensityMatrix,
                        cfg: OptimizerConfig) -> CorrelationReport:
-    """All correlation measures of a bipartite state, chain-consistent.
-    Raises `ConfigRangeError` before any search if `cfg.outcome_count` is
-    below a party's dimension and the general phase would run."""
-    _cut_partition(rho, None)  # a state of other than two parties raises
-    _outcome_counts(cfg, rho.dims)
+    """All correlation measures of a bipartite state, chain-consistent."""
     icq = optimize_icq(rho, cfg)
     icc = optimize_icc(rho, cfg, icq=icq)
 
     i = icq.parties.information()
     # Re-score the CC optimum's A-measurement as a CQ candidate so the
     # reported chain holds structurally (data processing on the B side).
-    cq_at_cc = _cq_value(rho.matrix, icq.parties.entropies[1],
-                         icc.povm_a.elements)
+    blocks = cq_contract(icq.parties.cq_forms[0], icc.povm_a.elements)
+    cq_at_cc = _cq_bits(_block_traces(blocks), np.linalg.eigvalsh(blocks),
+                        icq.parties.entropies[1])
 
     # I is never below zero; the measured bounds stop at zero too.
     i_cq = max(min(i, max(icq.value, cq_at_cc)), 0.0)
@@ -530,7 +508,7 @@ def correlation_report(rho: DensityMatrix,
         I_cc_lower=i_cc,
         delta_cc_upper=i - i_cc,
         discord_upper=discord_val,
-        best_povm_A=icc.povm_a if icc.povm_b is not None else icq.povm_a,
+        best_povm_A=icc.povm_a,
         best_povm_B=icc.povm_b,
         optimizer_meta=meta,
     )

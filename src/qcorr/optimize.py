@@ -62,19 +62,12 @@ def _int_at_least(value, low: int) -> bool:
             and value >= low)
 
 
-class ConfigRangeError(ValueError):
-    """An `OptimizerConfig` value valid on its own but out of range for the
-    state it is applied to, such as fewer POVM outcomes than a measured
-    party's dimension."""
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     seed: int = 0
     restarts: int = 16
     max_evals: int = 5000
     tol: float = 1e-8
-    outcome_count: int | None = None
     projective_only: bool = False
     ancilla_dim: int | None = None
 
@@ -84,11 +77,13 @@ class OptimizerConfig:
             if not _int_at_least(value, low):
                 raise ValueError(
                     f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("outcome_count", "ancilla_dim"):
-            value = getattr(self, name)
-            if value is not None and not _int_at_least(value, 1):
-                raise ValueError(
-                    f"{name} must be None or an integer >= 1, got {value!r}")
+        value = self.ancilla_dim
+        if value is not None and not _int_at_least(value, 1):
+            raise ValueError(
+                f"ancilla_dim must be None or an integer >= 1, got {value!r}")
+        if not isinstance(self.projective_only, bool):
+            raise ValueError("projective_only must be True or False, got "
+                             f"{self.projective_only!r}")
         tol = self.tol
         if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
                 and math.isfinite(tol) and tol > 0):

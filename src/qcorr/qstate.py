@@ -150,12 +150,14 @@ class DensityMatrix:
         tr = m.trace().real
         if abs(tr - 1.0) > TAU_TR:
             raise StateError(f"trace is {tr}, not 1 within tolerance")
+        m = m.copy()
+        m.flags.writeable = False
         evals = np.linalg.eigvalsh(m)
         if evals.min() < -TAU_PSD:
             raise StateError(f"matrix has negative eigenvalue {evals.min()}")
-        m = m.copy()
-        m.flags.writeable = False
+        evals.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_eigenvalues", evals)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -166,7 +168,8 @@ class DensityMatrix:
         return self.layout.dim
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """The spectrum taken at validation, ascending and read-only."""
+        return self._eigenvalues
 
     def to_json_dict(self) -> dict:
         return {"dims": list(self.dims), "matrix": _pair_entries(self.matrix)}

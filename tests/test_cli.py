@@ -347,37 +347,15 @@ def test_suite_optimizer_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
-def test_outcomes_below_a_dimension_exit_code(tmp_path, capsys, monkeypatch,
-                                              dims):
-    # Fewer general-POVM outcomes than a party's dimension is an option
-    # out of range for the input: exit 2 before any search runs.
-    import qcorr.correlations as corr_mod
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("a search ran")
-
-    monkeypatch.setattr(corr_mod, "maximize", no_search)
-    rho = random_density(dims, 2, np.random.default_rng(3))
-    path = tmp_path / "rho.json"
-    rho.save(path)
-    outcomes = str(min(dims) if dims[0] != dims[1] else 1)
-    assert main(["measures", str(path), "--outcomes", outcomes, *FAST]) == 2
-    err = capsys.readouterr().err
-    assert "outcome count" in err and "optimizer failure" not in err
-    argv = _corpus_with(tmp_path, [{"state_id": "rho", "label": "sep"}])
-    assert main([*argv, "--outcomes", outcomes]) == 2
-    assert "rho: outcome count" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_projective_only_accepts_few_outcomes(tmp_path):
+def test_projective_only_report(tmp_path):
     state = _write_bell(tmp_path)
     out = tmp_path / "report.json"
-    assert main(["measures", state, "--outcomes", "1", "--projective-only",
+    assert main(["measures", state, "--projective-only",
                  "--out", str(out), *FAST]) == 0
-    assert json.loads(out.read_text())["report"]["I_cc_lower"] == \
-        pytest.approx(1.0, abs=1e-6)
+    report = json.loads(out.read_text())["report"]
+    assert report["I_cc_lower"] == pytest.approx(1.0, abs=1e-6)
+    assert report["optimizer_meta"]["config"]["projective_only"] is True
+    assert report["optimizer_meta"]["icc_general_gain"] is None
 
 
 @pytest.mark.parametrize("matrix", [
@@ -417,13 +395,12 @@ def test_non_finite_channel_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--restarts", "0"), ("--max-evals", "-5"), ("--seed", "-1"),
-    ("--tol", "0"), ("--tol", "nan"), ("--ancilla", "-1"), ("--outcomes", "x"),
+    ("--tol", "0"), ("--tol", "nan"), ("--ancilla", "-1"), ("--restarts", "x"),
 ])
 def test_invalid_option_value_exit_code(tmp_path, flag, value):
     state = _write_bell(tmp_path)
-    subcommand = "measures" if flag == "--outcomes" else "broadcast"
     with pytest.raises(SystemExit) as exc:
-        main([subcommand, state, flag, value])
+        main(["broadcast", state, flag, value])
     assert exc.value.code == 2
 
 
@@ -486,6 +463,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out.json").exists()
 
 
+# `--outcomes` is no option of any subcommand: the general POVM family
+# always has d^2 outcomes.
 FLAGS = {"--seed": "1", "--restarts": "2", "--max-evals": "3", "--tol": "0.1",
          "--units": "nats", "--outcomes": "4", "--projective-only": None,
          "--ancilla": "2", "--per-class": "1", "--out": "x"}
@@ -493,9 +472,9 @@ SEARCH = ("--seed", "--restarts", "--max-evals", "--tol", "--units")
 
 
 OPTION_SETS = {
-    "measures": SEARCH + ("--outcomes", "--projective-only", "--out"),
+    "measures": SEARCH + ("--projective-only", "--out"),
     "broadcast": SEARCH + ("--ancilla", "--out"),
-    "suite": SEARCH + ("--outcomes", "--projective-only", "--ancilla", "--out"),
+    "suite": SEARCH + ("--projective-only", "--ancilla", "--out"),
     "classify": ("--seed", "--tol", "--out"),
     "petz": ("--seed", "--units", "--out"),
     "make-corpus": ("--per-class", "--seed", "--out"),

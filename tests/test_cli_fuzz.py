@@ -100,16 +100,14 @@ OPTIONS = {
     "--tol": mostly(st.sampled_from(["1e-8", "1e-3", "0.5", "1e300"]),
                     st.sampled_from(["0", "-1", "nan", "inf", "x"])),
     "--units": mostly(st.sampled_from(["bits", "nats"]), st.just("x")),
-    "--outcomes": mostly(st.integers(1, 5).map(str),
-                         st.sampled_from(["0", "x"])),
     "--ancilla": COUNT,
 }
 # The optional flags each subcommand accepts (besides --out).
 SEARCH = ("--seed", "--restarts", "--max-evals", "--tol", "--units")
 ACCEPTS = {
-    "measures": SEARCH + ("--outcomes", "--projective-only"),
+    "measures": SEARCH + ("--projective-only",),
     "broadcast": SEARCH + ("--ancilla",),
-    "suite": SEARCH + ("--outcomes", "--projective-only", "--ancilla"),
+    "suite": SEARCH + ("--projective-only", "--ancilla"),
     "classify": ("--seed", "--tol"),
     "petz": ("--seed", "--units"),
     "make-corpus": ("--per-class", "--seed"),

@@ -45,7 +45,6 @@ from qcorr.correlations import (
 from qcorr.classify import classical_basis
 from qcorr.lockstep import _polar, _tangent, minimize
 from qcorr.optimize import (
-    ConfigRangeError,
     OptimizerConfig,
     general_stack,
     haar_unitary,
@@ -297,6 +296,58 @@ class TestOptimizedBounds:
             "DensityMatrix": 2, "von_neumann_entropy": 2,
             "joint_diagonalize": 1}
         assert icq.parties.rho is rho
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_one_spectrum_per_state(self, dims, monkeypatch):
+        # Each state's spectrum is taken once, when it is validated: the
+        # report's three entropies (S(rho_A), S(rho_B), S(rho)) run no
+        # second `eigvalsh` on any state.
+        import qcorr.correlations as corr_mod
+
+        states, spectra, entropies = [], [], []
+
+        def validated(self, real=DensityMatrix.__post_init__):
+            real(self)
+            states.append(self)
+
+        def eigvalsh(a, real=np.linalg.eigvalsh):
+            spectra.append(np.array(a))
+            return real(a)
+
+        def entropy(rho, real=corr_mod.von_neumann_entropy):
+            entropies.append(rho)
+            return real(rho)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", validated)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(corr_mod, "von_neumann_entropy", entropy)
+        rho = random_density(dims, 4, np.random.default_rng(37))
+        correlation_report(rho, SMALL)
+        assert len(entropies) == 3 and len(states) == 3
+        for state in states:
+            assert sum(a.shape == state.matrix.shape
+                       and np.array_equal(a, state.matrix)
+                       for a in spectra) == 1
+        lam = rho.eigenvalues()
+        assert lam is rho.eigenvalues() and not lam.flags.writeable
+        monkeypatch.undo()
+        assert np.array_equal(lam, np.linalg.eigvalsh(rho.matrix))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    def test_icc_takes_only_a_party_zero_optimum(self, dims):
+        # An I_CQ optimum records its measured party; I_CC seeds party A
+        # with it, so one of party B, or of another state's party A of
+        # another dimension, is rejected.
+        rho = random_density(dims, 4, np.random.default_rng(41))
+        icq = optimize_icq(rho, SMALL)
+        assert icq.side == 0 and optimize_icq(rho, SMALL, side=1).side == 1
+        assert optimize_icc(rho, SMALL, icq=icq).side is None
+        with pytest.raises(StateError, match="party 0"):
+            optimize_icc(rho, SMALL, icq=optimize_icq(rho, SMALL, side=1))
+        other = random_density((5 - dims[0], dims[1]), 4,
+                               np.random.default_rng(41))
+        with pytest.raises(StateError, match="party 0"):
+            optimize_icc(rho, SMALL, icq=optimize_icq(other, SMALL))
 
 
     # On these states the general family cannot beat the projective one;
@@ -865,40 +916,6 @@ class TestGeneralGain:
         assert meta["icq_general_gain"] is None
         assert meta["icc_general_gain"] is None
         assert meta["icq"]["winner"].startswith(("seed ", "restart "))
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
-def test_too_few_outcomes_raise_before_any_search(dims, monkeypatch):
-    import qcorr.correlations as corr_mod
-
-    rho = random_density(dims, 2, np.random.default_rng(4))
-    searches = []
-    real_maximize = corr_mod.maximize
-
-    def counted(*args, **kwargs):
-        searches.append(args[1])
-        return real_maximize(*args, **kwargs)
-
-    monkeypatch.setattr(corr_mod, "maximize", counted)
-    few = OptimizerConfig(seed=0, restarts=2, max_evals=20,
-                          outcome_count=min(dims) if dims[0] != dims[1] else 1)
-    with pytest.raises(ConfigRangeError, match="outcome count"):
-        correlation_report(rho, few)
-    # optimize_icq measures party A only, so it raises only when the
-    # count is below A's dimension.
-    if few.outcome_count < dims[0]:
-        with pytest.raises(ConfigRangeError):
-            optimize_icq(rho, few)
-    assert searches == []
-    icq = optimize_icq(rho, dataclasses.replace(few, projective_only=True))
-    searches.clear()
-    with pytest.raises(ConfigRangeError):
-        optimize_icc(rho, few, icq=icq)
-    assert searches == []
-    # Without a general phase the option is never used.
-    report = correlation_report(
-        rho, dataclasses.replace(few, projective_only=True))
-    assert report.optimizer_meta["icq_general_gain"] is None
 
 
 class TestSteadyCost:

@@ -846,10 +846,11 @@ class TestOptimizerConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
         {"tol": -1e-8}, {"tol": "1e-8"}, {"tol": True},
-        {"outcome_count": 0}, {"ancilla_dim": 0}, {"ancilla_dim": -1},
-        {"outcome_count": 2.0}, {"seed": -1}, {"seed": 1.0}, {"seed": None},
+        {"ancilla_dim": 0}, {"ancilla_dim": -1}, {"ancilla_dim": 2.0},
+        {"seed": -1}, {"seed": 1.0}, {"seed": None},
         {"restarts": 2.5}, {"restarts": 0}, {"max_evals": 0},
-        {"max_evals": True},
+        {"max_evals": True}, {"projective_only": "no"},
+        {"projective_only": 1}, {"projective_only": None},
     ], ids=repr)
     def test_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
@@ -857,10 +858,10 @@ class TestOptimizerConfigValidation:
 
     def test_accepted_values_keep_their_dict(self):
         cfg = OptimizerConfig(seed=np.int64(3), restarts=2, max_evals=10,
-                              tol=1, outcome_count=4, ancilla_dim=1)
+                              tol=1, projective_only=True, ancilla_dim=1)
         assert cfg.to_dict() == {
             "seed": 3, "restarts": 2, "max_evals": 10, "tol": 1,
-            "outcome_count": 4, "projective_only": False, "ancilla_dim": 1}
+            "projective_only": True, "ancilla_dim": 1}
 
 
 def _valid_int(value, low):
@@ -879,17 +880,17 @@ def _config_values(ints):
     "restarts": _config_values(st.integers(-2, 3)),
     "max_evals": _config_values(st.integers(-2, 30)),
     "tol": _config_values(st.integers(-2, 2)),
-    "outcome_count": _config_values(st.integers(-2, 5)),
     "ancilla_dim": _config_values(st.integers(-2, 5)),
-    "projective_only": st.booleans(),
+    "projective_only": _config_values(st.integers(0, 1)),
 }))
 def test_config_raises_value_error_or_runs(kwargs):
     full = {**OptimizerConfig().to_dict(), **kwargs}
     tol = full["tol"]
     valid = (_valid_int(full["seed"], 0) and _valid_int(full["restarts"], 1)
              and _valid_int(full["max_evals"], 1)
-             and all(full[k] is None or _valid_int(full[k], 1)
-                     for k in ("outcome_count", "ancilla_dim"))
+             and (full["ancilla_dim"] is None
+                  or _valid_int(full["ancilla_dim"], 1))
+             and type(full["projective_only"]) is bool
              and type(tol) in (int, float) and np.isfinite(tol) and tol > 0)
     try:
         cfg = OptimizerConfig(**kwargs)
