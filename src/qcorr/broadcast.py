@@ -35,7 +35,7 @@ from .qstate import (
 TAU_BC = 1e-8  # broadcast marginal residual tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BroadcastCandidate:
     sigma: DensityMatrix  # layout [A, A', B, B']
     theta_A: KrausChannel | None
@@ -72,9 +72,10 @@ def broadcast_marginals(sigma: DensityMatrix) -> tuple[DensityMatrix, DensityMat
     return partial_trace(sigma, (0, 2)), partial_trace(sigma, (1, 3))
 
 
-def verify_broadcast(sigma: DensityMatrix, rho: DensityMatrix,
-                     tol: float = TAU_BC) -> tuple[bool, tuple[float, float]]:
-    """Check both copy marginals equal rho within tol (trace distance)."""
+def verify_broadcast(sigma: DensityMatrix,
+                     rho: DensityMatrix) -> tuple[bool, tuple[float, float]]:
+    """Both copy marginals' trace distances to rho, and whether the larger
+    is at most TAU_BC, the threshold of every broadcast test."""
     if rho.layout.n_subsystems != 2:
         raise StateError("source state must be bipartite")
     copy_x, copy_y = broadcast_marginals(sigma)
@@ -82,7 +83,7 @@ def verify_broadcast(sigma: DensityMatrix, rho: DensityMatrix,
         raise StateError(
             f"broadcast layout {sigma.dims} incompatible with source {rho.dims}")
     res = (trace_distance(copy_x, rho), trace_distance(copy_y, rho))
-    return (res[0] <= tol and res[1] <= tol), res
+    return max(res) <= TAU_BC, res
 
 
 def apply_local_broadcast(theta_a: KrausChannel, theta_b: KrausChannel,
@@ -435,8 +436,8 @@ def _broadcast_candidates(rho: DensityMatrix, cfg: OptimizerConfig | None,
 
 def broadcast_search(rho: DensityMatrix,
                      cfg: OptimizerConfig | None = None) -> BroadcastCandidate:
-    """Best local-broadcast candidate found: the one with the least sum of
-    marginal residuals.
+    """Best local-broadcast candidate found: the one with the least larger
+    marginal residual, the earlier on a tie (cloning, attachment, search).
 
     Structured candidates (basis cloning, marginal attachment) are always
     evaluated; a pair of Stinespring isometries, seeded with them, then
@@ -444,10 +445,8 @@ def broadcast_search(rho: DensityMatrix,
     ascent.  For non-CC inputs the residual is expected to stay bounded
     away from zero (a demonstration, not a proof).
     """
-    def merit(c: BroadcastCandidate) -> float:
-        return -(c.marginal_residuals[0] + c.marginal_residuals[1])
-
-    return max(_broadcast_candidates(rho, cfg), key=merit)
+    return min(_broadcast_candidates(rho, cfg),
+               key=lambda c: max(c.marginal_residuals))
 
 
 def two_copy_candidate(rho: DensityMatrix,
@@ -463,19 +462,19 @@ def two_copy_candidate(rho: DensityMatrix,
         np.kron(rho.matrix, rho.matrix))), mi_rho)
 
 
-def delta_b_upper(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
-                  feasibility_tol: float = 1e-6) -> float:
+def delta_b_upper(rho: DensityMatrix,
+                  cfg: OptimizerConfig | None = None) -> float:
     """Heuristic upper bound on Delta_b = min_sigma I(sigma_AA':BB') - I(rho).
 
     The minimum runs over broadcast states only; candidates are the
-    two-independent-copies construction (always a broadcast state) plus any
-    feasible candidates produced by the local search.  The sign of the raw
-    value is not guaranteed by the bound direction and is reported as is.
+    two-independent-copies construction (always a broadcast state) plus the
+    `valid` candidates of the local search (larger marginal residual at
+    most TAU_BC).  The sign of the raw value is not guaranteed by the bound
+    direction and is reported as is.
     """
     mi_rho = mutual_information(rho)
     candidates = [two_copy_candidate(rho, mi_rho)] + [
-        cand for cand in _broadcast_candidates(rho, cfg, mi_rho)
-        if max(cand.marginal_residuals) <= feasibility_tol]
+        cand for cand in _broadcast_candidates(rho, cfg, mi_rho) if cand.valid]
     return min(c.mi_deficit for c in candidates)
 
 

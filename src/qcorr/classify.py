@@ -60,7 +60,7 @@ class Kind(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalityVerdict:
     kind: Kind
     basis_A: np.ndarray | None

@@ -27,7 +27,7 @@ from .qstate import (
 LABELS = ("cc", "cq", "sep", "ent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledState:
     state_id: str
     label: str

@@ -58,7 +58,7 @@ from .qstate import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Probabilities paired with same-dimension states."""
 
@@ -199,7 +199,7 @@ class _Parties:
         return self._seeds[side]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementOptimum:
     """Best measurement found for one correlation functional."""
 
@@ -212,7 +212,7 @@ class MeasurementOptimum:
     # I_CQ it is the search that defines the discord bound.
     projective: OptimizationResult
     # The searched state's record, which the I_CC search and reports reuse.
-    parties: _Parties = field(repr=False, compare=False)
+    parties: _Parties = field(repr=False)
     # The general-family search, run second; None under `projective_only`.
     general: OptimizationResult | None = None
     # The measured party of an I_CQ optimum, 0 or 1; None for I_CC.
@@ -438,7 +438,7 @@ def delta_cc(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
     return report.delta_cc_upper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationReport:
     I: float
     I_cq_lower: float

@@ -197,7 +197,7 @@ class _Ascent:
 # The driver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LockstepResult:
     """Outcome of `minimize`, one entry per run (points, then restarts).
 

@@ -93,7 +93,7 @@ class OptimizerConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     value: float
     params: np.ndarray
@@ -111,8 +111,7 @@ class OptimizationResult:
     winner: str | None = None
     # The winner's complex matrices, one per party, not serialized: views
     # of `params`, fit to seed another search.
-    points: tuple[np.ndarray, ...] = field(default=(), repr=False,
-                                           compare=False)
+    points: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     @functools.cached_property
     def isometries(self) -> tuple[np.ndarray, ...]:

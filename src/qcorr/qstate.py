@@ -8,6 +8,7 @@ the slowest Kronecker index.  All entropic quantities are returned in bits.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 from math import prod
@@ -90,8 +91,9 @@ def _int_tuple(values, error: type[ValueError]) -> tuple[int, ...]:
 
 def _check_side(side) -> None:
     """Raise `StateError` unless `side` names a party of a bipartite state:
-    0 or 1."""
-    if side not in (0, 1):
+    the integer 0 or 1 (a numpy integer too, but no bool)."""
+    if (isinstance(side, bool) or not isinstance(side, numbers.Integral)
+            or side not in (0, 1)):
         raise StateError(f"side must be 0 or 1, got {side!r}")
 
 
@@ -125,7 +127,7 @@ def _as_layout(layout) -> SubsystemLayout:
     return SubsystemLayout(tuple(layout))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian PSD trace-one matrix with a subsystem layout."""
 
@@ -385,7 +387,7 @@ def _distribution(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbVector:
     """Probability distribution; tiny negative entries are clipped to zero."""
 
@@ -399,7 +401,7 @@ class ProbVector:
         return shannon_bits(self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalJoint:
     """Nonnegative joint probability tensor, one axis per measured party."""
 

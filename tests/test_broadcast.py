@@ -189,6 +189,51 @@ class TestSearchAndDeltaB:
         assert cand.valid
         assert abs(cand.mi_deficit) <= 1e-9
 
+    @pytest.mark.parametrize("state_id", ["ent_00", "ent_01"])
+    def test_search_keeps_the_least_larger_residual(self, monkeypatch,
+                                                    state_id):
+        # ent_00 is bell_phi_plus() and ent_01 a Werner state.  Attachment
+        # has the least residual sum (larger residual 0.75 on Bell), but the
+        # search candidate the least larger residual.
+        rho = {s.state_id: s.rho for s in make_corpus(2, seed=1)}[state_id]
+        real, seen = broadcast_mod._broadcast_candidates, []
+
+        def recorded(*args):
+            seen.extend(real(*args))
+            return seen
+
+        monkeypatch.setattr(broadcast_mod, "_broadcast_candidates", recorded)
+        cand = broadcast_search(rho)
+        cloning, attachment, search = seen
+        assert cand is search
+        assert max(cand.marginal_residuals) == min(
+            max(c.marginal_residuals) for c in seen)
+        assert max(cand.marginal_residuals) < 0.5
+        assert max(attachment.marginal_residuals) > 0.7
+
+    @pytest.mark.parametrize("residual, counted", [(1e-9, True),
+                                                   (1e-7, False)])
+    def test_delta_b_counts_only_valid_candidates(self, monkeypatch,
+                                                  residual, counted):
+        # Two copies of Bell mixed with a little of the maximally mixed
+        # state: each copy marginal is at trace distance 0.75 * eps from
+        # Bell.  Its deficit is set low, so the bound shows whether it
+        # was counted.
+        rho = bell_phi_plus()
+        eps = residual / 0.75
+        two_copies = two_copy_candidate(rho).sigma
+        mixed = (1 - eps) * two_copies.matrix + eps * np.eye(16) / 16
+        sigma = DensityMatrix(two_copies.layout, mixed)
+        cand = dataclasses.replace(broadcast_mod._scored(rho, sigma, None),
+                                   mi_deficit=-1.0)
+        assert max(cand.marginal_residuals) == pytest.approx(residual,
+                                                              rel=1e-3)
+        assert cand.valid is counted
+        monkeypatch.setattr(broadcast_mod, "_broadcast_candidates",
+                            lambda *args: [cand])
+        assert delta_b_upper(rho, TINY) == pytest.approx(
+            -1.0 if counted else 2.0, abs=1e-9)
+
 
 def _isometries(rng, k, d, ancilla):
     """k random Stinespring isometries (k, d*d*ancilla, d) of one side."""

@@ -42,7 +42,7 @@ from qcorr.correlations import (
     optimize_icc,
     optimize_icq,
 )
-from qcorr.classify import classical_basis
+from qcorr.classify import classical_basis, is_cq
 from qcorr.lockstep import _polar, _tangent, minimize
 from qcorr.optimize import (
     OptimizerConfig,
@@ -70,7 +70,8 @@ from qcorr.qstate import (
 SMALL = OptimizerConfig(seed=0, restarts=3, max_evals=300)
 
 
-@pytest.mark.parametrize("side", [2, -1, "a", None, 0.5])
+@pytest.mark.parametrize("side", [2, -1, "a", None, 0.5, 1.0, np.float64(0),
+                                  True, False, np.bool_(True)])
 def test_optimize_icq_and_discord_reject_other_sides(side):
     # On a 2x3 state, a side taken as party 1 would measure a qutrit.
     rho = random_density((2, 3), 6, np.random.default_rng(11))
@@ -82,7 +83,11 @@ def test_optimize_icq_and_discord_reject_other_sides(side):
     # A qubit POVM: it fits party 0, so only the side can be at fault.
     with pytest.raises(StateError, match="side must be 0 or 1"):
         cq_state(rho, projective_basis_povm(np.eye(2)), side=side)
+    # A CC state is classical on either side, so the test reaches its basis.
+    with pytest.raises(StateError, match="side must be 0 or 1"):
+        is_cq(random_cc(2, 3, np.random.default_rng(11)), side=side)
     assert optimize_icq(rho, cfg, side=1).povm_a.dim == 3
+    assert optimize_icq(rho, cfg, side=np.int64(1)).povm_a.dim == 3
 
 
 class TestMutualInformation:

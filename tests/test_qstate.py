@@ -25,7 +25,12 @@ from qcorr.qstate import (
     trace_distance,
     von_neumann_entropy,
 )
-from qcorr.optimize import random_density
+from qcorr.broadcast import cloning_candidate
+from qcorr.classify import is_cq
+from qcorr.corpus import LabeledState, classically_correlated_bit
+from qcorr.correlations import Ensemble, correlation_report, optimize_icq
+from qcorr.lockstep import LockstepResult
+from qcorr.optimize import OptimizerConfig, random_density
 
 from conftest import (
     oracle_entropy_bits,
@@ -316,3 +321,38 @@ class TestJsonParsing:
     def test_missing_field_is_a_state_error(self):
         with pytest.raises(StateError):
             DensityMatrix.from_json_dict({"dims": [2]})
+
+
+# Records that hold an array, a state or a dict, each made twice with equal
+# content.  `ClassicalityVerdict` holds a basis array.
+_CC = classically_correlated_bit()
+_FEW = OptimizerConfig(seed=0, restarts=1, max_evals=5)
+RECORDS = {
+    "DensityMatrix": bell_phi_plus,
+    "ProbVector": lambda: ProbVector([0.5, 0.5]),
+    "ClassicalJoint": lambda: ClassicalJoint(np.eye(2) / 2),
+    "ClassicalityVerdict": lambda: is_cq(_CC),
+    "OptimizationResult": lambda: optimize_icq(_CC, _FEW).result,
+    "BroadcastCandidate": lambda: cloning_candidate(_CC),
+    "MeasurementOptimum": lambda: optimize_icq(_CC, _FEW),
+    "Ensemble": lambda: Ensemble(ProbVector([1.0]), (_CC,)),
+    "CorrelationReport": lambda: correlation_report(_CC, _FEW),
+    "LabeledState": lambda: LabeledState("cc_00", "cc", _CC),
+    "LockstepResult": lambda: LockstepResult(
+        np.zeros(1), (np.zeros(2),), (1,), ("rounds",), (None,), 1),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a
+    assert a != b
+    hash(a)
+    assert a not in [b]
+    assert len({a, b}) == 2
+
+
+def test_layout_and_config_compare_by_value():
+    assert SubsystemLayout((2, 3)) == SubsystemLayout((2, 3))
+    assert len({OptimizerConfig(seed=1), OptimizerConfig(seed=1)}) == 1
